@@ -1,16 +1,25 @@
-"""Pure-Python twin of the compiled mod-p kernel (_fastcore).
+"""Mod-p kernels on flat row-major int matrices, and the exact search for
+every solution of an equation over F_p.
 
-Flat row-major int matrices, entries already reduced mod p. Same call
-signatures as the Cython module so kernels.py can swap them freely.
+Matrices are flat row-major int lists with entries already reduced mod p.
 """
 
 from __future__ import annotations
 
-EQ_HOPF = 0
-EQ_PENTAGON = 1
-EQ_QYBE = 2
-EQ_COMMUTATIVE = 3
-EQ_COCOMMUTATIVE = 4
+from functools import reduce
+
+# Each equation as (lhs legs, rhs legs): products of the leg operators
+# R^12, R^13, R^23 on V (x) V (x) V, associated from the left.
+EQUATIONS = {
+    "hopf": ((23, 13, 12), (12, 23)),
+    "pentagon": ((12, 13, 23), (23, 12)),
+    "qybe": ((12, 13, 23), (23, 13, 12)),
+    "commutative": ((12, 13), (13, 12)),
+    "cocommutative": ((13, 23), (23, 13)),
+}
+
+# The legs in the order legs_mod returns them.
+LEGS = (12, 13, 23)
 
 
 def matmul_mod(a, b, dim, p):
@@ -30,7 +39,11 @@ def matmul_mod(a, b, dim, p):
 
 
 def legs_mod(flat, n, p):
-    """R12, R13, R23 of an n^2 x n^2 operator, as flat n^3 x n^3 matrices."""
+    """R12, R13, R23 of an n^2 x n^2 operator, as flat n^3 x n^3 matrices.
+
+    Entries are copied, not reduced, so a vector of variable labels comes
+    back as the labels' positions in each leg.
+    """
     d2 = n * n
     d3 = d2 * n
     r12 = [0] * (d3 * d3)
@@ -53,43 +66,120 @@ def legs_mod(flat, n, p):
     return r12, r13, r23
 
 
-def equation_holds_mod(flat, n, p, code):
-    r12, r13, r23 = legs_mod(flat, n, p)
+def equation_holds_mod(flat, n, p, which):
+    """Whether the flat operator solves the named equation of EQUATIONS."""
+    legs = dict(zip(LEGS, legs_mod(flat, n, p)))
     d3 = n * n * n
-    if code == EQ_HOPF:
-        lhs = matmul_mod(matmul_mod(r23, r13, d3, p), r12, d3, p)
-        rhs = matmul_mod(r12, r23, d3, p)
-    elif code == EQ_PENTAGON:
-        lhs = matmul_mod(matmul_mod(r12, r13, d3, p), r23, d3, p)
-        rhs = matmul_mod(r23, r12, d3, p)
-    elif code == EQ_QYBE:
-        lhs = matmul_mod(matmul_mod(r12, r13, d3, p), r23, d3, p)
-        rhs = matmul_mod(matmul_mod(r23, r13, d3, p), r12, d3, p)
-    elif code == EQ_COMMUTATIVE:
-        lhs = matmul_mod(r12, r13, d3, p)
-        rhs = matmul_mod(r13, r12, d3, p)
-    elif code == EQ_COCOMMUTATIVE:
-        lhs = matmul_mod(r13, r23, d3, p)
-        rhs = matmul_mod(r23, r13, d3, p)
-    else:
-        raise ValueError(f"unknown equation code {code}")
+    lhs, rhs = (
+        reduce(lambda a, b: matmul_mod(a, b, d3, p), [legs[k] for k in side])
+        for side in EQUATIONS[which]
+    )
     return lhs == rhs
 
 
-def solutions_in_range_mod(n, p, code, start, stop):
-    """Indices in [start, stop) whose base-p digit matrix solves the equation.
+def _defect_polynomials(n, p, which):
+    """Each entry of lhs - rhs as {monomial: coefficient mod p}, zero terms
+    dropped. A monomial is the sorted tuple of the flat indices of R whose
+    entries it multiplies."""
+    size = n ** 4
+    d3 = n ** 3
+    rows = {}  # leg -> per row, the (column, flat index) of its nonzero entries
+    for name, pattern in zip(LEGS, legs_mod(list(range(1, size + 1)), n, p)):
+        rows[name] = [
+            [(j, pattern[i * d3 + j] - 1) for j in range(d3) if pattern[i * d3 + j]]
+            for i in range(d3)
+        ]
+    polys = [{} for _ in range(d3 * d3)]
+    for side, sign in zip(EQUATIONS[which], (1, -1)):
+        for i in range(d3):
+            paths = [(i, ())]
+            for name in side:
+                paths = [(j, mono + (v,)) for k, mono in paths for j, v in rows[name][k]]
+            for j, mono in paths:
+                poly = polys[i * d3 + j]
+                key = tuple(sorted(mono))
+                poly[key] = poly.get(key, 0) + sign
+    return [{m: c % p for m, c in poly.items() if c % p} for poly in polys]
 
-    Index digits are the flattened entries, first entry most significant, so
-    ascending index is lexicographic order on the entry vector.
+
+def _search_order(supports, size):
+    """The order in which the search fixes the variables: again and again,
+    all unfixed variables of the polynomial with the fewest of them left, so
+    that some check falls due after every few levels."""
+    order = []
+    fixed = set()
+    while len(order) < size:
+        left = [sorted(s - fixed) for s in supports if not s <= fixed]
+        new = min(left, key=lambda vs: (len(vs), vs)) if left else \
+            sorted(set(range(size)) - fixed)
+        order.extend(new)
+        fixed.update(new)
+    return order
+
+
+def _checks_by_level(polys, order):
+    """Per search level, the polynomials whose last variable in ``order`` is
+    fixed there, each split by the power of that variable x_k: a list of
+    (e, terms), the terms being the (coefficient, other variables) of the
+    monomials that hold x_k^e."""
+    level_of = {v: i for i, v in enumerate(order)}
+    levels = [[] for _ in order]
+    for poly in polys:
+        k = max((v for mono in poly for v in mono), key=level_of.get)
+        by_power = {}
+        for mono, c in poly.items():
+            others = tuple(v for v in mono if v != k)
+            by_power.setdefault(len(mono) - len(others), []).append((c, others))
+        levels[level_of[k]].append(sorted(by_power.items()))
+    return levels
+
+
+def solutions_mod(n, p, which):
+    """Every flat n^2 x n^2 operator over F_p solving the named equation of
+    EQUATIONS, in lexicographic order of the entry vector.
+
+    Exact backtracking over the entries. Each scalar equation of lhs - rhs
+    is checked as soon as the last of its entries is fixed, and a prefix
+    that breaks one is never extended. The entries are fixed in the order of
+    ``_search_order``, and the solutions sorted at the end.
     """
-    entries = n * n * n * n
-    hits = []
-    flat = [0] * entries
-    for idx in range(start, stop):
-        rem = idx
-        for k in range(entries - 1, -1, -1):
-            flat[k] = rem % p
-            rem //= p
-        if equation_holds_mod(flat, n, p, code):
-            hits.append(idx)
-    return hits
+    size = n ** 4
+    distinct = {frozenset(poly.items()): poly for poly in _defect_polynomials(n, p, which)}
+    polys = [poly for poly in distinct.values() if poly]
+    order = _search_order([{v for mono in poly for v in mono} for poly in polys], size)
+    levels = _checks_by_level(polys, order)
+    values = range(p)
+    x = [0] * size
+    found = []
+
+    def admissible(level):
+        """The values of the variable fixed at ``level`` that pass its checks."""
+        allowed = list(values)
+        for poly in levels[level]:
+            coeffs = []
+            for e, terms in poly:
+                acc = 0
+                for c, others in terms:
+                    for v in others:
+                        c *= x[v]
+                        if not c:
+                            break
+                    acc += c
+                coeffs.append((e, acc))
+            allowed = [t for t in allowed if not sum(c * t ** e for e, c in coeffs) % p]
+            if not allowed:
+                break
+        return allowed
+
+    def extend(level):
+        if level == size:
+            found.append(tuple(x))
+            return
+        k = order[level]
+        for t in admissible(level):
+            x[k] = t
+            extend(level + 1)
+
+    extend(0)
+    found.sort()
+    return found

@@ -2,8 +2,10 @@
 
 Subcommands: check (equation verdicts), frt (B(R) presentation, completion,
 dimension, tables), verify (the unconditional chi identities), enumerate
-(brute force over a prime field). Exit codes: 0 ok, 2 malformed input,
-3 field parse failure, 4 precondition violated, 5 enumeration cap exceeded.
+(exact pruned search over a prime field). Exit codes: 0 ok, 2 malformed
+input, 3 field parse failure, 4 precondition violated (a non-solution
+without --force, a completion past its step limit, a quotient of an algebra
+not known to be finite-dimensional), 5 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from . import bialgebras, frt, hopfmodules, rewriting, tensorops
 from .fields import FieldError, parse_field
 from .fixtures import FIXTURE_NAMES, FixtureError, build_fixture
 from .frt import NotCommutativeSolutionError, NotHopfSolutionError
+from .rewriting import CompletionError, NotFiniteDimensionalError
 from .tensorops import CapExceededError, TensorOp
 
 EXIT_OK = 0
@@ -98,6 +101,8 @@ def cmd_check(args):
 
 
 def cmd_frt(args):
+    if args.max_deg < 1:
+        raise CliInputError(f"--max-deg must be >= 1, got {args.max_deg}")
     R = _load_operator(args)
     if args.commutative:
         pres = frt.frt_commutative(R, force=args.force)
@@ -234,9 +239,7 @@ def cmd_verify(args):
 
 def cmd_enumerate(args):
     field = parse_field(args.field)
-    solutions = tensorops.enumerate_solutions(
-        args.n, field, which=args.eq, cap=args.cap, jobs=args.jobs
-    )
+    solutions = tensorops.enumerate_solutions(args.n, field, which=args.eq, cap=args.cap)
     table = {}
     for R in solutions:
         key = (
@@ -308,13 +311,12 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("enumerate", help="brute-force all solutions over F_p")
+    p = sub.add_parser("enumerate", help="all solutions over F_p, by exact pruned search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", required=True)
     p.add_argument("--eq", default="hopf",
                    choices=sorted(["hopf", "pentagon", "qybe", "commutative",
                                    "cocommutative"]))
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cap", type=int, default=2**24)
     p.add_argument("--dump", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -330,11 +332,12 @@ def main(argv=None) -> int:
     except FieldError as exc:
         print(f"field error: {exc}", file=sys.stderr)
         return EXIT_FIELD
+    except (NotHopfSolutionError, NotCommutativeSolutionError,
+            bialgebras.MissingAntipodeError, NotFiniteDimensionalError,
+            CompletionError) as exc:
+        print(f"precondition: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except (CliInputError, FixtureError, ValueError) as exc:
-        if isinstance(exc, (NotHopfSolutionError, NotCommutativeSolutionError,
-                            bialgebras.MissingAntipodeError)):
-            print(f"precondition: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapExceededError as exc:

@@ -1,44 +1,13 @@
-"""Backend selection for the mod-p hot kernels.
+"""The mod-p kernels: pure Python, on flat row-major int matrices.
 
-The compiled extension (_fastcore, Cython) is preferred; the pure-Python twin
-(_purecore) is used when the extension was not built. Both expose the same
-functions on flat row-major int matrices.
+BACKEND names the implementation; there is one, ``python``.
 """
 
 from __future__ import annotations
 
-try:
-    from . import _fastcore as _impl
+from ._purecore import EQUATIONS, LEGS, equation_holds_mod, legs_mod, matmul_mod, solutions_mod
 
-    BACKEND = "cython"
-except ImportError:  # extension not built; fall back to the pure twin
-    from . import _purecore as _impl
+BACKEND = "python"
 
-    BACKEND = "python"
-
-EQUATION_CODES = {
-    "hopf": _impl.EQ_HOPF,
-    "pentagon": _impl.EQ_PENTAGON,
-    "qybe": _impl.EQ_QYBE,
-    "commutative": _impl.EQ_COMMUTATIVE,
-    "cocommutative": _impl.EQ_COCOMMUTATIVE,
-}
-
-matmul_mod = _impl.matmul_mod
-legs_mod = _impl.legs_mod
-equation_holds_mod = _impl.equation_holds_mod
-solutions_in_range_mod = _impl.solutions_in_range_mod
-
-
-def backends():
-    """All importable backends, for the benchmark and the twin tests."""
-    from . import _purecore
-
-    found = {"python": _purecore}
-    try:
-        from . import _fastcore
-
-        found["cython"] = _fastcore
-    except ImportError:
-        pass
-    return found
+__all__ = ["BACKEND", "EQUATIONS", "LEGS", "equation_holds_mod", "legs_mod", "matmul_mod",
+           "solutions_mod"]

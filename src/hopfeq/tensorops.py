@@ -15,13 +15,14 @@ All comparisons are exact, entrywise; no tolerances anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from . import kernels, linalg
 from .fields import Field, FieldError, PrimeField, parse_field
 
 
 class CapExceededError(RuntimeError):
-    """Brute-force candidate space larger than the configured cap."""
+    """Candidate space p^(n^4) larger than the configured cap."""
 
 
 @dataclass
@@ -132,29 +133,16 @@ def leg(R: TensorOp, which: int):
     return out
 
 
-def _legs(R):
-    return leg(R, 12), leg(R, 13), leg(R, 23)
-
-
 def _equation_holds(R: TensorOp, name: str) -> bool:
     field = R.field
     if isinstance(field, PrimeField):
-        return kernels.equation_holds_mod(
-            R.flat(), R.n, field.p, kernels.EQUATION_CODES[name]
-        )
-    r12, r13, r23 = _legs(R)
-    mm = lambda a, b: linalg.mat_mul(field, a, b)
-    if name == "hopf":
-        return mm(mm(r23, r13), r12) == mm(r12, r23)
-    if name == "pentagon":
-        return mm(mm(r12, r13), r23) == mm(r23, r12)
-    if name == "qybe":
-        return mm(mm(r12, r13), r23) == mm(mm(r23, r13), r12)
-    if name == "commutative":
-        return mm(r12, r13) == mm(r13, r12)
-    if name == "cocommutative":
-        return mm(r13, r23) == mm(r23, r13)
-    raise ValueError(f"unknown equation {name!r}")
+        return kernels.equation_holds_mod(R.flat(), R.n, field.p, name)
+    legs = {k: leg(R, k) for k in kernels.LEGS}
+    lhs, rhs = (
+        reduce(lambda a, b: linalg.mat_mul(field, a, b), [legs[k] for k in side])
+        for side in kernels.EQUATIONS[name]
+    )
+    return lhs == rhs
 
 
 def check_hopf(R):
@@ -256,26 +244,18 @@ def random_endo(n, field, rng) -> EndoV:
     return EndoV(n, field, [[field.random(rng) for _ in range(n)] for _ in range(n)])
 
 
-def _op_from_index(idx, n, p, field):
-    d2 = n * n
-    entries = [[0] * d2 for _ in range(d2)]
-    rem = idx
-    for k in range(d2 * d2 - 1, -1, -1):
-        entries[k // d2][k % d2] = rem % p
-        rem //= p
-    return TensorOp(n, field, entries)
-
-
-def enumerate_solutions(n, field, which="hopf", cap=2**24, jobs=1):
+def enumerate_solutions(n, field, which="hopf", cap=2**24):
     """All n^2 x n^2 operators over F_p solving the chosen equation.
 
-    Exhaustive over all p^(n^4) candidates; output in lexicographic order of
-    the flattened entry vector. Raises CapExceededError when the candidate
-    count exceeds the cap.
+    Exact pruned search (``kernels.solutions_mod``); output in lexicographic
+    order of the flattened entry vector. Raises CapExceededError when the
+    p^(n^4) candidates exceed the cap.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not isinstance(field, PrimeField):
         raise FieldError("enumeration needs a prime field")
-    if which not in kernels.EQUATION_CODES:
+    if which not in kernels.EQUATIONS:
         raise ValueError(f"unknown equation {which!r}")
     p = field.p
     total = p ** (n ** 4)
@@ -283,16 +263,8 @@ def enumerate_solutions(n, field, which="hopf", cap=2**24, jobs=1):
         raise CapExceededError(
             f"{total} candidates exceed the cap {cap}; raise it explicitly to proceed"
         )
-    code = kernels.EQUATION_CODES[which]
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        step = -(-total // jobs)
-        ranges = [(n, p, code, lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with Pool(jobs) as pool:
-            chunks = pool.starmap(kernels.solutions_in_range_mod, ranges)
-        indices = [i for chunk in chunks for i in chunk]
-        indices.sort()
-    else:
-        indices = kernels.solutions_in_range_mod(n, p, code, 0, total)
-    return [_op_from_index(i, n, p, field) for i in indices]
+    d2 = n * n
+    return [
+        TensorOp(n, field, [list(flat[r * d2:(r + 1) * d2]) for r in range(d2)])
+        for flat in kernels.solutions_mod(n, p, which)
+    ]

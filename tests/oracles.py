@@ -1,9 +1,10 @@
 """Independent oracles used to freeze expected values: dense triple-loop
-matrix arithmetic, the scalar form of the Hopf equation, and direct
-expansions of the obstruction formula. Deliberately written without the
-package's production shortcuts."""
+matrix arithmetic, the scalar form of the Hopf equation, direct expansions
+of the obstruction formula, and brute-force enumeration of solutions over
+F_p. Deliberately written without the package's production shortcuts."""
 
 from itertools import product
+from types import SimpleNamespace
 
 
 def matmul(field, a, b):
@@ -141,6 +142,62 @@ def hopf_rescan_count(n, p):
         if hopf_scalar_system_holds(x, n, p):
             count += 1
     return count
+
+
+# The five equations as (lhs, rhs) products of legs, read off the
+# definitions: e.g. hopf is R^23 R^13 R^12 = R^12 R^23.
+EQUATION_SIDES = {
+    "hopf": ((23, 13, 12), (12, 23)),
+    "pentagon": ((12, 13, 23), (23, 12)),
+    "qybe": ((12, 13, 23), (23, 13, 12)),
+    "commutative": ((12, 13), (13, 12)),
+    "cocommutative": ((13, 23), (23, 13)),
+}
+
+# The integers, with the interface the dense helpers above expect of a field.
+INTEGERS = SimpleNamespace(zero=0, one=1, add=lambda a, b: a + b, mul=lambda a, b: a * b)
+
+
+def leg_patterns(n):
+    """R^12, R^13 and R^23 of the operator whose entries are the labels
+    1..n^4 in flat order (0 where a leg has no entry), built from dense
+    Kronecker and switch products."""
+    d2 = n * n
+    labels = [[r * d2 + c + 1 for c in range(d2)] for r in range(d2)]
+    one = identity(INTEGERS, n)
+    r12 = kron(INTEGERS, labels, one)
+    i_tau = kron(INTEGERS, one, switch_matrix(INTEGERS, n))
+    r13 = matmul(INTEGERS, matmul(INTEGERS, i_tau, r12), i_tau)
+    return {12: r12, 13: r13, 23: kron(INTEGERS, one, labels)}
+
+
+def brute_force_solutions(n, p, which):
+    """Every flat entry vector over F_p solving the named equation, found
+    by testing all p^(n^4) candidates in lexicographic order.
+
+    Each entry of lhs - rhs is kept as its signed paths of labels through
+    the legs, unmerged, and evaluated on every candidate."""
+    size = n ** 4
+    d3 = n ** 3
+    legs = leg_patterns(n)
+    defect = []
+    for r, c in product(range(d3), repeat=2):
+        terms = []
+        for side, sign in zip(EQUATION_SIDES[which], (1, -1)):
+            for middle in product(range(d3), repeat=len(side) - 1):
+                stops = (r, *middle, c)
+                path = [legs[name][stops[k]][stops[k + 1]] for k, name in enumerate(side)]
+                if all(path):
+                    # pad to three factors with the slot that holds 1
+                    terms.append((sign, *[lab - 1 for lab in path], *[size] * (3 - len(path))))
+        defect.append(terms)
+    found = []
+    for cand in product(range(p), repeat=size):
+        g = cand + (1,)
+        if all(not sum(s * g[a] * g[b] * g[c] for s, a, b, c in terms) % p
+               for terms in defect):
+            found.append(cand)
+    return found
 
 
 def random_invertible(field, n, rng):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hopfeq import rewriting
 from hopfeq.cli import main
 
 
@@ -94,6 +95,29 @@ def test_frt_non_solution_exits_4(capsys):
     assert code == 4 and "Hopf" in err
 
 
+@pytest.mark.parametrize("deg", ["0", "-1"])
+def test_frt_max_deg_below_one_exits_2(capsys, deg):
+    code, out, err = run(capsys, "frt", "--fixture", "char2", "--field", "fp:2",
+                         "--max-deg", deg)
+    assert code == 2 and "--max-deg" in err and not out
+
+
+def _raiser(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+    return raise_it
+
+
+@pytest.mark.parametrize("target,exc", [
+    ("complete", rewriting.CompletionError("did not settle")),
+    ("quotient_bialgebra", rewriting.NotFiniteDimensionalError("dimension undecided")),
+], ids=["CompletionError", "NotFiniteDimensionalError"])
+def test_frt_rewriting_failures_exit_4(capsys, monkeypatch, target, exc):
+    monkeypatch.setattr(rewriting, target, _raiser(exc))
+    code, _, err = run(capsys, "frt", "--fixture", "char2", "--field", "fp:2")
+    assert code == 4 and err.startswith("precondition:") and str(exc) in err
+
+
 def test_frt_force_overrides(capsys):
     code, out, _ = run(capsys, "frt", "--fixture", "classical_yb:2", "--field", "q",
                        "--force")
@@ -154,6 +178,11 @@ def test_enumerate_cap_exit_5(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "2", "--field", "fp:7",
                        "--eq", "hopf")
     assert code == 5 and "cap" in err.lower()
+
+
+def test_enumerate_n_below_one_exits_2(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "0", "--field", "fp:2")
+    assert code == 2 and "n must be >= 1" in err and not out
 
 
 def test_enumerate_bad_field_exit_3(capsys):

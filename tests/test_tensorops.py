@@ -238,10 +238,15 @@ def test_enumerate_rejects_rationals():
         T.enumerate_solutions(1, QQ, "hopf")
 
 
-def test_enumerate_jobs_deterministic():
-    one = T.enumerate_solutions(1, F5, "hopf", jobs=1)
-    two = T.enumerate_solutions(1, F5, "hopf", jobs=2)
-    assert one == two
+def test_enumerate_rejects_n_below_one():
+    with pytest.raises(ValueError):
+        T.enumerate_solutions(0, F2, "hopf")
+
+
+def test_enumerate_n2_f2_matches_brute_force():
+    sols = T.enumerate_solutions(2, F2, "hopf")
+    assert [tuple(S.flat()) for S in sols] == oracles.brute_force_solutions(2, 2, "hopf")
+    assert all(S.field == F2 and S.n == 2 for S in sols)
 
 
 # -- invariants -------------------------------------------------------------
