@@ -106,12 +106,12 @@ def _search_order(supports, size):
     """The order in which the search fixes the variables: again and again,
     all unfixed variables of the polynomial with the fewest of them left, so
     that some check falls due after every few levels."""
+    supports = [*supports, set(range(size))]  # so that every variable gets fixed
     order = []
     fixed = set()
     while len(order) < size:
-        left = [sorted(s - fixed) for s in supports if not s <= fixed]
-        new = min(left, key=lambda vs: (len(vs), vs)) if left else \
-            sorted(set(range(size)) - fixed)
+        left = (sorted(s - fixed) for s in supports if not s <= fixed)
+        new = min(left, key=lambda vs: (len(vs), vs))
         order.extend(new)
         fixed.update(new)
     return order
