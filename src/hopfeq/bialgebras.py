@@ -48,14 +48,14 @@ class StructureBialgebra:
         zero = f.zero
         out = [zero] * self.dim
         for i, ai in enumerate(a):
-            if ai == zero:
+            if not ai:
                 continue
             for j, bj in enumerate(b):
-                if bj == zero:
+                if not bj:
                     continue
                 coeff = f.mul(ai, bj)
                 for k, m in enumerate(self.mult[i][j]):
-                    if m != zero:
+                    if m:
                         out[k] = f.add(out[k], f.mul(coeff, m))
         return out
 
@@ -64,12 +64,12 @@ class StructureBialgebra:
         zero = f.zero
         out = [[zero] * self.dim for _ in range(self.dim)]
         for i, ai in enumerate(a):
-            if ai == zero:
+            if not ai:
                 continue
             for u in range(self.dim):
                 row = self.comult[i][u]
                 for v in range(self.dim):
-                    if row[v] != zero:
+                    if row[v]:
                         out[u][v] = f.add(out[u][v], f.mul(ai, row[v]))
         return out
 
@@ -86,7 +86,7 @@ class StructureBialgebra:
         f = self.field
         out = [f.zero] * self.dim
         for i, ai in enumerate(a):
-            if ai != f.zero:
+            if ai:
                 for k, s in enumerate(self.antipode[i]):
                     out[k] = f.add(out[k], f.mul(ai, s))
         return out
@@ -194,23 +194,23 @@ def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
         for a in range(dim):
             for w in range(dim):
                 c = C[i][a][w]
-                if c != f.zero:
+                if c:
                     for u in range(dim):
                         for v in range(dim):
-                            if C[a][u][v] != f.zero:
+                            if C[a][u][v]:
                                 key = (u, v, w)
                                 lhs[key] = f.add(lhs.get(key, f.zero), f.mul(c, C[a][u][v]))
         for u in range(dim):
             for a in range(dim):
                 c = C[i][u][a]
-                if c != f.zero:
+                if c:
                     for v in range(dim):
                         for w in range(dim):
-                            if C[a][v][w] != f.zero:
+                            if C[a][v][w]:
                                 key = (u, v, w)
                                 rhs[key] = f.add(rhs.get(key, f.zero), f.mul(c, C[a][v][w]))
-        lhs = {k: v for k, v in lhs.items() if v != f.zero}
-        rhs = {k: v for k, v in rhs.items() if v != f.zero}
+        lhs = {k: v for k, v in lhs.items() if v}
+        rhs = {k: v for k, v in rhs.items() if v}
         return lhs == rhs
 
     coassoc = all(coassoc_at(i) for i in range(dim))
@@ -230,22 +230,22 @@ def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
         for a in range(dim):
             for b in range(dim):
                 cab = B.comult[i][a][b]
-                if cab == f.zero:
+                if not cab:
                     continue
                 for c in range(dim):
                     for d in range(dim):
                         ccd = B.comult[j][c][d]
-                        if ccd == f.zero:
+                        if not ccd:
                             continue
                         coeff = f.mul(cab, ccd)
                         ac = B.mult[a][c]
                         bd = B.mult[b][d]
                         for u in range(dim):
-                            if ac[u] == f.zero:
+                            if not ac[u]:
                                 continue
                             cu = f.mul(coeff, ac[u])
                             for v in range(dim):
-                                if bd[v] != f.zero:
+                                if bd[v]:
                                     out[u][v] = f.add(out[u][v], f.mul(cu, bd[v]))
         return out
 
@@ -270,7 +270,7 @@ def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
             for u in range(dim):
                 for v in range(dim):
                     c = B.comult[i][u][v]
-                    if c == f.zero:
+                    if not c:
                         continue
                     sl = B.multiply(B.apply_antipode(basis[u]), basis[v])
                     sr = B.multiply(basis[u], B.apply_antipode(basis[v]))

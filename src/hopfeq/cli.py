@@ -72,24 +72,6 @@ def _generator_names(n, rs=None):
     return names
 
 
-def _render_poly(poly, names):
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for w, c in poly.sorted_terms():
-        mono = "*".join(names[k] for k in w) if w else "1"
-        cs = poly.field.render(c)
-        if w and cs == "1":
-            parts.append(mono)
-        elif w and cs == "-1":
-            parts.append(f"-{mono}")
-        elif w:
-            parts.append(f"{cs}*{mono}")
-        else:
-            parts.append(cs)
-    return " + ".join(parts).replace("+ -", "- ")
-
-
 def cmd_check(args):
     R = _load_operator(args)
     report = tensorops.solution_report(R)
@@ -150,11 +132,10 @@ def cmd_frt(args):
     for k, r in enumerate(pres.relations):
         origin = pres.chi_origin[k] if k < len(pres.chi_origin) else None
         tag = f"chi{tuple(x + 1 for x in origin)}: " if origin is not None else "[comm] "
-        print(f"  {tag}{_render_poly(r, names)}")
+        print(f"  {tag}{r.render(names)}")
     print(f"completion: {rs.status} (max degree {rs.max_degree}), {len(rs.rules)} rules")
     for r in rs.rules:
-        lhs = "*".join(names[k] for k in r.lhs) if r.lhs else "1"
-        print(f"  {lhs} -> {_render_poly(r.tail, names)}")
+        print(f"  {r.render(names)}")
     if report.is_finite():
         print(f"dimension: finite, {report.count}")
     else:
@@ -212,6 +193,10 @@ def _verify_one(R):
 
 
 def cmd_verify(args):
+    if args.random is not None and args.random < 1:
+        raise CliInputError(f"--random must be >= 1, got {args.random}")
+    if args.n < 1:
+        raise CliInputError(f"--n must be >= 1, got {args.n}")
     if args.random:
         field = parse_field(args.field)
         rng = random.Random(args.seed)

@@ -5,6 +5,11 @@ canonical ints in [0, p) over F_p); a Field object supplies the arithmetic.
 Both representations are automatically kept in canonical form: Fraction
 normalizes to lowest terms with positive denominator, and every F_p operation
 reduces mod p.
+
+In both representations the zero scalar is falsy and every other scalar is
+truthy, so hot loops test ``if c:`` in place of ``c != field.zero``: on a
+Fraction the comparison goes through an abstract-base-class check and costs
+several times more.
 """
 
 from __future__ import annotations

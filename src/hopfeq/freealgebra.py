@@ -166,10 +166,12 @@ class NCPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]), reverse=True)
 
-    def render(self):
+    def render(self, names=None):
+        """Text form, highest term first; names defaults to the alphabet's
+        letter names."""
         if not self.terms:
             return "0"
-        names = self.alphabet.names
+        names = names or self.alphabet.names
         parts = []
         for w, c in self.sorted_terms():
             mono = "*".join(names[k] for k in w) if w else "1"
@@ -334,11 +336,22 @@ class TensorPoly:
 
     def map_legs(self, f):
         """Apply an NCPoly -> NCPoly linear map to both tensor legs."""
-        out = TensorPoly.zero(self.alphabet, self.field)
+        alphabet, field = self.alphabet, self.field
+        add, mul = field.add, field.mul
+        terms = {}
         for (w1, w2), c in self.terms.items():
-            left = f(NCPoly.word(self.alphabet, self.field, w1))
-            right = f(NCPoly.word(self.alphabet, self.field, w2))
-            out = out + TensorPoly.of(left.scale(c), right)
+            right = f(NCPoly.word(alphabet, field, w2)).terms
+            for u1, c1 in f(NCPoly.word(alphabet, field, w1)).terms.items():
+                c1 = mul(c, c1)
+                for u2, c2 in right.items():
+                    key = (u1, u2)
+                    s = add(terms.get(key, field.zero), mul(c1, c2))
+                    if s:
+                        terms[key] = s
+                    else:
+                        terms.pop(key, None)
+        out = TensorPoly(alphabet, field)
+        out.terms = terms
         return out
 
     def render(self):

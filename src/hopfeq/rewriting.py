@@ -7,12 +7,23 @@ freealgebra; rule tails are strictly smaller than their leading words, so
 reduction never increases degree and always terminates. Completion keeps the
 rule set inter-reduced and processes overlap obligations FIFO, so the result
 is deterministic for a given relation list.
+
+Reduction looks rules up in a hash index of their left-hand sides (lhs word
+-> rule, plus the distinct lhs lengths) instead of scanning the rule list:
+at each position of a word it tries one slice per lhs length. Because the
+rule set is inter-reduced, no lhs is a factor of another and at most one lhs
+matches at any position, so the leftmost match picks the rule a scan would.
+On a list that is not inter-reduced the first matching rule in list order
+still wins. Every RewriteSystem builds its index from its rules; complete()
+updates the index of its working system only when it admits or retires a
+rule, and after admitting one re-reduces only the tails in which the new lhs
+occurs. quotient_bialgebra and check_coideal reduce each word once per call.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .freealgebra import NCPoly, word_key
 
@@ -35,10 +46,10 @@ class RewriteRule:
     def poly(self):
         return NCPoly.word(self.tail.alphabet, self.tail.field, self.lhs) - self.tail
 
-    def render(self):
-        names = self.tail.alphabet.names
+    def render(self, names=None):
+        names = names or self.tail.alphabet.names
         lhs = "*".join(names[k] for k in self.lhs) if self.lhs else "1"
-        return f"{lhs} -> {self.tail.render()}"
+        return f"{lhs} -> {self.tail.render(names)}"
 
 
 @dataclass
@@ -48,6 +59,11 @@ class RewriteSystem:
     rules: list
     status: str  # "complete" | "capped"
     max_degree: int
+    # built from rules at construction; complete() keeps its own in step
+    index: _RuleIndex = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.index = _RuleIndex(self.rules)
 
     def is_complete(self):
         return self.status == "complete"
@@ -80,56 +96,109 @@ def _orient(poly):
     return RewriteRule(lhs, tail)
 
 
-def _rules_by_first(rules):
-    by_first = {}
-    for r in rules:
-        by_first.setdefault(r.lhs[0] if r.lhs else None, []).append(r)
-    return by_first
+class _RuleIndex:
+    """Hash index of rule left-hand sides: lhs -> (rank, rule), with rank the
+    rule's place in list order, plus the sorted distinct lhs lengths.
 
+    At each position of a word the index tries every lhs length; the leftmost
+    position with a match wins, and among several matches there the lowest
+    rank, as a scan of the rule list would pick. In an inter-reduced set no
+    lhs is a factor of another, so at most one lhs matches at a position.
+    """
 
-def _find_reduction(w, rules):
-    # an empty lhs (unit ideal) matches everywhere, including the empty word
-    for r in rules:
-        if not r.lhs:
-            return 0, r
-    for pos in range(len(w)):
+    __slots__ = ("by_lhs", "lengths", "_next_rank")
+
+    def __init__(self, rules=()):
+        self.by_lhs = {}
+        self.lengths = []
+        self._next_rank = 0
         for r in rules:
-            L = len(r.lhs)
-            if w[pos:pos + L] == r.lhs:
-                return pos, r
-    return None
+            self.add(r)
+
+    def add(self, rule):
+        rank = self._next_rank
+        self._next_rank += 1
+        if rule.lhs in self.by_lhs:  # a later duplicate never wins
+            return
+        self.by_lhs[rule.lhs] = (rank, rule)
+        if len(rule.lhs) not in self.lengths:
+            self.lengths = sorted(self.lengths + [len(rule.lhs)])
+
+    def remove(self, rule):
+        del self.by_lhs[rule.lhs]
+        self.lengths = sorted({len(w) for w in self.by_lhs})
+
+    def find(self, w):
+        """(position, rule) of the reduction to apply to w, or None."""
+        by_lhs = self.by_lhs
+        if () in by_lhs:  # an empty lhs (unit ideal) matches everywhere
+            return 0, by_lhs[()][1]
+        n = len(w)
+        lengths = self.lengths
+        for pos in range(n):
+            best = None
+            for L in lengths:
+                if pos + L > n:
+                    break
+                hit = by_lhs.get(w[pos:pos + L])
+                if hit is not None and (best is None or hit[0] < best[0]):
+                    best = hit
+            if best is not None:
+                return pos, best[1]
+        return None
+
+
+def _has_factor(w, f):
+    L = len(f)
+    if len(w) <= L:
+        return w == f
+    return any(w[i:i + L] == f for i in range(len(w) - L + 1))
 
 
 def normal_form(poly, rs):
     """Reduce every term until no factor matches a rule; linear, idempotent."""
     field = poly.field
     zero, add, mul = field.zero, field.add, field.mul
-    rules = rs.rules
+    find = rs.index.find
     work = dict(poly.terms)
     done = {}
     while work:
         w = max(work, key=word_key)
         c = work.pop(w)
-        hit = _find_reduction(w, rules)
+        hit = find(w)
         if hit is None:
-            s = add(done.get(w, zero), c)
-            if s == zero:
-                done.pop(w, None)
-            else:
-                done[w] = s
+            if c:  # words leave work in falling order, each once
+                done[w] = c
             continue
         pos, rule = hit
         head, tail_of_word = w[:pos], w[pos + len(rule.lhs):]
         for t, tc in rule.tail.terms.items():
             nw = head + t + tail_of_word
             s = add(work.get(nw, zero), mul(c, tc))
-            if s == zero:
-                work.pop(nw, None)
-            else:
+            if s:
                 work[nw] = s
+            else:
+                work.pop(nw, None)
     out = NCPoly(poly.alphabet, poly.field)
     out.terms = done
     return out
+
+
+def _word_normal_forms(rs):
+    """normal_form(., rs) that reduces each word once per returned function:
+    a single-term polynomial reuses the stored normal form of its word."""
+    memo = {}
+
+    def nf(p):
+        if len(p.terms) != 1:
+            return normal_form(p, rs)
+        (w, c), = p.terms.items()
+        q = memo.get(w)
+        if q is None:
+            q = memo[w] = normal_form(NCPoly.word(p.alphabet, p.field, w), rs)
+        return q if c == p.field.one else q.scale(c)
+
+    return nf
 
 
 def _proper_overlaps(r1, r2):
@@ -165,14 +234,17 @@ def complete(relations, max_degree=8):
         sorted((r.monic() for r in relations), key=lambda p: word_key(p.leading_word()))
     )
     rules = []
+    # the working system: its rule list and index change only when a rule
+    # is admitted or retired
+    work = RewriteSystem(alphabet, field, rules, "capped", max_degree)
+    index = work.index
     capped = False
     steps = 0
     while queue:
         steps += 1
         if steps > COMPLETION_STEP_LIMIT:
             raise CompletionError("completion did not settle within the step limit")
-        stub = RewriteSystem(alphabet, field, rules, "capped", max_degree)
-        p = normal_form(queue.popleft(), stub)
+        p = normal_form(queue.popleft(), work)
         if p.is_zero():
             continue
         if p.degree() > max_degree:
@@ -185,16 +257,19 @@ def complete(relations, max_degree=8):
             break
         kept = []
         for r in rules:
-            if _find_reduction(r.lhs, [new]) is not None:
+            if _has_factor(r.lhs, new.lhs):
                 queue.append(r.poly())
+                index.remove(r)
             else:
                 kept.append(r)
         kept.append(new)
-        rules = kept
-        # tails may have become reducible by the newcomer
-        stub = RewriteSystem(alphabet, field, rules, "capped", max_degree)
+        rules[:] = kept
+        index.add(new)
+        # every tail was irreducible before new came in, and the tail of new
+        # is smaller than its lhs: only tails with the lhs as a factor change
         for r in rules:
-            r.tail = normal_form(r.tail, stub)
+            if any(_has_factor(t, new.lhs) for t in r.tail.terms):
+                r.tail = normal_form(r.tail, work)
         for r in rules:
             for pair in (new, r), (r, new):
                 for amb, spoly in _proper_overlaps(*pair):
@@ -267,7 +342,7 @@ def check_coideal(pres, rs):
     On a complete system this is exactly Delta(r) in I(x)T + T(x)I; with a
     capped system the verdict is only degree-bounded.
     """
-    nf = lambda p: normal_form(p, rs)
+    nf = _word_normal_forms(rs)
     for r in pres.relations:
         if not r.delta().map_legs(nf).is_zero():
             return False
@@ -304,7 +379,7 @@ def quotient_bialgebra(pres, rs, max_len=12):
             vec[index[w]] = c
         return vec
 
-    nf = lambda p: normal_form(p, rs)
+    nf = _word_normal_forms(rs)
     unit = to_vec(nf(NCPoly.one(alphabet, field)))
     mult = [
         [to_vec(nf(NCPoly.word(alphabet, field, wi + wj))) for wj in words]

@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values: dense triple-loop
 matrix arithmetic, the scalar form of the Hopf equation, direct expansions
-of the obstruction formula, and brute-force enumeration of solutions over
-F_p. Deliberately written without the package's production shortcuts."""
+of the obstruction formula, brute-force enumeration of solutions over F_p,
+and normal forms by a scan of the whole rule list. Deliberately written
+without the package's production shortcuts."""
 
 from itertools import product
 from types import SimpleNamespace
@@ -198,6 +199,46 @@ def brute_force_solutions(n, p, which):
                for terms in defect):
             found.append(cand)
     return found
+
+
+def linear_scan_normal_form(field, terms, rules):
+    """Normal form of a word -> scalar dict under rules, a list of (lhs word,
+    tail dict) pairs with every tail word deglex-smaller than its lhs.
+
+    Reduces the deglex-largest word first, at the leftmost position where
+    some lhs occurs, with the first such rule in list order; an empty lhs
+    matches any word. Every rule is tried at every position."""
+
+    def scan(w):
+        for lhs, tail in rules:
+            if not lhs:
+                return 0, lhs, tail
+        for pos in range(len(w)):
+            for lhs, tail in rules:
+                if w[pos:pos + len(lhs)] == lhs:
+                    return pos, lhs, tail
+        return None
+
+    def bump(acc, word, c):
+        s = field.add(acc.get(word, field.zero), c)
+        if s == field.zero:
+            acc.pop(word, None)
+        else:
+            acc[word] = s
+
+    work = dict(terms)
+    done = {}
+    while work:
+        w = max(work, key=lambda u: (len(u), u))
+        c = work.pop(w)
+        hit = scan(w)
+        if hit is None:
+            bump(done, w, c)
+            continue
+        pos, lhs, tail = hit
+        for t, tc in tail.items():
+            bump(work, w[:pos] + t + w[pos + len(lhs):], field.mul(c, tc))
+    return done
 
 
 def random_invertible(field, n, rng):

@@ -158,6 +158,20 @@ def test_verify_random(capsys):
     assert "false" not in out
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_random_below_one_exits_2(capsys, count):
+    code, out, err = run(capsys, "verify", "--random", count, "--n", "2",
+                         "--field", "fp:2")
+    assert code == 2 and "--random" in err and not out
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_verify_n_below_one_exits_2(capsys, n):
+    code, out, err = run(capsys, "verify", "--random", "2", "--n", n,
+                         "--field", "fp:2")
+    assert code == 2 and "--n" in err and not out
+
+
 def test_verify_corrupted_file(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"field": "q", "n": 2}')

@@ -71,6 +71,18 @@ def test_field_axioms_on_samples(desc):
                 )
 
 
+@pytest.mark.parametrize("desc", ["q", "fp:2", "fp:5", "fp:31"])
+def test_scalar_truthiness_is_nonzero(desc):
+    field = parse_field(desc)
+    rng = random.Random(7)
+    samples = [field.random(rng) for _ in range(40)] + [field.zero, field.one]
+    assert not field.zero and field.one
+    for a in samples:
+        assert bool(a) == (a != field.zero)
+        assert not field.add(a, field.neg(a))
+        assert bool(field.mul(a, field.one)) == bool(a)
+
+
 def test_rational_canonical_form():
     a = QQ.parse_scalar("2/4")
     assert (a.numerator, a.denominator) == (1, 2)

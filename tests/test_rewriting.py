@@ -1,10 +1,14 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from hopfeq import bialgebras as B, frt, linalg, rewriting as RW, tensorops as T
 from hopfeq.fields import QQ, parse_field
+from hopfeq.fixtures import build_fixture
 from hopfeq.freealgebra import NCPoly, comatrix_alphabet, free_alphabet, word_key
 
 F2 = parse_field("fp:2")
@@ -119,6 +123,103 @@ def test_unit_ideal_collapses():
     rs = RW.complete([gen(0, 0) - one, gen(0, 0)], 8)
     assert RW.normal_form(one, rs).is_zero()
     assert RW.irreducible_words(rs, 4) == []
+
+
+# -- indexed reduction against the linear scan -------------------------------------
+
+def oriented(relations):
+    """One rule per relation, with no completion: not inter-reduced."""
+    rules = []
+    for r in relations:
+        p = r.monic()
+        lhs = p.leading_word()
+        rules.append(RW.RewriteRule(lhs, NCPoly.word(p.alphabet, p.field, lhs) - p))
+    return rules
+
+
+def index_cases():
+    """(name, rewriting system) pairs: three completed systems, plus rule
+    lists in the middle of completion or not inter-reduced at all."""
+    cases = []
+    for fid, fd in (("char2", "fp:2"), ("takesaki_c3", "q"), ("r_q:0", "q")):
+        pres = frt.frt_presentation(build_fixture(fid, parse_field(fd)))
+        cases.append((fid, RW.complete(pres.relations, 8)))
+    # capped at degree 3, r_q:1 leaves overlaps that do not resolve
+    pres = frt.frt_presentation(build_fixture("r_q:1", QQ))
+    cases.append(("r_q:1 capped at 3", RW.complete(pres.relations, 3)))
+    pres = frt.frt_presentation(build_fixture("takesaki_c3", QQ))
+    A, F = pres.relations[0].alphabet, QQ
+    # the degree-2 relations, then some of them times a letter (lhs words with
+    # a shorter lhs as a factor) and plus a letter (the same lhs words again)
+    some = pres.relations[:12]
+    longer = [r * NCPoly.letter(A, F, k % len(A)) for k, r in enumerate(some)]
+    shifted = [r + NCPoly.letter(A, F, k % len(A)) for k, r in enumerate(some)]
+    raw = oriented(pres.relations + longer + shifted)
+    cases.append(("takesaki_c3 raw", RW.RewriteSystem(A, F, raw, "capped", 8)))
+    cases.append(("takesaki_c3 raw reversed", RW.RewriteSystem(A, F, raw[::-1], "capped", 8)))
+    return cases
+
+
+def test_raw_rule_lists_are_not_inter_reduced():
+    _, raw = index_cases()[-1]
+    lhs = [r.lhs for r in raw.rules]
+    assert len(set(lhs)) < len(lhs)
+    assert any(len(a) < len(b) and any(b[i:i + len(a)] == a for i in range(len(b)))
+               for a in lhs for b in lhs)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_indexed_normal_form_matches_linear_scan(k):
+    name, rs = index_cases()[k]
+    field, letters = rs.field, len(rs.alphabet)
+    rules = [(r.lhs, r.tail.terms) for r in rs.rules]
+    rng = random.Random(60 + k)
+    for _ in range(25):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            w = tuple(rng.randrange(letters) for _ in range(rng.randint(0, 6)))
+            terms[w] = field.random(rng)
+        p = NCPoly(rs.alphabet, field, terms)
+        assert RW.normal_form(p, rs).terms == \
+            oracles.linear_scan_normal_form(field, p.terms, rules), name
+
+
+def pipeline_doc(R):
+    """Rule list, status, dimension report and quotient tables of B(R)."""
+    pres = frt.frt_presentation(R)
+    rs = RW.complete(pres.relations, 8)
+    rep = RW.dimension(rs, 8)
+    doc = {"rs": rs.to_json(),
+           "dim": [rep.kind, rep.count, rep.hilbert_prefix, rep.word_length_cap]}
+    if rep.is_finite():
+        doc["tables"] = RW.quotient_bialgebra(pres, rs, 8).to_json()
+    return doc
+
+
+def digest(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_b_of_r_outputs_pinned_over_f2_hopf_solutions():
+    # digest recorded with the linear-scan reduction, before the index
+    docs = [pipeline_doc(R) for R in T.enumerate_solutions(2, F2, which="hopf")]
+    assert len(docs) == 147
+    assert sum(d["rs"]["status"] == "complete" for d in docs) == 143
+    assert digest(docs) == "b834938657d8d6272116d37afff44831f90222e6e26233220596e683478fcf69"
+
+
+@pytest.mark.parametrize("fid,fd,want", [
+    ("char2", "fp:2", "2a42a6911fcd4ef324bdf499f0fd6d97fc55d67c2d49e46a6a3d28f83b62f9d9"),
+    ("takesaki_c3", "q", "7e3a0f77e4e813920e9e758768c2899c9cd4d3e72e72822300548974ae1140a2"),
+    ("takesaki_c4", "q", "4d897e8a8e9f224eea6e21b44f5a31f6ccc06e80651be359c0b2302d4bc269d1"),
+    ("galois_c3", "fp:7", "0d3455add24924028b471267fbeae169b44523d3813e5a3fe4009100e7faec5e"),
+    ("r_q:0", "q", "4bdd240129491514bbb03d933821018547c150ea3e910d9dfb29bd36e936f08e"),
+    ("r_q_prime:1", "q", "2c9843467b383f28dcb2ef0c943aab73116cd45d2d2212d2131c01394c113696"),
+    ("graded_c2", "q", "244d0407f2fda2ad25d8b29b54149a57a7b6133b42e97e71d6e03e8966754e83"),
+])
+def test_b_of_r_outputs_pinned_on_fixtures(fid, fd, want):
+    # digests recorded with the linear-scan reduction, before the index
+    assert digest(pipeline_doc(build_fixture(fid, parse_field(fd)))) == want
 
 
 # -- irreducible words and dimension -----------------------------------------------
