@@ -10,11 +10,20 @@ In both representations the zero scalar is falsy and every other scalar is
 truthy, so hot loops test ``if c:`` in place of ``c != field.zero``: on a
 Fraction the comparison goes through an abstract-base-class check and costs
 several times more.
+
+For integer accumulation (``linalg.mat_mul``) a field lifts a matrix to
+plain ints and lowers int sums back to scalars: ``lift(rows)`` returns
+``(ints, d)`` with ``rows == ints / d`` entrywise for one positive int ``d``,
+and ``lower(ints, d)`` returns the matrix of scalars ``ints / d``, each in
+canonical form and every zero the shared ``field.zero``. Over the rationals
+``d`` is the lcm of the entries' denominators; over F_p the entries are
+already ints and ``d`` is 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class FieldError(ValueError):
@@ -102,6 +111,17 @@ class Rationals(Field):
     def from_int(self, k: int):
         return Fraction(k)
 
+    def lift(self, rows):
+        # entries that are the shared zero skip the property lookups
+        zero = self.zero
+        d = lcm(*{x.denominator for row in rows for x in row if x is not zero})
+        return [[0 if x is zero else x.numerator * (d // x.denominator) for x in row]
+                for row in rows], d
+
+    def lower(self, rows, d):
+        zero = self.zero
+        return [[Fraction(v, d) if v else zero for v in row] for row in rows]
+
     def parse_scalar(self, text):
         # JSON carries rationals as "a/b" strings; bare ints are accepted too
         if isinstance(text, bool):
@@ -151,6 +171,16 @@ class PrimeField(Field):
 
     def from_int(self, k: int):
         return k % self.p
+
+    def lift(self, rows):
+        return rows, 1
+
+    def lower(self, rows, d):
+        p = self.p
+        if d != 1:
+            scale = pow(d, -1, p)
+            return [[v * scale % p for v in row] for row in rows]
+        return [[v % p for v in row] for row in rows]
 
     def parse_scalar(self, text):
         if isinstance(text, bool):

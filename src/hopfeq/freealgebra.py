@@ -45,9 +45,8 @@ class NCPoly:
         self.field = field
         self.terms = {}
         if terms:
-            zero = field.zero
             for w, c in terms.items():
-                if c != zero:
+                if c:
                     self.terms[w] = c
 
     # -- constructors -------------------------------------------------
@@ -92,10 +91,10 @@ class NCPoly:
         terms = dict(self.terms)
         for w, c in other.terms.items():
             s = add(terms.get(w, zero), c)
-            if s == zero:
-                terms.pop(w, None)
-            else:
+            if s:
                 terms[w] = s
+            else:
+                terms.pop(w, None)
         out = NCPoly(self.alphabet, self.field)
         out.terms = terms
         return out
@@ -125,10 +124,10 @@ class NCPoly:
             for w2, c2 in other.terms.items():
                 w = w1 + w2
                 s = add(terms.get(w, zero), mul(c1, c2))
-                if s == zero:
-                    terms.pop(w, None)
-                else:
+                if s:
                     terms[w] = s
+                else:
+                    terms.pop(w, None)
         out = NCPoly(self.alphabet, self.field)
         out.terms = terms
         return out
@@ -207,28 +206,23 @@ class NCPoly:
 
     # -- comatrix coalgebra ----------------------------------------------
     def delta(self) -> "TensorPoly":
-        """Comultiplication Delta(c_jk) = sum_u c_ju (x) c_uk, multiplicatively."""
+        """Comultiplication Delta(c_jk) = sum_u c_ju (x) c_uk, multiplicatively.
+
+        A key (w1, w2) determines its word (letter t of w is c_jk where
+        letter t of w1 is c_ju and letter t of w2 is c_uk), so no two terms
+        of the expansion share a key: each is assigned, never added.
+        """
         n = self.alphabet.comatrix_n
         if n is None:
             raise ValueError("delta needs the comatrix alphabet")
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero
         out = {}
         for w, c in self.terms.items():
-            partial = {((), ()): c}
+            keys = [((), ())]
             for k in w:
                 j, kk = divmod(k, n)
-                nxt = {}
-                for (w1, w2), cc in partial.items():
-                    for u in range(n):
-                        key = (w1 + (j * n + u,), w2 + (u * n + kk,))
-                        nxt[key] = add(nxt.get(key, zero), cc)
-                partial = nxt
-            for key, cc in partial.items():
-                s = add(out.get(key, zero), cc)
-                if s == zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                keys = [(w1 + (j * n + u,), w2 + (u * n + kk,))
+                        for w1, w2 in keys for u in range(n)]
+            out.update(dict.fromkeys(keys, c))
         res = TensorPoly(self.alphabet, self.field)
         res.terms = out
         return res
@@ -255,9 +249,8 @@ class TensorPoly:
         self.field = field
         self.terms = {}
         if terms:
-            zero = field.zero
             for key, c in terms.items():
-                if c != zero:
+                if c:
                     self.terms[key] = c
 
     @classmethod
@@ -267,13 +260,11 @@ class TensorPoly:
     @classmethod
     def of(cls, left: NCPoly, right: NCPoly):
         left._same_parent(right)
-        mul, zero = left.field.mul, left.field.zero
-        terms = {}
-        for w1, c1 in left.terms.items():
-            for w2, c2 in right.terms.items():
-                terms[(w1, w2)] = mul(c1, c2)
+        mul = left.field.mul
         out = cls(left.alphabet, left.field)
-        out.terms = {k: v for k, v in terms.items() if v != zero}
+        # a product of nonzero scalars is nonzero, and the keys are distinct
+        out.terms = {(w1, w2): mul(c1, c2)
+                     for w1, c1 in left.terms.items() for w2, c2 in right.terms.items()}
         return out
 
     def _same_parent(self, other):
@@ -286,10 +277,10 @@ class TensorPoly:
         terms = dict(self.terms)
         for key, c in other.terms.items():
             s = add(terms.get(key, zero), c)
-            if s == zero:
-                terms.pop(key, None)
-            else:
+            if s:
                 terms[key] = s
+            else:
+                terms.pop(key, None)
         out = TensorPoly(self.alphabet, self.field)
         out.terms = terms
         return out
@@ -312,10 +303,10 @@ class TensorPoly:
             for (c, d), c2 in other.terms.items():
                 key = (a + c, b + d)
                 s = add(terms.get(key, zero), mul(c1, c2))
-                if s == zero:
-                    terms.pop(key, None)
-                else:
+                if s:
                     terms[key] = s
+                else:
+                    terms.pop(key, None)
         out = TensorPoly(self.alphabet, self.field)
         out.terms = terms
         return out

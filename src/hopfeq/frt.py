@@ -17,9 +17,10 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from . import linalg
-from .freealgebra import NCPoly, TensorPoly, comatrix_alphabet
+from .freealgebra import NCPoly, comatrix_alphabet
 from .hopfmodules import act_poly, module_from_R
-from .tensorops import TensorOp, check_commutative, check_hopf, leg, to_structure_constants
+from .tensorops import (TensorOp, check_commutative, check_hopf, equation_sides,
+                        to_structure_constants)
 
 
 class NotHopfSolutionError(ValueError):
@@ -97,29 +98,21 @@ def chi(R: TensorOp):
     field = R.field
     alphabet = comatrix_alphabet(n)
     x = to_structure_constants(R)
-    zero = field.zero
+    neg = field.neg
     out = {}
     for i, j, k, l in product(range(n), repeat=4):
+        # the quadratic words (u*n+k, v*n+l) differ for different (u, v) and
+        # the linear words (i*n+a,) for different a, so no two terms meet
         terms = {}
         for u in range(n):
             for v in range(n):
                 c = x[u][v][j][i]
-                if c != zero:
-                    w = (u * n + k, v * n + l)
-                    s = field.add(terms.get(w, zero), c)
-                    if s == zero:
-                        terms.pop(w, None)
-                    else:
-                        terms[w] = s
+                if c:
+                    terms[(u * n + k, v * n + l)] = c
         for a in range(n):
             c = x[k][l][j][a]
-            if c != zero:
-                w = (i * n + a,)
-                s = field.sub(terms.get(w, zero), c)
-                if s == zero:
-                    terms.pop(w, None)
-                else:
-                    terms[w] = s
+            if c:
+                terms[(i * n + a,)] = neg(c)
         poly = NCPoly(alphabet, field)
         poly.terms = terms
         out[(i, j, k, l)] = poly
@@ -206,8 +199,7 @@ def frt_commutative(R: TensorOp, force=False) -> Presentation:
 
 def eps_chi_zero(R: TensorOp) -> bool:
     """eps(chi(i,j,k,l)) = 0 for every index, any R."""
-    zero = R.field.zero
-    return all(p.eps() == zero for p in chi(R).values())
+    return not any(p.eps() for p in chi(R).values())
 
 
 def verify_delta_chi(R: TensorOp) -> bool:
@@ -215,29 +207,32 @@ def verify_delta_chi(R: TensorOp) -> bool:
     c_ak c_bl + sum_p c_ip (x) chi(p,j,k,l); holds for every R, together with
     eps(chi) = 0."""
     n = R.n
-    field = R.field
-    alphabet = comatrix_alphabet(n)
+    add = R.field.add
     indexed = chi(R)
-    gen = lambda i, j: NCPoly.generator(alphabet, field, i, j)
     for i, j, k, l in product(range(n), repeat=4):
         lhs = indexed[(i, j, k, l)].delta()
-        rhs = TensorPoly.zero(alphabet, field)
-        for a in range(n):
-            for b in range(n):
-                rhs = rhs + TensorPoly.of(indexed[(i, j, a, b)], gen(a, k) * gen(b, l))
-        for p in range(n):
-            rhs = rhs + TensorPoly.of(gen(i, p), indexed[(p, j, k, l)])
-        if lhs != rhs:
+        # the right-hand side summed into one dict of (word, word) -> scalar
+        rhs = {}
+        terms = [((w, (a * n + k, b * n + l)), c)
+                 for a, b in product(range(n), repeat=2)
+                 for w, c in indexed[(i, j, a, b)].terms.items()]
+        terms += [(((i * n + p,), w), c)
+                  for p in range(n) for w, c in indexed[(p, j, k, l)].terms.items()]
+        for key, c in terms:
+            s = rhs.get(key)
+            s = c if s is None else add(s, c)
+            if s:
+                rhs[key] = s
+            else:
+                del rhs[key]
+        if lhs.terms != rhs:
             return False
     return eps_chi_zero(R)
 
 
 def _hopf_defect(R: TensorOp):
-    field = R.field
-    r12, r13, r23 = leg(R, 12), leg(R, 13), leg(R, 23)
-    lhs = linalg.mat_mul(field, linalg.mat_mul(field, r23, r13), r12)
-    rhs = linalg.mat_mul(field, r12, r23)
-    return linalg.mat_sub(field, lhs, rhs)
+    lhs, rhs = equation_sides(R, "hopf")
+    return linalg.mat_sub(R.field, lhs, rhs)
 
 
 def verify_defect_identity(R: TensorOp) -> bool:
@@ -246,7 +241,8 @@ def verify_defect_identity(R: TensorOp) -> bool:
     n = R.n
     defect = _hopf_defect(R)
     data = module_from_R(R)
-    acted = {idx: act_poly(poly, data) for idx, poly in chi(R).items()}
+    memo = {}  # word matrices, shared by the n^4 chi polynomials
+    acted = {idx: act_poly(poly, data, memo) for idx, poly in chi(R).items()}
     for t, k, j in product(range(n), repeat=3):
         col = (t * n + k) * n + j
         for i, r, s in product(range(n), repeat=3):
@@ -262,19 +258,18 @@ def verify_commutator_identity(R: TensorOp) -> bool:
     sum_{r,s} (c_rk c_sj - c_sj c_rk).z (x) m_r (x) m_s for every z, k, j."""
     n = R.n
     field = R.field
-    r12, r13 = leg(R, 12), leg(R, 13)
-    diff = linalg.mat_sub(
-        field, linalg.mat_mul(field, r12, r13), linalg.mat_mul(field, r13, r12)
-    )
-    data = module_from_R(R)
-    act = data.action
+    diff = linalg.mat_sub(field, *equation_sides(R, "commutative"))
+    act = module_from_R(R).action
     mm = lambda a, b: linalg.mat_mul(field, a, b)
+    brackets = {
+        (r, k, s, j): linalg.mat_sub(field, mm(act[(r, k)], act[(s, j)]),
+                                     mm(act[(s, j)], act[(r, k)]))
+        for r, k, s, j in product(range(n), repeat=4)
+    }
     for t, k, j in product(range(n), repeat=3):
         col = (t * n + k) * n + j
         for r, s in product(range(n), repeat=2):
-            bracket = linalg.mat_sub(
-                field, mm(act[(r, k)], act[(s, j)]), mm(act[(s, j)], act[(r, k)])
-            )
+            bracket = brackets[(r, k, s, j)]
             for i in range(n):
                 if diff[(i * n + r) * n + s][col] != bracket[i][t]:
                     return False

@@ -52,26 +52,42 @@ def module_from_R(R: TensorOp) -> HopfModuleData:
     return HopfModuleData(n=n, field=R.field, action=action)
 
 
-def act_word(w, data: HopfModuleData):
-    """Matrix of a word acting on V; the empty word acts as the identity."""
-    n = data.n
-    out = linalg.identity(data.field, n)
-    for k in w:
-        out = linalg.mat_mul(data.field, out, data.action[divmod(k, n)])
-    return out
+def act_word(w, data: HopfModuleData, memo=None):
+    """Matrix of a word acting on V; the empty word acts as the identity.
+
+    memo maps words to their matrices. Pass one dict to the calls of one
+    computation and each prefix is multiplied out once: a word then costs
+    one product beyond its longest prefix. The returned matrix is shared
+    with memo; do not change it.
+    """
+    return _act_word(w, data, {} if memo is None else memo)
 
 
-def act_poly(p, data: HopfModuleData):
-    f = data.field
+def _act_word(w, data, memo):
+    mat = memo.get(w)
+    if mat is None:
+        n = data.n
+        if len(w) > 1:
+            mat = linalg.mat_mul(data.field, _act_word(w[:-1], data, memo),
+                                 data.action[divmod(w[-1], n)])
+        elif w:
+            mat = [row[:] for row in data.action[divmod(w[0], n)]]
+        else:
+            mat = linalg.identity(data.field, n)
+        memo[w] = mat
+    return mat
+
+
+def act_poly(p, data: HopfModuleData, memo=None):
+    """Matrix of a polynomial acting on V, as the coefficient row times the
+    word matrices (flattened) in one ``mat_mul``; memo as for ``act_word``."""
     n = data.n
-    out = linalg.zeros(f, n, n)
-    for w, c in p.terms.items():
-        mat = act_word(w, data)
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j] != f.zero:
-                    out[i][j] = f.add(out[i][j], f.mul(c, mat[i][j]))
-    return out
+    if not p.terms:
+        return linalg.zeros(data.field, n, n)
+    memo = {} if memo is None else memo
+    mats = [[x for row in _act_word(w, data, memo) for x in row] for w in p.terms]
+    flat = linalg.mat_mul(data.field, [list(p.terms.values())], mats)[0]
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
 def induced_R(data) -> TensorOp:
@@ -91,7 +107,8 @@ def induced_R(data) -> TensorOp:
 def check_annihilation(pres, data: HopfModuleData) -> bool:
     """I . V = 0: every relation acts as the zero matrix."""
     zero_mat = linalg.zeros(data.field, data.n, data.n)
-    return all(act_poly(r, data) == zero_mat for r in pres.relations)
+    memo = {}
+    return all(act_poly(r, data, memo) == zero_mat for r in pres.relations)
 
 
 def check_hopf_compat(data: HopfModuleData, rs) -> bool:
@@ -102,7 +119,6 @@ def check_hopf_compat(data: HopfModuleData, rs) -> bool:
     n = data.n
     field = data.field
     alphabet = comatrix_alphabet(n)
-    zero = field.zero
     gen_word = lambda a, b: (a * n + b,)
     for j, k in product(range(n), repeat=2):
         A = data.action[(j, k)]
@@ -111,13 +127,13 @@ def check_hopf_compat(data: HopfModuleData, rs) -> bool:
                 # rho(c_jk . m_l) component at m_w
                 lhs = NCPoly.zero(alphabet, field)
                 for i in range(n):
-                    if A[i][l] != zero:
+                    if A[i][l]:
                         lhs = lhs + NCPoly(alphabet, field, {gen_word(w, i): A[i][l]})
                 # sum_{u,v} (c_ju . m_v)_w  c_uk c_vl component at m_w
                 rhs = NCPoly.zero(alphabet, field)
                 for u, v in product(range(n), repeat=2):
                     c = data.action[(j, u)][w][v]
-                    if c != zero:
+                    if c:
                         word = gen_word(u, k) + gen_word(v, l)
                         rhs = rhs + NCPoly(alphabet, field, {word: c})
                 if normal_form(lhs, rs) != normal_form(rhs, rs):
@@ -141,12 +157,12 @@ class BialgebraHopfModule:
         f = self.field
         out = linalg.zeros(f, self.n, self.n)
         for t, c in enumerate(hvec):
-            if c == f.zero:
+            if not c:
                 continue
             mat = self.basis_action[t]
             for i in range(self.n):
                 for j in range(self.n):
-                    if mat[i][j] != f.zero:
+                    if mat[i][j]:
                         out[i][j] = f.add(out[i][j], f.mul(c, mat[i][j]))
         return out
 
@@ -293,7 +309,10 @@ def quotient_hopf_module(pres, rs, quotient, data: HopfModuleData):
             vec[index[w]] = c
         return vec
 
-    basis_action = [act_word(w, data) for w in words]
+    # the irreducible words are closed under prefixes, so with one memo each
+    # basis word costs one product
+    memo = {}
+    basis_action = [act_word(w, data, memo) for w in words]
     assignment = {
         (i, j): to_vec(normal_form(NCPoly.generator(alphabet, field, i, j), rs))
         for i in range(n)

@@ -1,11 +1,18 @@
 """Dense exact linear algebra over a Field, on plain list-of-list matrices.
 
-Products skip zero entries; the permutation-like operators this package
-produces (Takesaki/Galois maps, graded solutions) stay cheap even at
-dimension n^3 on V (x) V (x) V.
+``mat_mul`` and ``mat_sub`` work in plain Python ints: the field lifts each
+operand to ints over one common denominator (``Field.lift``), the product
+sums int products, and each output entry is normalised once
+(``Field.lower``: one ``Fraction`` over the rationals, one reduction mod p
+over F_p) instead of once per term. Products skip zero entries, so the
+permutation-like operators this package produces (Takesaki/Galois maps,
+graded solutions) stay cheap even at dimension n^3 on V (x) V (x) V. Zero
+tests are by truthiness (see ``fields``).
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 
 class SingularMatrixError(ValueError):
@@ -34,8 +41,12 @@ def mat_add(field, a, b):
 
 
 def mat_sub(field, a, b):
-    sub = field.sub
-    return [[sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """a - b, on ints over the lcm of the two common denominators."""
+    ia, da = field.lift(a)
+    ib, db = field.lift(b)
+    d = lcm(da, db)
+    sa, sb = d // da, d // db
+    return field.lower([[x * sa - y * sb for x, y in zip(ra, rb)] for ra, rb in zip(ia, ib)], d)
 
 def mat_scale(field, c, a):
     mul = field.mul
@@ -43,21 +54,19 @@ def mat_scale(field, c, a):
 
 
 def mat_mul(field, a, b):
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if inner else 0
-    zero, add, mul = field.zero, field.add, field.mul
-    out = [[zero] * cols for _ in range(rows)]
-    bnz = [[(j, v) for j, v in enumerate(row) if v != zero] for row in b]
-    for i in range(rows):
-        arow = a[i]
-        orow = out[i]
-        for k in range(inner):
-            aik = arow[k]
-            if aik == zero:
-                continue
-            for j, bkj in bnz[k]:
-                orow[j] = add(orow[j], mul(aik, bkj))
-    return out
+    cols = len(b[0]) if b else 0
+    ia, da = field.lift(a)
+    ib, db = field.lift(b)
+    bnz = [[(j, v) for j, v in enumerate(row) if v] for row in ib]
+    out = []
+    for arow in ia:
+        acc = [0] * cols
+        for aik, brow in zip(arow, bnz):
+            if aik:
+                for j, bkj in brow:
+                    acc[j] += aik * bkj
+        out.append(acc)
+    return field.lower(out, da * db)
 
 
 def mat_vec(field, a, v):
@@ -66,7 +75,7 @@ def mat_vec(field, a, v):
     for i, row in enumerate(a):
         acc = zero
         for x, y in zip(row, v):
-            if x != zero and y != zero:
+            if x and y:
                 acc = add(acc, mul(x, y))
         out[i] = acc
     return out
@@ -81,13 +90,13 @@ def kron(field, a, b):
     for i in range(ra):
         for k in range(ca):
             aik = a[i][k]
-            if aik == zero:
+            if not aik:
                 continue
             for j in range(rb):
                 brow = b[j]
                 orow = out[i * rb + j]
                 for l in range(cb):
-                    if brow[l] != zero:
+                    if brow[l]:
                         orow[k * cb + l] = mul(aik, brow[l])
     return out
 
@@ -97,18 +106,17 @@ def row_echelon(field, a):
     m = [row[:] for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    zero = field.zero
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != zero), None)
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = field.inv(m[r][c])
         m[r] = [field.mul(inv, x) for x in m[r]]
         for i in range(rows):
-            if i != r and m[i][c] != zero:
+            if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
         pivots.append(c)

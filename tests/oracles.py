@@ -8,7 +8,8 @@ from itertools import product
 from types import SimpleNamespace
 
 
-def matmul(field, a, b):
+def naive_mat_mul(field, a, b):
+    """The textbook triple loop, on field.add and field.mul alone."""
     rows, inner, cols = len(a), len(b), len(b[0])
     out = [[field.zero] * cols for _ in range(rows)]
     for i in range(rows):
@@ -48,7 +49,7 @@ def leg13_by_products(R):
     field, n = R.field, R.n
     i_tau = kron(field, identity(field, n), switch_matrix(field, n))
     r_i = kron(field, R.entries, identity(field, n))
-    return matmul(field, matmul(field, i_tau, r_i), i_tau)
+    return naive_mat_mul(field, naive_mat_mul(field, i_tau, r_i), i_tau)
 
 
 def rank(field, mat):
@@ -168,7 +169,7 @@ def leg_patterns(n):
     one = identity(INTEGERS, n)
     r12 = kron(INTEGERS, labels, one)
     i_tau = kron(INTEGERS, one, switch_matrix(INTEGERS, n))
-    r13 = matmul(INTEGERS, matmul(INTEGERS, i_tau, r12), i_tau)
+    r13 = naive_mat_mul(INTEGERS, naive_mat_mul(INTEGERS, i_tau, r12), i_tau)
     return {12: r12, 13: r13, 23: kron(INTEGERS, one, labels)}
 
 
@@ -260,6 +261,6 @@ def random_commuting_idempotents(field, n, rng):
 
     def conj(diag):
         dm = [[diag[i] if i == j else field.zero for j in range(n)] for i in range(n)]
-        return matmul(field, matmul(field, u, dm), uinv)
+        return naive_mat_mul(field, naive_mat_mul(field, u, dm), uinv)
 
     return conj(d), conj(e)

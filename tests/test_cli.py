@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -68,6 +69,31 @@ def test_check_bad_field_exits_3(capsys):
 def test_check_unknown_fixture_exits_2(capsys):
     code, _, err = run(capsys, "check", "--fixture", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_bool_dimension_exits_2(capsys, tmp_path, command):
+    # JSON true is a Python bool, and bool is a subclass of int
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"field": "q", "n": True, "matrix": [["1"]]}))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and "dimension" in err and not out
+
+
+# digests of the exact stdout bytes, recorded before integer-accumulated products
+PINNED_OUTPUTS = [
+    (("verify", "--random", "40", "--n", "3", "--field", "q", "--seed", "5", "--json"),
+     "b8990ea6100f4f60553e067816df4a5ee9417dbc318e12a059988ba2a3d57ccd"),
+    (("check", "--fixture", "takesaki_c3", "--json"),
+     "f8243938dc6faded7399687016b4910347bf5950eb864811d924eb9cb2da16cb"),
+]
+
+
+@pytest.mark.parametrize("argv,want", PINNED_OUTPUTS, ids=["verify", "check"])
+def test_outputs_pinned(capsys, argv, want):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 # -- frt ------------------------------------------------------------------------

@@ -268,6 +268,76 @@ def test_commutator_identity_rq1():
     assert frt.verify_commutator_identity(B.r_q(Fraction(1), QQ))
 
 
+# -- negative controls: each identity check must notice a broken side ------------
+
+def _perturb_nth_call(fn, nth, change):
+    """fn, with change applied to the result of its nth call (0-based)."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append(None)
+        return change(out) if len(calls) == nth + 1 else out
+
+    return wrapped
+
+
+@pytest.mark.parametrize("field,n", [(QQ, 2), (F5, 2), (F3, 3)], ids=["Q2", "F5-2", "F3-3"])
+def test_defect_identity_notices_one_wrong_entry_of_act_poly(monkeypatch, field, n):
+    rng = random.Random(45)
+    for _ in range(3):
+        R = T.random_tensorop(n, field, rng)
+        i, j, nth = rng.randrange(n), rng.randrange(n), rng.randrange(n ** 4)
+
+        def change(mat):
+            mat = [row[:] for row in mat]
+            mat[i][j] = field.add(mat[i][j], field.one)
+            return mat
+
+        with monkeypatch.context() as m:
+            m.setattr(frt, "act_poly", _perturb_nth_call(act_poly, nth, change))
+            assert not frt.verify_defect_identity(R)
+        assert frt.verify_defect_identity(R)
+
+
+@pytest.mark.parametrize("field,n", [(QQ, 2), (F5, 2), (F3, 3)], ids=["Q2", "F5-2", "F3-3"])
+def test_delta_chi_notices_one_dropped_term_of_delta(monkeypatch, field, n):
+    rng = random.Random(46)
+    delta = NCPoly.delta
+    for _ in range(3):
+        R = T.random_tensorop(n, field, rng)
+        nth = rng.randrange(n ** 4)
+
+        def change(tp):
+            tp.terms.pop(next(iter(tp.terms)))
+            return tp
+
+        with monkeypatch.context() as m:
+            m.setattr(NCPoly, "delta", _perturb_nth_call(delta, nth, change))
+            assert not frt.verify_delta_chi(R)
+        assert frt.verify_delta_chi(R)
+
+
+@pytest.mark.parametrize("field,n", [(QQ, 2), (F5, 2), (F3, 3)], ids=["Q2", "F5-2", "F3-3"])
+def test_commutator_identity_notices_one_wrong_action_entry(monkeypatch, field, n):
+    rng = random.Random(47)
+    for _ in range(3):
+        R = T.random_tensorop(n, field, rng)
+        key = (rng.randrange(n), rng.randrange(n))
+        i, v = rng.randrange(n), rng.randrange(n)
+
+        def broken(R):
+            data = module_from_R(R)
+            mat = data.action[key]
+            mat[i][v] = field.add(mat[i][v], field.one)
+            return data
+
+        with monkeypatch.context() as m:
+            m.setattr(frt, "module_from_R", broken)
+            assert not frt.verify_commutator_identity(R)
+        assert frt.verify_commutator_identity(R)
+
+
 # -- coideal ----------------------------------------------------------------------
 
 def test_frt_presentations_pass_coideal():

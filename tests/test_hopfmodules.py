@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from hopfeq import bialgebras as B, frt, hopfmodules as HM, linalg, rewriting as RW, tensorops as T
 from hopfeq.fields import QQ, parse_field
 from hopfeq.fixtures import build_fixture
@@ -55,6 +56,35 @@ def test_act_word_homomorphism():
     lhs = HM.act_word(w1 + w2, data)
     rhs = linalg.mat_mul(QQ, HM.act_word(w1, data), HM.act_word(w2, data))
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("field,n", [(QQ, 2), (F3, 3)], ids=["Q2", "F3-3"])
+def test_memoised_act_word_matches_left_to_right_product(field, n):
+    rng = random.Random(51)
+    data = HM.module_from_R(T.random_tensorop(n, field, rng))
+    memo = {}  # shared by every word, as in verify_defect_identity
+    for _ in range(60):
+        w = tuple(rng.randrange(n * n) for _ in range(rng.randrange(6)))
+        want = oracles.identity(field, n)
+        for k in w:
+            want = oracles.naive_mat_mul(field, want, data.action[divmod(k, n)])
+        assert HM.act_word(w, data, memo) == want
+        assert HM.act_word(w, data) == want
+    # a one-letter word gets a copy, not the module's own action matrix
+    assert HM.act_word((0,), data, memo) is not data.action[(0, 0)]
+
+
+def test_act_poly_with_memo_matches_term_by_term():
+    rng = random.Random(52)
+    R = T.random_tensorop(2, QQ, rng)
+    data = HM.module_from_R(R)
+    memo = {}
+    for poly in frt.chi(R).values():
+        want = linalg.zeros(QQ, 2, 2)
+        for w, c in poly.terms.items():
+            want = linalg.mat_add(QQ, want, linalg.mat_scale(QQ, c, HM.act_word(w, data)))
+        assert HM.act_poly(poly, data, memo) == want
+    assert HM.act_poly(NCPoly.zero(A2, QQ), data) == linalg.zeros(QQ, 2, 2)
 
 
 def test_act_poly_linear():

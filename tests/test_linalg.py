@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from hopfeq import linalg
@@ -19,7 +21,7 @@ def test_mat_mul_matches_dense_oracle(field):
     for _ in range(20):
         a = random_matrix(field, 3, 4, rng)
         b = random_matrix(field, 4, 2, rng)
-        assert linalg.mat_mul(field, a, b) == oracles.matmul(field, a, b)
+        assert linalg.mat_mul(field, a, b) == oracles.naive_mat_mul(field, a, b)
 
 
 @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
@@ -60,3 +62,82 @@ def test_mat_vec():
     m = [[QQ.from_int(1), QQ.from_int(2)], [QQ.from_int(3), QQ.from_int(4)]]
     v = [QQ.from_int(5), QQ.from_int(6)]
     assert linalg.mat_vec(QQ, m, v) == [QQ.from_int(17), QQ.from_int(39)]
+
+
+# -- mat_mul against the textbook product, property-based -------------------------
+
+F2, F3, F31 = (parse_field(f"fp:{p}") for p in (2, 3, 31))
+
+# Rationals: the shared zero, other zeros, integer-valued, small and large
+# denominators (products of distinct primes, so that lcms grow large), both signs.
+_DENOMINATORS = st.sampled_from([1, 2, 3, 4, 7, 12, 97, 1009, 2**31 - 1, 10**9 + 7,
+                                 3 * 5 * 11 * 13 * 17 * 19 * 23])
+_RATIONALS = st.one_of(
+    st.just(QQ.zero),
+    st.just(Fraction(0)),
+    st.integers(-10**12, 10**12).map(Fraction),
+    st.builds(Fraction, st.integers(-10**6, 10**6), _DENOMINATORS),
+)
+
+
+def _entries(field):
+    if field is QQ:
+        return _RATIONALS
+    return st.one_of(st.just(field.zero), st.integers(0, field.p - 1))
+
+
+def _matrix(data, field, rows, cols, zero):
+    if zero:
+        return linalg.zeros(field, rows, cols)
+    cell = _entries(field)
+    return [[data.draw(cell) for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F31], ids=["Q", "F2", "F3", "F31"])
+@pytest.mark.parametrize("shape", ["any", "row_by_column", "column_by_row"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mat_mul_matches_naive_oracle(field, shape, data):
+    k = data.draw(st.integers(1, 6), label="k")
+    if shape == "row_by_column":  # 1 x k times k x 1
+        rows, inner, cols = 1, k, 1
+    elif shape == "column_by_row":  # k x 1 times 1 x k
+        rows, inner, cols = k, 1, k
+    else:
+        rows, inner, cols = data.draw(st.integers(1, 5)), k, data.draw(st.integers(1, 5))
+    zero_a, zero_b = data.draw(st.booleans()), data.draw(st.booleans())
+    a = _matrix(data, field, rows, inner, zero_a)
+    b = _matrix(data, field, inner, cols, zero_b)
+    got = linalg.mat_mul(field, a, b)
+    assert got == oracles.naive_mat_mul(field, a, b)
+    flat = [x for row in got for x in row]
+    if field is QQ:
+        assert all(type(x) is Fraction for x in flat)
+    else:
+        assert all(type(x) is int and 0 <= x < field.p for x in flat)
+    if zero_a or zero_b:
+        assert all(x is field.zero for x in flat)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F31], ids=["Q", "F2", "F3", "F31"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mat_sub_matches_entrywise_oracle(field, data):
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    a = _matrix(data, field, rows, cols, data.draw(st.booleans()))
+    b = _matrix(data, field, rows, cols, data.draw(st.booleans()))
+    got = linalg.mat_sub(field, a, b)
+    assert got == [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    if field is QQ:
+        assert all(type(x) is Fraction for row in got for x in row)
+
+
+def test_lift_and_lower_round_trip():
+    m = [[Fraction(1, 6), Fraction(-3, 4)], [QQ.zero, Fraction(5)]]
+    ints, d = QQ.lift(m)
+    assert d == 12 and ints == [[2, -9], [0, 60]]
+    assert QQ.lower(ints, d) == m
+    assert QQ.lower([[0, 24]], 12)[0][0] is QQ.zero
+    assert F31.lift([[3, 0]]) == ([[3, 0]], 1)
+    assert F31.lower([[65, -1]], 1) == [[3, 30]]
+    assert F31.lower([[1]], 2) == [[16]]  # 1/2 in F_31

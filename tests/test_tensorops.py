@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -71,6 +72,24 @@ def test_identity_solves_everything():
     }
 
 
+@pytest.mark.parametrize("fid", ["r_q:1", "r_q_prime:1", "classical_yb:2", "char2",
+                                 "graded_c2", "random"])
+def test_solution_report_verdicts_match_naive_products(fid):
+    # solution_report shares legs and leg products between the equations
+    if fid == "random":
+        R = T.random_tensorop(2, QQ, random.Random(9))
+    else:
+        R = build_fixture(fid, QQ)
+    mm = lambda a, b: oracles.naive_mat_mul(QQ, a, b)
+    want = {}
+    for name, sides in T.kernels.EQUATIONS.items():
+        lhs, rhs = (reduce(mm, [T.leg(R, k) for k in side]) for side in sides)
+        want[name] = lhs == rhs
+        assert T.equation_sides(R, name) == (lhs, rhs)
+    report = T.solution_report(R)
+    assert {name: report[name] for name in want} == want
+
+
 def test_rq1_is_hopf_solution():
     assert T.check_hopf(bialgebras.r_q(Fraction(1), QQ))
 
@@ -80,8 +99,8 @@ def test_classical_yb_not_hopf_entries():
     assert not T.check_hopf(R)
     assert T.check_qybe(R)
     # the (1,1) entries of the two sides are q^3 versus q^2
-    lhs = oracles.matmul(QQ, oracles.matmul(QQ, T.leg(R, 23), T.leg(R, 13)), T.leg(R, 12))
-    rhs = oracles.matmul(QQ, T.leg(R, 12), T.leg(R, 23))
+    lhs = oracles.naive_mat_mul(QQ, oracles.naive_mat_mul(QQ, T.leg(R, 23), T.leg(R, 13)), T.leg(R, 12))
+    rhs = oracles.naive_mat_mul(QQ, T.leg(R, 12), T.leg(R, 23))
     assert lhs[0][0] == Fraction(8) and rhs[0][0] == Fraction(4)
 
 
@@ -92,7 +111,7 @@ def test_pentagon_examples():
     assert T.check_pentagon(W)
     # R_q is f (x) g with commuting idempotents, so it happens to solve the
     # pentagon too; the direct product comparison is the authority here
-    mm = lambda a, b: oracles.matmul(QQ, a, b)
+    mm = lambda a, b: oracles.naive_mat_mul(QQ, a, b)
     lhs = mm(mm(T.leg(R, 12), T.leg(R, 13)), T.leg(R, 23))
     rhs = mm(T.leg(R, 23), T.leg(R, 12))
     assert (lhs == rhs) == T.check_pentagon(R)
@@ -110,7 +129,7 @@ def test_commutativity_checks():
     C = bialgebras.char2_matrix(F2)
     assert T.check_commutative(C)
     R = bialgebras.r_q(Fraction(1), QQ)
-    mm = lambda a, b: oracles.matmul(QQ, a, b)
+    mm = lambda a, b: oracles.naive_mat_mul(QQ, a, b)
     assert (mm(T.leg(R, 12), T.leg(R, 13)) == mm(T.leg(R, 13), T.leg(R, 12))) \
         == T.check_commutative(R)
     assert (mm(T.leg(R, 13), T.leg(R, 23)) == mm(T.leg(R, 23), T.leg(R, 13))) \
