@@ -1,12 +1,12 @@
-"""Mod-p kernels on flat row-major int matrices, and the exact search for
-every solution of an equation over F_p.
+"""The equation table, the leg index map and the exact search for every
+solution of an equation over F_p. No matrix products: every equation over
+every field is decided by ``tensorops`` on ``linalg.mat_mul``.
 
-Matrices are flat row-major int lists with entries already reduced mod p.
+It imports nothing from the package. The search runs on plain ints, with
+operators as flat row-major entry vectors.
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 # Each equation as (lhs legs, rhs legs): products of the leg operators
 # R^12, R^13, R^23 on V (x) V (x) V, associated from the left.
@@ -18,77 +18,49 @@ EQUATIONS = {
     "cocommutative": ((13, 23), (23, 13)),
 }
 
-# The legs in the order legs_mod returns them.
-LEGS = (12, 13, 23)
 
+def leg_rows(rows, n, which, zero):
+    """R^12, R^13 or R^23 on V(x)V(x)V (lexicographic basis) of the square
+    n^2 x n^2 matrix ``rows``, as an n^3 x n^3 list of rows.
 
-def matmul_mod(a, b, dim, p):
-    out = [0] * (dim * dim)
-    for i in range(dim):
-        arow = i * dim
-        orow = i * dim
-        for k in range(dim):
-            aik = a[arow + k]
-            if aik:
-                brow = k * dim
-                for j in range(dim):
-                    bkj = b[brow + j]
-                    if bkj:
-                        out[orow + j] = (out[orow + j] + aik * bkj) % p
-    return out
-
-
-def legs_mod(flat, n, p):
-    """R12, R13, R23 of an n^2 x n^2 operator, as flat n^3 x n^3 matrices.
-
-    Entries are copied, not reduced, so a vector of variable labels comes
-    back as the labels' positions in each leg.
+    R^12 = R(x)I, R^23 = I(x)R, R^13 = (I(x)tau)(R(x)I)(I(x)tau). Entries
+    are copied, not computed with, and every other entry is ``zero``; so a
+    matrix of labels comes back as the labels' positions in the leg.
     """
+    if which not in (12, 13, 23):
+        raise ValueError("which must be one of 12, 13, 23")
     d2 = n * n
     d3 = d2 * n
-    r12 = [0] * (d3 * d3)
-    r13 = [0] * (d3 * d3)
-    r23 = [0] * (d3 * d3)
-    for i in range(d2):
-        for j in range(d2):
-            v = flat[i * d2 + j]
+    out = [[zero] * d3 for _ in range(d3)]
+    for i, row in enumerate(rows):
+        a, b = divmod(i, n)
+        for j, v in enumerate(row):
             if not v:
                 continue
-            a, b = divmod(i, n)
-            u, w = divmod(j, n)
-            for k in range(n):
-                # R12 = R (x) I
-                r12[(i * n + k) * d3 + (j * n + k)] = v
-                # R23 = I (x) R
-                r23[(k * d2 + i) * d3 + (k * d2 + j)] = v
-                # R13: middle slot untouched
-                r13[((a * n + k) * n + b) * d3 + ((u * n + k) * n + w)] = v
-    return r12, r13, r23
-
-
-def equation_holds_mod(flat, n, p, which):
-    """Whether the flat operator solves the named equation of EQUATIONS."""
-    legs = dict(zip(LEGS, legs_mod(flat, n, p)))
-    d3 = n * n * n
-    lhs, rhs = (
-        reduce(lambda a, b: matmul_mod(a, b, d3, p), [legs[k] for k in side])
-        for side in EQUATIONS[which]
-    )
-    return lhs == rhs
+            if which == 12:
+                for k in range(n):
+                    out[i * n + k][j * n + k] = v
+            elif which == 23:
+                for k in range(n):
+                    out[k * d2 + i][k * d2 + j] = v
+            else:  # 13: the middle slot untouched
+                u, w = divmod(j, n)
+                for k in range(n):
+                    out[(a * n + k) * n + b][(u * n + k) * n + w] = v
+    return out
 
 
 def _defect_polynomials(n, p, which):
     """Each entry of lhs - rhs as {monomial: coefficient mod p}, zero terms
     dropped. A monomial is the sorted tuple of the flat indices of R whose
     entries it multiplies."""
-    size = n ** 4
-    d3 = n ** 3
+    d2 = n * n
+    d3 = d2 * n
+    labels = [[r * d2 + c + 1 for c in range(d2)] for r in range(d2)]
     rows = {}  # leg -> per row, the (column, flat index) of its nonzero entries
-    for name, pattern in zip(LEGS, legs_mod(list(range(1, size + 1)), n, p)):
-        rows[name] = [
-            [(j, pattern[i * d3 + j] - 1) for j in range(d3) if pattern[i * d3 + j]]
-            for i in range(d3)
-        ]
+    for name in (12, 13, 23):
+        rows[name] = [[(j, v - 1) for j, v in enumerate(row) if v]
+                      for row in leg_rows(labels, n, name, 0)]
     polys = [{} for _ in range(d3 * d3)]
     for side, sign in zip(EQUATIONS[which], (1, -1)):
         for i in range(d3):

@@ -309,11 +309,10 @@ def group_algebra(m: int, field: Field) -> StructureBialgebra:
     return StructureBialgebra(field, dim, labels, vec(0), mult, comult, counit, antipode)
 
 
-def takesaki(H: StructureBialgebra) -> TensorOp:
-    """R(g (x) h) = sum h_(1) g (x) h_(2) on H (x) H."""
+def _comult_map(H: StructureBialgebra, h_first: bool) -> TensorOp:
+    """g (x) h -> sum x h_(2), where x is h_(1) g if h_first, else g h_(1)."""
     f = H.field
     dim = H.dim
-    zero = f.zero
     ent = linalg.zeros(f, dim * dim, dim * dim)
     for a in range(dim):
         for b in range(dim):
@@ -321,36 +320,24 @@ def takesaki(H: StructureBialgebra) -> TensorOp:
             for u in range(dim):
                 for v in range(dim):
                     c = H.comult[b][u][v]
-                    if c == zero:
+                    if not c:
                         continue
-                    ua = H.mult[u][a]
+                    prod = H.mult[u][a] if h_first else H.mult[a][u]
                     for i in range(dim):
-                        if ua[i] != zero:
+                        if prod[i]:
                             row = i * dim + v
-                            ent[row][col] = f.add(ent[row][col], f.mul(c, ua[i]))
+                            ent[row][col] = f.add(ent[row][col], f.mul(c, prod[i]))
     return TensorOp(dim, f, ent)
+
+
+def takesaki(H: StructureBialgebra) -> TensorOp:
+    """R(g (x) h) = sum h_(1) g (x) h_(2) on H (x) H."""
+    return _comult_map(H, h_first=True)
 
 
 def galois_beta(H: StructureBialgebra) -> TensorOp:
     """beta(g (x) h) = sum g h_(1) (x) h_(2); bijective for Hopf algebras."""
-    f = H.field
-    dim = H.dim
-    zero = f.zero
-    ent = linalg.zeros(f, dim * dim, dim * dim)
-    for a in range(dim):
-        for b in range(dim):
-            col = a * dim + b
-            for u in range(dim):
-                for v in range(dim):
-                    c = H.comult[b][u][v]
-                    if c == zero:
-                        continue
-                    au = H.mult[a][u]
-                    for i in range(dim):
-                        if au[i] != zero:
-                            row = i * dim + v
-                            ent[row][col] = f.add(ent[row][col], f.mul(c, au[i]))
-    return TensorOp(dim, f, ent)
+    return _comult_map(H, h_first=False)
 
 
 def galois_rprime(H: StructureBialgebra) -> TensorOp:
@@ -359,7 +346,6 @@ def galois_rprime(H: StructureBialgebra) -> TensorOp:
         raise MissingAntipodeError("R' needs an antipode")
     f = H.field
     dim = H.dim
-    zero = f.zero
     ent = linalg.zeros(f, dim * dim, dim * dim)
     for a in range(dim):
         for b in range(dim):
@@ -367,11 +353,11 @@ def galois_rprime(H: StructureBialgebra) -> TensorOp:
             for u in range(dim):
                 for v in range(dim):
                     c = H.comult[a][u][v]
-                    if c == zero:
+                    if not c:
                         continue
                     sv = H.multiply(H.apply_antipode(H.basis_vector(v)), H.basis_vector(b))
                     for j in range(dim):
-                        if sv[j] != zero:
+                        if sv[j]:
                             row = u * dim + j
                             ent[row][col] = f.add(ent[row][col], f.mul(c, sv[j]))
     return TensorOp(dim, f, ent)

@@ -1,13 +1,14 @@
-"""The mod-p kernels: pure Python, on flat row-major int matrices.
+"""The equation table, the leg index map and the exact pruned search over
+F_p, in pure Python. No matrix products: ``tensorops`` decides every
+equation over every field on ``linalg.mat_mul``.
 
 BACKEND names the implementation; there is one, ``python``.
 """
 
 from __future__ import annotations
 
-from ._purecore import EQUATIONS, LEGS, equation_holds_mod, legs_mod, matmul_mod, solutions_mod
+from ._purecore import EQUATIONS, leg_rows, solutions_mod
 
 BACKEND = "python"
 
-__all__ = ["BACKEND", "EQUATIONS", "LEGS", "equation_holds_mod", "legs_mod", "matmul_mod",
-           "solutions_mod"]
+__all__ = ["BACKEND", "EQUATIONS", "leg_rows", "solutions_mod"]

@@ -173,6 +173,29 @@ def leg_patterns(n):
     return {12: r12, 13: r13, 23: kron(INTEGERS, one, labels)}
 
 
+def legs_of(R):
+    """R^12, R^13 and R^23 of the operator R: each entry of R put where
+    leg_patterns puts its label, the field's zero elsewhere."""
+    flat = [x for row in R.entries for x in row]
+    zero = R.field.zero
+    return {name: [[flat[lab - 1] if lab else zero for lab in row] for row in pattern]
+            for name, pattern in leg_patterns(R.n).items()}
+
+
+def naive_sides(R, which):
+    """Both sides of the named equation as naive products of legs_of(R),
+    associated from the left."""
+    legs = legs_of(R)
+
+    def product(side):
+        out = legs[side[0]]
+        for name in side[1:]:
+            out = naive_mat_mul(R.field, out, legs[name])
+        return out
+
+    return tuple(product(side) for side in EQUATION_SIDES[which])
+
+
 def brute_force_solutions(n, p, which):
     """Every flat entry vector over F_p solving the named equation, found
     by testing all p^(n^4) candidates in lexicographic order.

@@ -207,6 +207,7 @@ def test_criterion_05_unconditional_identities_500_random():
         for _ in range(cnt):
             R = T.random_tensorop(n, field, rng)
             assert frt.verify_delta_chi(R)
+            assert frt.eps_chi_zero(R)
             assert frt.verify_defect_identity(R)
             assert frt.verify_commutator_identity(R)
     report(5, "Delta(chi), eps(chi)=0, defect and commutator identities hold on "

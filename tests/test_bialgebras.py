@@ -81,6 +81,31 @@ def test_takesaki_on_noncocommutative_bialgebra():
     assert T.check_hopf(B.takesaki(tk))
 
 
+def test_takesaki_and_galois_beta_follow_their_formulas_on_s3():
+    # k[S3] is noncommutative, so the order of h_(1) and g matters: for
+    # grouplikes, takesaki(g (x) h) = hg (x) h and galois_beta(g (x) h) = gh (x) h
+    G = B.symmetric_group_3()
+    dim = G.order
+
+    def vec(i):
+        return [QQ.one if k == i else QQ.zero for k in range(dim)]
+
+    comult = [[[QQ.one if u == v == g else QQ.zero for v in range(dim)] for u in range(dim)]
+              for g in range(dim)]
+    H = B.StructureBialgebra(QQ, dim, [str(g) for g in range(dim)], vec(G.identity),
+                             [[vec(G.mul(g, h)) for h in range(dim)] for g in range(dim)],
+                             comult, [QQ.one] * dim, [vec(G.inv(g)) for g in range(dim)])
+    for build, first in ((B.takesaki, lambda g, h: G.mul(h, g)),
+                         (B.galois_beta, lambda g, h: G.mul(g, h))):
+        R = build(H)
+        for g in range(dim):
+            for h in range(dim):
+                col = [row[g * dim + h] for row in R.entries]
+                assert col == [QQ.one if r == first(g, h) * dim + h else QQ.zero
+                               for r in range(dim * dim)]
+        assert T.check_hopf(R)
+
+
 def test_galois_trivial():
     H = B.group_algebra(1, QQ)
     assert B.galois_beta(H) == T.identity_op(1, QQ)

@@ -1,14 +1,14 @@
 import random
-from functools import reduce
 
 import pytest
 
 import oracles
-from hopfeq import kernels, linalg, tensorops
-from hopfeq.fields import parse_field
+from hopfeq import kernels, tensorops
+from hopfeq.fields import QQ, parse_field
 
-F3 = parse_field("fp:3")
+F2 = parse_field("fp:2")
 F5 = parse_field("fp:5")
+F101 = parse_field("fp:101")
 EQUATIONS = sorted(kernels.EQUATIONS)
 
 
@@ -20,40 +20,39 @@ def test_backend_reports_name():
     assert kernels.BACKEND == "python"
 
 
-def test_matmul_mod_matches_linalg():
-    rng = random.Random(1)
-    for dim in (2, 4, 8):
-        a, b = random_flat(dim, 5, rng), random_flat(dim, 5, rng)
-        am = [a[i * dim:(i + 1) * dim] for i in range(dim)]
-        bm = [b[i * dim:(i + 1) * dim] for i in range(dim)]
-        want = [x for row in linalg.mat_mul(F5, am, bm) for x in row]
-        assert kernels.matmul_mod(a, b, dim, 5) == want
-
-
-def test_legs_mod_matches_tensorops_leg():
+def test_leg_matches_pattern_oracle():
+    """tensorops.leg puts each entry of R where the dense Kronecker and
+    switch products of oracles.leg_patterns put its label."""
     rng = random.Random(2)
-    for n in (2, 3):
-        R = tensorops.random_tensorop(n, F5, rng)
-        r12, r13, r23 = kernels.legs_mod(R.flat(), n, 5)
-        assert r12 == [x for row in tensorops.leg(R, 12) for x in row]
-        assert r13 == [x for row in tensorops.leg(R, 13) for x in row]
-        assert r23 == [x for row in tensorops.leg(R, 23) for x in row]
+    for n in (1, 2, 3):
+        d2 = n * n
+        patterns = oracles.leg_patterns(n)
+        labels = tensorops.TensorOp(n, F101, [[r * d2 + c + 1 for c in range(d2)]
+                                              for r in range(d2)])
+        for which, pattern in patterns.items():
+            assert tensorops.leg(labels, which) == pattern
+        for field in (F5, QQ):
+            R = tensorops.random_tensorop(n, field, rng)
+            for which, want in oracles.legs_of(R).items():
+                assert tensorops.leg(R, which) == want
 
 
 @pytest.mark.parametrize("eq", EQUATIONS)
 def test_twins_agree_on_equation_checks(eq):
-    """The two implementations of each check agree over F_p: the mod-p
-    kernel, and the field-generic linalg products that the rationals use."""
+    """Two implementations of each check agree over F_2, F_3 and F_5: the
+    package's check on linalg products, and naive products of legs built
+    from dense Kronecker and switch products (tests/oracles.py)."""
     rng = random.Random(3)
-    identity = [int(r == c) for r in range(4) for c in range(4)]
-    for flat in [[0] * 16, identity] + [random_flat(4, 3, rng) for _ in range(25)]:
-        R = tensorops.TensorOp(2, F3, [flat[r * 4:(r + 1) * 4] for r in range(4)])
-        legs = {k: tensorops.leg(R, k) for k in kernels.LEGS}
-        lhs, rhs = (
-            reduce(lambda a, b: linalg.mat_mul(F3, a, b), [legs[k] for k in side])
-            for side in kernels.EQUATIONS[eq]
-        )
-        assert kernels.equation_holds_mod(flat, 2, 3, eq) == (lhs == rhs)
+    check = getattr(tensorops, f"check_{eq}")
+    identity = [[int(r == c) for c in range(4)] for r in range(4)]
+    for p in (2, 3, 5):
+        field = parse_field(f"fp:{p}")
+        ops = [tensorops.TensorOp(2, field, [[0] * 4 for _ in range(4)]),
+               tensorops.TensorOp(2, field, identity), tensorops.switch(2, field)]
+        ops += [tensorops.random_tensorop(2, field, rng) for _ in range(25)]
+        for R in ops:
+            lhs, rhs = oracles.naive_sides(R, eq)
+            assert check(R) == (lhs == rhs)
 
 
 @pytest.mark.parametrize("eq", EQUATIONS)
@@ -63,8 +62,10 @@ def test_pruned_search_matches_brute_force_f2(eq):
     # every verdict of the checker agrees with membership in the solution set
     rng = random.Random(4)
     members = set(want)
+    check = getattr(tensorops, f"check_{eq}")
     for flat in want[:20] + [tuple(random_flat(4, 2, rng)) for _ in range(40)]:
-        assert kernels.equation_holds_mod(list(flat), 2, 2, eq) == (flat in members)
+        R = tensorops.TensorOp(2, F2, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)])
+        assert check(R) == (flat in members)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -73,14 +73,18 @@ def test_identity_solves_everything():
 
 
 @pytest.mark.parametrize("fid", ["r_q:1", "r_q_prime:1", "classical_yb:2", "char2",
-                                 "graded_c2", "random"])
+                                 "graded_c2", "random", "char2@fp:2", "random@fp:3",
+                                 "random@fp:5"])
 def test_solution_report_verdicts_match_naive_products(fid):
-    # solution_report shares legs and leg products between the equations
+    # solution_report shares legs and leg products between the equations;
+    # an id without "@field" is over Q
+    fid, _, descriptor = fid.partition("@")
+    field = parse_field(descriptor or "q")
     if fid == "random":
-        R = T.random_tensorop(2, QQ, random.Random(9))
+        R = T.random_tensorop(2, field, random.Random(9))
     else:
-        R = build_fixture(fid, QQ)
-    mm = lambda a, b: oracles.naive_mat_mul(QQ, a, b)
+        R = build_fixture(fid, field)
+    mm = lambda a, b: oracles.naive_mat_mul(field, a, b)
     want = {}
     for name, sides in T.kernels.EQUATIONS.items():
         lhs, rhs = (reduce(mm, [T.leg(R, k) for k in side]) for side in sides)
