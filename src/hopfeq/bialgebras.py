@@ -80,17 +80,6 @@ class StructureBialgebra:
             acc = f.add(acc, f.mul(ai, e))
         return acc
 
-    def apply_antipode(self, a):
-        if self.antipode is None:
-            raise MissingAntipodeError("no antipode table")
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, ai in enumerate(a):
-            if ai:
-                for k, s in enumerate(self.antipode[i]):
-                    out[k] = f.add(out[k], f.mul(ai, s))
-        return out
-
     def is_commutative(self):
         return all(
             self.mult[i][j] == self.mult[j][i]
@@ -156,133 +145,88 @@ class AxiomReport:
         )
         return core and self.antipode is not False
 
-    def as_dict(self):
-        d = {
-            "assoc": self.assoc,
-            "unit": self.unit,
-            "coassoc": self.coassoc,
-            "counit": self.counit,
-            "delta_multiplicative": self.delta_multiplicative,
-            "eps_multiplicative": self.eps_multiplicative,
-        }
-        if self.antipode is not None:
-            d["antipode"] = self.antipode
-        return d
+
+def _sum(f, terms):
+    """Sum (key, scalar) pairs into a dict, dropping the keys that sum to zero."""
+    add, zero = f.add, f.zero
+    out = {}
+    for key, c in terms:
+        out[key] = add(out.get(key, zero), c)
+    return {key: c for key, c in out.items() if c}
 
 
 def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
-    """Contract every axiom over all basis tuples; failures are reported."""
+    """Decide every axiom exactly on the structure tables; a failing axiom is
+    reported, never raised.
+
+    The dense tables are read once into sparse views: m[i][j] = {k: c} for
+    m_i m_j, d[i] = {(u, v): c} for Delta(m_i), and the unit and each S(m_i)
+    as {k: c}. Each axiom then compares two contractions of these views,
+    keyed by their free basis indices and summed by ``_sum``. ``antipode`` is
+    None when B has no antipode table.
+    """
     f = B.field
-    dim = B.dim
-    basis = [B.basis_vector(i) for i in range(dim)]
+    mul, one = f.mul, f.one
+    n = range(B.dim)
+    eps = B.counit
 
+    def sparse(vec):
+        return {k: c for k, c in enumerate(vec) if c}
+
+    m = [[sparse(vec) for vec in row] for row in B.mult]
+    d = [{(u, v): c for u, row in enumerate(mat) for v, c in enumerate(row) if c}
+         for mat in B.comult]
+    unit = sparse(B.unit)
+    ident = {(i, i): one for i in n}
+
+    # (m_i m_j) m_k = m_i (m_j m_k), keyed by (j, k, l) for each i
     assoc = all(
-        B.multiply(B.multiply(basis[i], basis[j]), basis[k])
-        == B.multiply(basis[i], B.multiply(basis[j], basis[k]))
-        for i in range(dim) for j in range(dim) for k in range(dim)
-    )
-    unit = all(
-        B.multiply(B.unit, basis[i]) == basis[i]
-        and B.multiply(basis[i], B.unit) == basis[i]
-        for i in range(dim)
-    )
-
-    def coassoc_at(i):
-        C = B.comult
-        lhs = {}  # (u,v,w) -> scalar of (Delta (x) I) Delta
-        rhs = {}
-        for a in range(dim):
-            for w in range(dim):
-                c = C[i][a][w]
-                if c:
-                    for u in range(dim):
-                        for v in range(dim):
-                            if C[a][u][v]:
-                                key = (u, v, w)
-                                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(c, C[a][u][v]))
-        for u in range(dim):
-            for a in range(dim):
-                c = C[i][u][a]
-                if c:
-                    for v in range(dim):
-                        for w in range(dim):
-                            if C[a][v][w]:
-                                key = (u, v, w)
-                                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(c, C[a][v][w]))
-        lhs = {k: v for k, v in lhs.items() if v}
-        rhs = {k: v for k, v in rhs.items() if v}
-        return lhs == rhs
-
-    coassoc = all(coassoc_at(i) for i in range(dim))
-
-    counit = True
-    for i in range(dim):
-        left = [f.sum(f.mul(B.comult[i][u][v], B.counit[u]) for u in range(dim))
-                for v in range(dim)]
-        right = [f.sum(f.mul(B.comult[i][u][v], B.counit[v]) for v in range(dim))
-                 for u in range(dim)]
-        if left != basis[i] or right != basis[i]:
-            counit = False
-            break
-
-    def delta_of_product(i, j):
-        out = [[f.zero] * dim for _ in range(dim)]
-        for a in range(dim):
-            for b in range(dim):
-                cab = B.comult[i][a][b]
-                if not cab:
-                    continue
-                for c in range(dim):
-                    for d in range(dim):
-                        ccd = B.comult[j][c][d]
-                        if not ccd:
-                            continue
-                        coeff = f.mul(cab, ccd)
-                        ac = B.mult[a][c]
-                        bd = B.mult[b][d]
-                        for u in range(dim):
-                            if not ac[u]:
-                                continue
-                            cu = f.mul(coeff, ac[u])
-                            for v in range(dim):
-                                if bd[v]:
-                                    out[u][v] = f.add(out[u][v], f.mul(cu, bd[v]))
-        return out
-
+        _sum(f, (((j, k, l), mul(a, c)) for j in n for t, a in m[i][j].items()
+                 for k in n for l, c in m[t][k].items()))
+        == _sum(f, (((j, k, l), mul(a, c)) for j in n for k in n
+                    for t, a in m[j][k].items() for l, c in m[i][t].items()))
+        for i in n)
+    unit_ok = _sum(f, (((i, k), mul(a, c)) for i in n for t, a in unit.items()
+                       for k, c in m[t][i].items())) == ident \
+        and _sum(f, (((i, k), mul(a, c)) for i in n for t, a in unit.items()
+                     for k, c in m[i][t].items())) == ident
+    # (Delta (x) 1) Delta(m_i) = (1 (x) Delta) Delta(m_i), keyed by (u, v, w)
+    coassoc = all(
+        _sum(f, (((u, v, w), mul(c, e)) for (t, w), c in d[i].items()
+                 for (u, v), e in d[t].items()))
+        == _sum(f, (((u, v, w), mul(c, e)) for (u, t), c in d[i].items()
+                    for (v, w), e in d[t].items()))
+        for i in n)
+    counit = _sum(f, (((i, v), mul(c, eps[u])) for i in n for (u, v), c in d[i].items())) \
+        == ident == _sum(f, (((i, u), mul(c, eps[v])) for i in n
+                             for (u, v), c in d[i].items()))
+    # Delta(m_i m_j) = Delta(m_i) Delta(m_j) in H (x) H, keyed by (j, u, v)
     delta_mult = all(
-        B.comultiply(B.mult[i][j]) == delta_of_product(i, j)
-        for i in range(dim) for j in range(dim)
-    )
-    unit_outer = [[f.mul(a, b) for b in B.unit] for a in B.unit]
-    delta_mult = delta_mult and B.comultiply(B.unit) == unit_outer
+        _sum(f, (((j, u, v), mul(a, c)) for j in n for k, a in m[i][j].items()
+                 for (u, v), c in d[k].items()))
+        == _sum(f, (((j, u, v), mul(mul(c, e), mul(x, y))) for (a, b), c in d[i].items()
+                    for j in n for (g, h), e in d[j].items()
+                    for u, x in m[a][g].items() for v, y in m[b][h].items()))
+        for i in n
+    ) and _sum(f, (((u, v), mul(a, c)) for k, a in unit.items() for (u, v), c in d[k].items())) \
+        == _sum(f, (((u, v), mul(a, b)) for u, a in unit.items() for v, b in unit.items()))
+    eps_mult = _sum(f, (((i, j), mul(a, eps[k])) for i in n for j in n
+                        for k, a in m[i][j].items())) \
+        == _sum(f, (((i, j), mul(eps[i], eps[j])) for i in n for j in n)) \
+        and _sum(f, (((), mul(a, eps[k])) for k, a in unit.items())) == {(): one}
 
-    eps_mult = all(
-        B.counit_of(B.mult[i][j]) == f.mul(B.counit[i], B.counit[j])
-        for i in range(dim) for j in range(dim)
-    ) and B.counit_of(B.unit) == f.one
-
-    antipode_ok = None
+    antipode = None
     if B.antipode is not None:
-        antipode_ok = True
-        for i in range(dim):
-            left = [f.zero] * dim
-            right = [f.zero] * dim
-            for u in range(dim):
-                for v in range(dim):
-                    c = B.comult[i][u][v]
-                    if not c:
-                        continue
-                    sl = B.multiply(B.apply_antipode(basis[u]), basis[v])
-                    sr = B.multiply(basis[u], B.apply_antipode(basis[v]))
-                    for k in range(dim):
-                        left[k] = f.add(left[k], f.mul(c, sl[k]))
-                        right[k] = f.add(right[k], f.mul(c, sr[k]))
-            target = [f.mul(B.counit[i], x) for x in B.unit]
-            if left != target or right != target:
-                antipode_ok = False
-                break
+        # sum S(m_u) m_v = eps(m_i) 1 = sum m_u S(m_v) over Delta(m_i)
+        S = [sparse(vec) for vec in B.antipode]
+        target = _sum(f, (((i, k), mul(eps[i], a)) for i in n for k, a in unit.items()))
+        antipode = _sum(f, (((i, k), mul(mul(c, s), x)) for i in n for (u, v), c in d[i].items()
+                            for t, s in S[u].items() for k, x in m[t][v].items())) \
+            == target == _sum(f, (((i, k), mul(mul(c, s), x)) for i in n
+                                  for (u, v), c in d[i].items()
+                                  for t, s in S[v].items() for k, x in m[u][t].items()))
 
-    return AxiomReport(assoc, unit, coassoc, counit, delta_mult, eps_mult, antipode_ok)
+    return AxiomReport(assoc, unit_ok, coassoc, counit, delta_mult, eps_mult, antipode)
 
 
 def group_algebra(m: int, field: Field) -> StructureBialgebra:
@@ -355,7 +299,7 @@ def galois_rprime(H: StructureBialgebra) -> TensorOp:
                     c = H.comult[a][u][v]
                     if not c:
                         continue
-                    sv = H.multiply(H.apply_antipode(H.basis_vector(v)), H.basis_vector(b))
+                    sv = H.multiply(H.antipode[v], H.basis_vector(b))
                     for j in range(dim):
                         if sv[j]:
                             row = u * dim + j

@@ -227,11 +227,10 @@ def cmd_enumerate(args):
     solutions = tensorops.enumerate_solutions(args.n, field, which=args.eq, cap=args.cap)
     table = {}
     for R in solutions:
-        key = (
-            tensorops.check_commutative(R),
-            tensorops.check_cocommutative(R),
-            tensorops.is_bijective(R),
-        )
+        product = tensorops.leg_products(R)  # the two equations share R^13
+        sides = [tensorops.equation_sides(R, name, product)
+                 for name in ("commutative", "cocommutative")]
+        key = (*(lhs == rhs for lhs, rhs in sides), tensorops.is_bijective(R))
         table[key] = table.get(key, 0) + 1
     if args.json:
         doc = {

@@ -75,18 +75,6 @@ class Field:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
-    def sum(self, values):
-        acc = self.zero
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
-
 
 class Rationals(Field):
     characteristic = 0

@@ -31,10 +31,6 @@ def identity(field, n):
     return m
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 def mat_add(field, a, b):
     add = field.add
     return [[add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

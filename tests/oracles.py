@@ -287,3 +287,116 @@ def random_commuting_idempotents(field, n, rng):
         return naive_mat_mul(field, naive_mat_mul(field, u, dm), uinv)
 
     return conj(d), conj(e)
+
+
+def naive_bialgebra_axioms(B):
+    """The seven axiom verdicts of a structure bialgebra, by products of
+    dense basis vectors: every triple for associativity, every pair for
+    Delta and eps multiplicative. Reads only B.field, B.dim and the tables;
+    "antipode" is None when B has no antipode table. Zero coefficients are
+    skipped, never assumed."""
+    field, dim = B.field, B.dim
+    zero, one = field.zero, field.one
+    rng = range(dim)
+
+    def add_into(acc, c, vec):
+        if c != zero:
+            for k in range(len(vec)):
+                if vec[k] != zero:
+                    acc[k] = field.add(acc[k], field.mul(c, vec[k]))
+
+    def times(a, b):
+        out = [zero] * dim
+        for i in rng:
+            if a[i] != zero:
+                for j in rng:
+                    if b[j] != zero:
+                        add_into(out, field.mul(a[i], b[j]), B.mult[i][j])
+        return out
+
+    def delta(a):
+        out = [[zero] * dim for _ in rng]
+        for i in rng:
+            for u in rng:
+                add_into(out[u], a[i], B.comult[i][u])
+        return out
+
+    def total(values):
+        acc = zero
+        for v in values:
+            acc = field.add(acc, v)
+        return acc
+
+    def eps(a):
+        return total(field.mul(a[i], B.counit[i]) for i in rng)
+
+    def antipode(a):
+        out = [zero] * dim
+        for i in rng:
+            add_into(out, a[i], B.antipode[i])
+        return out
+
+    def tensor_times(x, y):
+        # (sum x_uv m_u (x) m_v)(sum y_st m_s (x) m_t) in H (x) H
+        out = [[zero] * dim for _ in rng]
+        for u, v in product(rng, repeat=2):
+            if x[u][v] == zero:
+                continue
+            for s, t in product(rng, repeat=2):
+                if y[s][t] != zero:
+                    c = field.mul(x[u][v], y[s][t])
+                    for a in rng:
+                        add_into(out[a], field.mul(c, B.mult[u][s][a]), B.mult[v][t])
+        return out
+
+    def coassoc_sides(i):
+        # (Delta (x) 1) Delta(m_i) and (1 (x) Delta) Delta(m_i), indexed [u][v][w]
+        lhs = [[[zero] * dim for _ in rng] for _ in rng]
+        rhs = [[[zero] * dim for _ in rng] for _ in rng]
+        for x, y in product(rng, repeat=2):
+            c = B.comult[i][x][y]
+            if c == zero:
+                continue
+            for u, v in product(rng, repeat=2):
+                lhs[u][v][y] = field.add(lhs[u][v][y], field.mul(c, B.comult[x][u][v]))
+                rhs[x][u][v] = field.add(rhs[x][u][v], field.mul(c, B.comult[y][u][v]))
+        return lhs, rhs
+
+    def sweedler_sum(i, side):
+        # sum over Delta(m_i) = sum c m_u (x) m_v of c * side(m_u, m_v)
+        out = [zero] * dim
+        for u, v in product(rng, repeat=2):
+            if B.comult[i][u][v] != zero:
+                add_into(out, B.comult[i][u][v], side(basis[u], basis[v]))
+        return out
+
+    basis = [[one if k == i else zero for k in rng] for i in rng]
+    unit = list(B.unit)
+    report = {
+        "assoc": all(times(times(basis[i], basis[j]), basis[k])
+                     == times(basis[i], times(basis[j], basis[k]))
+                     for i, j, k in product(rng, repeat=3)),
+        "unit": all(times(unit, basis[i]) == basis[i] == times(basis[i], unit)
+                    for i in rng),
+        "coassoc": all(lhs == rhs for lhs, rhs in map(coassoc_sides, rng)),
+        "counit": all(
+            [total(field.mul(B.comult[i][u][v], B.counit[u]) for u in rng) for v in rng]
+            == basis[i]
+            == [total(field.mul(B.comult[i][u][v], B.counit[v]) for v in rng) for u in rng]
+            for i in rng),
+        "delta_multiplicative": all(
+            delta(times(basis[i], basis[j])) == tensor_times(delta(basis[i]), delta(basis[j]))
+            for i, j in product(rng, repeat=2))
+        and delta(unit) == [[field.mul(a, b) for b in unit] for a in unit],
+        "eps_multiplicative": all(
+            eps(times(basis[i], basis[j])) == field.mul(eps(basis[i]), eps(basis[j]))
+            for i, j in product(rng, repeat=2)) and eps(unit) == one,
+        "antipode": None,
+    }
+    if B.antipode is not None:
+        report["antipode"] = all(
+            sweedler_sum(i, lambda x, y: times(antipode(x), y))
+            == [field.mul(B.counit[i], c) for c in unit]
+            == sweedler_sum(i, lambda x, y: times(x, antipode(y)))
+            for i in rng)
+    return report

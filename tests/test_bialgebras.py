@@ -1,10 +1,16 @@
+import copy
+import functools
+import itertools
+import json
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from hopfeq import bialgebras as B, linalg, tensorops as T
+from hopfeq import bialgebras as B, frt, linalg, rewriting as RW, tensorops as T
 from hopfeq.fields import QQ, parse_field
 from hopfeq.fixtures import build_fixture, crossed_s3_solution, graded_c2_solution
 
@@ -50,6 +56,177 @@ def test_corrupted_assoc():
     assert not report.assoc
 
 
+# -- axiom checks against the dense oracle ----------------------------------------
+
+def finite_quotient(R):
+    """B(R) as a structure bialgebra, or None when it is not known finite."""
+    pres = frt.frt_presentation(R)
+    rs = RW.complete(pres.relations, 8)
+    if RW.dimension(rs, 8).is_finite():
+        return RW.quotient_bialgebra(pres, rs, 8)
+    return None
+
+
+@functools.cache
+def f2_quotients():
+    """The finite B(R) among the Hopf solutions over F_2 with n = 2."""
+    found = map(finite_quotient, T.enumerate_solutions(2, F2, which="hopf"))
+    return [H for H in found if H is not None]
+
+
+def tk_bialgebra():
+    """T(k) on basis 1, x, z: x^2 = x, xz = zx = z^2 = 0, Delta(x) = x (x) x,
+    Delta(z) = x (x) z + z (x) 1, eps(x) = 1, eps(z) = 0; no antipode."""
+    def vec(*ones):
+        return [QQ.one if k in ones else QQ.zero for k in range(3)]
+
+    def tensor(*pairs):
+        return [[QQ.one if (u, v) in pairs else QQ.zero for v in range(3)] for u in range(3)]
+
+    mult = [[vec(0), vec(1), vec(2)], [vec(1), vec(1), vec()], [vec(2), vec(), vec()]]
+    comult = [tensor((0, 0)), tensor((1, 1)), tensor((1, 2), (2, 0))]
+    return B.StructureBialgebra(QQ, 3, ["1", "x", "z"], vec(0), mult, comult, vec(0, 1))
+
+
+def sweedler_h4(field):
+    """Sweedler's Hopf algebra on basis 1, g, x, gx: g^2 = 1, x^2 = 0,
+    xg = -gx, Delta(g) = g (x) g, Delta(x) = x (x) 1 + g (x) x, eps(x) = 0,
+    S(x) = -gx. Noncommutative and noncocommutative; needs char != 2."""
+    word = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}  # g^a x^b -> basis index
+    gx = list(word)
+
+    def vec(*terms):
+        out = [field.zero] * 4
+        for k, c in terms:
+            out[k] = field.from_int(c)
+        return out
+
+    def product(i, j):
+        (a1, b1), (a2, b2) = gx[i], gx[j]
+        if b1 + b2 > 1:
+            return vec()
+        return vec((word[(a1 + a2) % 2, b1 + b2], -1 if b1 and a2 else 1))
+
+    def tensor(*pairs):
+        return [[field.one if (u, v) in pairs else field.zero for v in range(4)]
+                for u in range(4)]
+
+    mult = [[product(i, j) for j in range(4)] for i in range(4)]
+    comult = [tensor((0, 0)), tensor((1, 1)), tensor((2, 0), (1, 2)), tensor((3, 1), (0, 3))]
+    antipode = [vec((0, 1)), vec((1, 1)), vec((3, -1)), vec((2, 1))]
+    return B.StructureBialgebra(field, 4, ["1", "g", "x", "gx"], vec((0, 1)), mult, comult,
+                                vec((0, 1), (1, 1)), antipode)
+
+
+def assert_matches_oracle(H):
+    assert asdict(B.check_bialgebra_axioms(H)) == oracles.naive_bialgebra_axioms(H)
+
+
+# the number of basis indices of an entry of each table
+DEPTH = {"mult": 3, "comult": 3, "antipode": 2, "unit": 1, "counit": 1}
+
+
+def holder_of(H, table, index):
+    """The list whose item index[-1] is the entry of H's table at index."""
+    holder = getattr(H, table)
+    for k in index[:-1]:
+        holder = holder[k]
+    return holder
+
+
+@pytest.mark.parametrize("fid,fd", [
+    ("identity:2", "q"), ("char2", "fp:2"), ("graded_c2", "q"), ("takesaki_c2", "q"),
+    ("takesaki_c3", "q"), ("takesaki_c4", "q"), ("galois_c2", "q"), ("galois_c3", "q"),
+    ("galois_c3", "fp:7"),
+])
+def test_axioms_match_oracle_on_fixture_quotients(fid, fd):
+    H = finite_quotient(build_fixture(fid, parse_field(fd)))
+    assert B.check_bialgebra_axioms(H).all_ok
+    assert_matches_oracle(H)
+
+
+def test_axioms_match_oracle_on_f2_quotients():
+    quotients = f2_quotients()
+    assert len(quotients) == 55
+    for H in quotients:
+        assert_matches_oracle(H)
+
+
+@pytest.mark.parametrize("fd", ["q", "fp:2", "fp:3"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_axioms_match_oracle_on_group_algebras(m, fd):
+    assert_matches_oracle(B.group_algebra(m, parse_field(fd)))
+
+
+@pytest.mark.parametrize("fd", ["q", "fp:3"])
+def test_sweedler_h4_is_a_hopf_algebra(fd):
+    H = sweedler_h4(parse_field(fd))
+    assert not H.is_commutative() and not H.is_cocommutative()
+    report = B.check_bialgebra_axioms(H)
+    assert report.all_ok and report.antipode is True
+    assert_matches_oracle(H)
+
+
+def test_axioms_match_oracle_on_every_one_entry_change_of_h4():
+    # H4 is noncommutative, so S(m_u) m_v and m_u S(m_v) differ: some of
+    # these changes break one side of the antipode law and not the other
+    H = sweedler_h4(F3)
+    changes = 0
+    for name, depth in DEPTH.items():
+        for index in itertools.product(range(4), repeat=depth):
+            for value in range(3):
+                P = copy.deepcopy(H)
+                holder = holder_of(P, name, index)
+                if holder[index[-1]] != value:
+                    holder[index[-1]] = value
+                    assert_matches_oracle(P)
+                    changes += 1
+    assert changes == 2 * (64 + 64 + 16 + 4 + 4)
+
+
+def perturb(H, rng):
+    """A copy of H with one table entry set to another scalar."""
+    P = copy.deepcopy(H)
+    name = rng.choice([t for t in DEPTH if getattr(P, t) is not None])
+    index = tuple(rng.randrange(P.dim) for _ in range(DEPTH[name]))
+    holder, k = holder_of(P, name, index), index[-1]
+    old = holder[k]
+    while holder[k] == old:
+        holder[k] = P.field.random(rng)
+    return P
+
+
+def test_axioms_match_oracle_on_perturbed_tables():
+    rng = random.Random(66)
+    pool = [B.group_algebra(m, parse_field(fd)) for m in (1, 2, 3, 4)
+            for fd in ("q", "fp:2", "fp:3")]
+    pool += [tk_bialgebra(), sweedler_h4(QQ)] + f2_quotients()
+    falses = dict.fromkeys(asdict(B.check_bialgebra_axioms(pool[0])), 0)
+    for _ in range(400):
+        P = perturb(rng.choice(pool), rng)
+        want = oracles.naive_bialgebra_axioms(P)
+        assert asdict(B.check_bialgebra_axioms(P)) == want
+        for name, verdict in want.items():
+            falses[name] += verdict is False
+    # every verdict was seen failing, so no field is compared on passes alone
+    assert all(falses.values()), falses
+
+
+@pytest.mark.parametrize("axiom,table,index,value", [
+    ("unit", "mult", (0, 2, 2), 0),  # 1 z = 0
+    ("coassoc", "comult", (2, 2, 2), 1),  # Delta(z) gains z (x) z
+    ("counit", "counit", (1,), 0),  # eps(x) = 0
+    ("delta_multiplicative", "mult", (1, 1, 2), 1),  # x^2 = x + z
+    ("eps_multiplicative", "mult", (1, 1, 1), 0),  # x^2 = 0
+])
+def test_one_entry_breaks_exactly_one_axiom(axiom, table, index, value):
+    H = tk_bialgebra()
+    assert B.check_bialgebra_axioms(H).all_ok
+    holder_of(H, table, index)[index[-1]] = QQ.from_int(value)
+    report = asdict(B.check_bialgebra_axioms(H))
+    assert report == {**dict.fromkeys(report, True), "antipode": None, axiom: False}
+
+
 # -- takesaki and galois -------------------------------------------------------
 
 def test_takesaki_dim1_is_identity():
@@ -81,9 +258,8 @@ def test_takesaki_on_noncocommutative_bialgebra():
     assert T.check_hopf(B.takesaki(tk))
 
 
-def test_takesaki_and_galois_beta_follow_their_formulas_on_s3():
-    # k[S3] is noncommutative, so the order of h_(1) and g matters: for
-    # grouplikes, takesaki(g (x) h) = hg (x) h and galois_beta(g (x) h) = gh (x) h
+def group_algebra_s3():
+    """k[S3] over Q with grouplike basis; S(g) = g^-1."""
     G = B.symmetric_group_3()
     dim = G.order
 
@@ -95,15 +271,38 @@ def test_takesaki_and_galois_beta_follow_their_formulas_on_s3():
     H = B.StructureBialgebra(QQ, dim, [str(g) for g in range(dim)], vec(G.identity),
                              [[vec(G.mul(g, h)) for h in range(dim)] for g in range(dim)],
                              comult, [QQ.one] * dim, [vec(G.inv(g)) for g in range(dim)])
+    return G, H
+
+
+def assert_maps_grouplikes(R, G, image):
+    """R sends g (x) h to the basis tensor image(g, h) for all g, h in G."""
+    dim = G.order
+    for g in range(dim):
+        for h in range(dim):
+            first, second = image(g, h)
+            col = [row[g * dim + h] for row in R.entries]
+            assert col == [QQ.one if r == first * dim + second else QQ.zero
+                           for r in range(dim * dim)]
+
+
+def test_takesaki_and_galois_beta_follow_their_formulas_on_s3():
+    # k[S3] is noncommutative, so the order of h_(1) and g matters: for
+    # grouplikes, takesaki(g (x) h) = hg (x) h and galois_beta(g (x) h) = gh (x) h
+    G, H = group_algebra_s3()
     for build, first in ((B.takesaki, lambda g, h: G.mul(h, g)),
                          (B.galois_beta, lambda g, h: G.mul(g, h))):
         R = build(H)
-        for g in range(dim):
-            for h in range(dim):
-                col = [row[g * dim + h] for row in R.entries]
-                assert col == [QQ.one if r == first(g, h) * dim + h else QQ.zero
-                               for r in range(dim * dim)]
+        assert_maps_grouplikes(R, G, lambda g, h: (first(g, h), h))
         assert T.check_hopf(R)
+
+
+def test_galois_rprime_follows_its_formula_on_s3():
+    # R'(g (x) h) = g (x) S(g) h = g (x) g^-1 h; on k[C2], the only other
+    # group algebra tested here, S is the identity
+    G, H = group_algebra_s3()
+    R = B.galois_rprime(H)
+    assert_maps_grouplikes(R, G, lambda g, h: (g, G.mul(G.inv(g), h)))
+    assert T.check_hopf(R)
 
 
 def test_galois_trivial():
@@ -265,6 +464,38 @@ def test_structure_bialgebra_json_round_trip():
     assert H2.mult == H.mult and H2.comult == H.comult
     assert H2.antipode == H.antipode and H2.counit == H.counit
     assert B.check_bialgebra_axioms(H2).all_ok
+
+
+_SCALARS = {
+    "q": st.one_of(st.just(QQ.zero), st.builds(Fraction, st.integers(-50, 50),
+                                                 st.integers(1, 12))),
+    "fp:2": st.integers(0, 1),
+    "fp:5": st.integers(0, 4),
+    "fp:2147483647": st.integers(0, 2**31 - 2),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_structure_bialgebra_json_round_trip_property(data):
+    fd = data.draw(st.sampled_from(sorted(_SCALARS)), label="field")
+    field = parse_field(fd)
+    dim = data.draw(st.integers(1, 3), label="dim")
+    if data.draw(st.booleans(), label="group algebra"):
+        H = B.group_algebra(dim, field)
+    else:
+        cell = _SCALARS[fd]
+
+        def vec():
+            return data.draw(st.lists(cell, min_size=dim, max_size=dim))
+
+        H = B.StructureBialgebra(
+            field, dim, [f"m{k}" for k in range(dim)], vec(),
+            [[vec() for _ in range(dim)] for _ in range(dim)],
+            [[vec() for _ in range(dim)] for _ in range(dim)], vec(),
+            data.draw(st.one_of(st.none(), st.just([vec() for _ in range(dim)]))))
+    doc = json.loads(json.dumps(H.to_json()))
+    assert B.StructureBialgebra.from_json(doc) == H
 
 
 def test_commutativity_flags():
