@@ -31,11 +31,6 @@ def identity(field, n):
     return m
 
 
-def mat_add(field, a, b):
-    add = field.add
-    return [[add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(field, a, b):
     """a - b, on ints over the lcm of the two common denominators."""
     ia, da = field.lift(a)
@@ -43,10 +38,6 @@ def mat_sub(field, a, b):
     d = lcm(da, db)
     sa, sb = d // da, d // db
     return field.lower([[x * sa - y * sb for x, y in zip(ra, rb)] for ra, rb in zip(ia, ib)], d)
-
-def mat_scale(field, c, a):
-    mul = field.mul
-    return [[mul(c, x) for x in row] for row in a]
 
 
 def mat_mul(field, a, b):
@@ -63,18 +54,6 @@ def mat_mul(field, a, b):
                     acc[j] += aik * bkj
         out.append(acc)
     return field.lower(out, da * db)
-
-
-def mat_vec(field, a, v):
-    zero, add, mul = field.zero, field.add, field.mul
-    out = [zero] * len(a)
-    for i, row in enumerate(a):
-        acc = zero
-        for x, y in zip(row, v):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        out[i] = acc
-    return out
 
 
 def kron(field, a, b):

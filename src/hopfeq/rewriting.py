@@ -18,6 +18,19 @@ still wins. Every RewriteSystem builds its index from its rules; complete()
 updates the index of its working system only when it admits or retires a
 rule, and after admitting one re-reduces only the tails in which the new lhs
 occurs. quotient_bialgebra and check_coideal reduce each word once per call.
+
+Completion pairs a new rule only with the rules whose lhs overlaps its lhs
+(Bergman's ambiguities): the same index maps every proper prefix and proper
+suffix of an lhs to its rules, so the new lhs looks up each of its own
+suffixes among the prefixes and each of its prefixes among the suffixes.
+The rules found are visited in list order, so the queue receives the same
+S-polynomials in the same order as a pass over every rule would give it.
+
+Dimension counts irreducible words instead of listing them, on the
+Ufnarovski graph: whether an irreducible word stays irreducible after one
+more letter depends only on its last max|lhs| - 1 letters, so a count per
+such suffix, advanced one letter at a time, gives the number of irreducible
+words of each length. Words are listed only for a quotient basis.
 """
 
 from __future__ import annotations
@@ -98,7 +111,8 @@ def _orient(poly):
 
 class _RuleIndex:
     """Hash index of rule left-hand sides: lhs -> (rank, rule), with rank the
-    rule's place in list order, plus the sorted distinct lhs lengths.
+    rule's place in list order, plus the sorted distinct lhs lengths, plus
+    every proper prefix and every proper suffix of an lhs -> {rank: rule}.
 
     At each position of a word the index tries every lhs length; the leftmost
     position with a match wins, and among several matches there the lowest
@@ -106,11 +120,13 @@ class _RuleIndex:
     lhs is a factor of another, so at most one lhs matches at a position.
     """
 
-    __slots__ = ("by_lhs", "lengths", "_next_rank")
+    __slots__ = ("by_lhs", "lengths", "prefixes", "suffixes", "_next_rank")
 
     def __init__(self, rules=()):
         self.by_lhs = {}
         self.lengths = []
+        self.prefixes = {}
+        self.suffixes = {}
         self._next_rank = 0
         for r in rules:
             self.add(r)
@@ -118,15 +134,23 @@ class _RuleIndex:
     def add(self, rule):
         rank = self._next_rank
         self._next_rank += 1
-        if rule.lhs in self.by_lhs:  # a later duplicate never wins
+        w = rule.lhs
+        if w in self.by_lhs:  # a later duplicate never wins
             return
-        self.by_lhs[rule.lhs] = (rank, rule)
-        if len(rule.lhs) not in self.lengths:
-            self.lengths = sorted(self.lengths + [len(rule.lhs)])
+        self.by_lhs[w] = (rank, rule)
+        if len(w) not in self.lengths:
+            self.lengths = sorted(self.lengths + [len(w)])
+        for L in range(1, len(w)):
+            self.prefixes.setdefault(w[:L], {})[rank] = rule
+            self.suffixes.setdefault(w[-L:], {})[rank] = rule
 
     def remove(self, rule):
-        del self.by_lhs[rule.lhs]
-        self.lengths = sorted({len(w) for w in self.by_lhs})
+        w = rule.lhs
+        rank, _ = self.by_lhs.pop(w)
+        self.lengths = sorted({len(u) for u in self.by_lhs})
+        for L in range(1, len(w)):
+            del self.prefixes[w[:L]][rank]
+            del self.suffixes[w[-L:]][rank]
 
     def find(self, w):
         """(position, rule) of the reduction to apply to w, or None."""
@@ -146,6 +170,16 @@ class _RuleIndex:
             if best is not None:
                 return pos, best[1]
         return None
+
+    def overlapping(self, w):
+        """The indexed rules whose lhs overlaps w properly on either side (a
+        proper suffix of w is a prefix of it, or a proper suffix of it is a
+        prefix of w), in rank order."""
+        found = {}
+        for L in range(1, len(w)):
+            found.update(self.prefixes.get(w[-L:], ()))
+            found.update(self.suffixes.get(w[:L], ()))
+        return [found[rank] for rank in sorted(found)]
 
 
 def _has_factor(w, f):
@@ -202,19 +236,29 @@ def _word_normal_forms(rs):
 
 
 def _proper_overlaps(r1, r2):
-    """Suffix-of-r1 = prefix-of-r2 ambiguities; S-polynomial per ambiguity."""
+    """Suffix-of-r1 = prefix-of-r2 ambiguities; S-polynomial per ambiguity.
+
+    With w1 = a t and w2 = t b, the S-polynomial is tail1 b - a tail2."""
     w1, w2 = r1.lhs, r2.lhs
+    field = r1.tail.field
+    add, neg, zero = field.add, field.neg, field.zero
     out = []
     for L in range(1, min(len(w1), len(w2))):
         if w1[len(w1) - L:] != w2[:L]:
             continue
-        amb = w1 + w2[L:]
         a = w1[:len(w1) - L]
         b = w2[L:]
-        alphabet, field = r1.tail.alphabet, r1.tail.field
-        left = r1.tail * NCPoly.word(alphabet, field, b)
-        right = NCPoly.word(alphabet, field, a) * r2.tail
-        out.append((amb, left - right))
+        terms = {t + b: c for t, c in r1.tail.terms.items()}
+        for t, c in r2.tail.terms.items():
+            w = a + t
+            s = add(terms.get(w, zero), neg(c))
+            if s:
+                terms[w] = s
+            else:
+                terms.pop(w, None)
+        spoly = NCPoly(r1.tail.alphabet, field)
+        spoly.terms = terms
+        out.append((w1 + b, spoly))
     return out
 
 
@@ -270,7 +314,9 @@ def complete(relations, max_degree=8):
         for r in rules:
             if any(_has_factor(t, new.lhs) for t in r.tail.terms):
                 r.tail = normal_form(r.tail, work)
-        for r in rules:
+        # only rules that overlap new can form an ambiguity with it; rank
+        # order keeps the queue in the order of a pass over the rule list
+        for r in index.overlapping(new.lhs):
             for pair in (new, r), (r, new):
                 for amb, spoly in _proper_overlaps(*pair):
                     if len(amb) > max_degree:
@@ -281,33 +327,72 @@ def complete(relations, max_degree=8):
     return RewriteSystem(alphabet, field, rules, "capped" if capped else "complete", max_degree)
 
 
-def irreducible_levels(rs, max_len):
-    """Irreducible words grouped by length, stopping early at an empty level."""
-    if rs.alphabet is None:
-        return [[()]]
-    lhs_set = set(rs.lhs_words())
-    if () in lhs_set:
-        return [[]]
-    max_lhs = max((len(w) for w in lhs_set), default=1)
-    letters = range(len(rs.alphabet))
-    levels = [[()]]
-    for _ in range(max_len):
-        nxt = []
-        for w in levels[-1]:
-            for g in letters:
-                nw = w + (g,)
-                if any(nw[-L:] in lhs_set for L in range(1, min(len(nw), max_lhs) + 1)):
-                    continue
-                nxt.append(nw)
-        levels.append(nxt)
-        if not nxt:
-            break
-    return levels
+class _WordGraph:
+    """Ufnarovski graph of the irreducible words of a rewriting system.
+
+    A word is irreducible iff no lhs is a factor of it. Appending a letter to
+    an irreducible word can only create a factor at its end, of length at
+    most max|lhs|, so whether w g is irreducible depends only on g and on the
+    last max|lhs| - 1 letters of w: that suffix is the state of w. step(s, g)
+    is the state of w g, or None when w g is reducible; it is worked out once
+    per (state, letter) with the suffix-in-lhs test.
+    """
+
+    def __init__(self, rs):
+        self.lhs = set(rs.lhs_words())
+        self.max_lhs = max((len(w) for w in self.lhs), default=1)
+        # no alphabet (no relations): only the empty word, in a level that
+        # is never exhausted; an empty lhs (unit ideal): no word at all
+        self.letters = range(len(rs.alphabet)) if rs.alphabet is not None else None
+        self._next = {}
+
+    def step(self, state, g):
+        key = state, g
+        if key in self._next:
+            return self._next[key]
+        w = state + (g,)  # at most max|lhs| letters: test each suffix
+        if any(w[i:] in self.lhs for i in range(len(w))):
+            nxt = None
+        else:
+            nxt = w[1:] if len(w) == self.max_lhs else w
+        self._next[key] = nxt
+        return nxt
+
+    def counts(self, max_len):
+        """Irreducible words per length, up to max_len or the first empty
+        length, counted per state: a vector over the states, one step per
+        length."""
+        if self.letters is None:
+            return [1]
+        level = {} if () in self.lhs else {(): 1}
+        out = [sum(level.values())]
+        while level and len(out) <= max_len:
+            nxt = {}
+            for state, n in level.items():
+                for g in self.letters:
+                    t = self.step(state, g)
+                    if t is not None:
+                        nxt[t] = nxt.get(t, 0) + n
+            out.append(sum(nxt.values()))
+            level = nxt
+        return out
+
+    def words(self, max_len):
+        """All irreducible words of length <= max_len, in deglex order."""
+        if self.letters is None:
+            return [()]
+        level = [] if () in self.lhs else [((), ())]  # (word, state), deglex
+        out = [w for w, _ in level]
+        while level and len(level[0][0]) < max_len:
+            level = [(w + (g,), t) for w, state in level for g in self.letters
+                     for t in (self.step(state, g),) if t is not None]
+            out += [w for w, _ in level]
+        return out
 
 
 def irreducible_words(rs, max_len):
     """All irreducible words of length <= max_len, in deglex order."""
-    return [w for level in irreducible_levels(rs, max_len) for w in level]
+    return _WordGraph(rs).words(max_len)
 
 
 @dataclass
@@ -322,16 +407,18 @@ class DimensionReport:
 
 
 def dimension(rs, max_len=12):
-    """Quotient dimension by irreducible-word exhaustion.
+    """Quotient dimension by counting irreducible words.
 
     A finite verdict needs a complete system plus an exhausted level: once a
     length has no irreducible words, no longer word can avoid reducible
     factors. Anything else is reported as a lower bound at the cap.
     """
-    levels = irreducible_levels(rs, max_len)
-    counts = [len(level) for level in levels]
+    return _report(rs, _WordGraph(rs).counts(max_len), max_len)
+
+
+def _report(rs, counts, max_len):
     total = sum(counts)
-    if rs.status == "complete" and counts and counts[-1] == 0:
+    if rs.status == "complete" and counts[-1] == 0:
         return DimensionReport("finite", total, counts)
     return DimensionReport("lower_bound", total, counts, word_length_cap=max_len)
 
@@ -359,8 +446,8 @@ def quotient_bialgebra(pres, rs, max_len=12):
 
     if not rs.is_complete():
         raise NotFiniteDimensionalError("rewriting system is not complete")
-    report = dimension(rs, max_len)
-    if not report.is_finite():
+    graph = _WordGraph(rs)
+    if not _report(rs, graph.counts(max_len), max_len).is_finite():
         raise NotFiniteDimensionalError(
             f"no empty irreducible level up to length {max_len}; dimension undecided"
         )
@@ -368,7 +455,7 @@ def quotient_bialgebra(pres, rs, max_len=12):
         raise ValueError("relation ideal is not a coideal; no quotient bialgebra")
     field = rs.field
     alphabet = rs.alphabet
-    words = irreducible_words(rs, max_len)
+    words = graph.words(max_len)
     index = {w: k for k, w in enumerate(words)}
     dim = len(words)
     zero = field.zero

@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values: dense triple-loop
 matrix arithmetic, the scalar form of the Hopf equation, direct expansions
 of the obstruction formula, brute-force enumeration of solutions over F_p,
-and normal forms by a scan of the whole rule list. Deliberately written
+normal forms by a scan of the whole rule list, completion that pairs every
+two rules, and irreducible words by listing them. Deliberately written
 without the package's production shortcuts."""
 
 from itertools import product
@@ -19,6 +20,14 @@ def naive_mat_mul(field, a, b):
                 acc = field.add(acc, field.mul(a[i][k], b[k][j]))
             out[i][j] = acc
     return out
+
+
+def mat_add(field, a, b):
+    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(field, c, a):
+    return [[field.mul(c, x) for x in row] for row in a]
 
 
 def kron(field, a, b):
@@ -400,3 +409,114 @@ def naive_bialgebra_axioms(B):
             == sweedler_sum(i, lambda x, y: times(x, antipode(y)))
             for i in rng)
     return report
+
+
+def irreducible_levels(rs, max_len):
+    """Irreducible words of rs grouped by length, listed by extending every
+    word of the previous level by every letter and testing each suffix of
+    the new word against the lhs set; stops early at an empty level."""
+    if rs.alphabet is None:
+        return [[()]]
+    lhs_set = set(rs.lhs_words())
+    if () in lhs_set:
+        return [[]]
+    max_lhs = max((len(w) for w in lhs_set), default=1)
+    letters = range(len(rs.alphabet))
+    levels = [[()]]
+    for _ in range(max_len):
+        nxt = []
+        for w in levels[-1]:
+            for g in letters:
+                nw = w + (g,)
+                if any(nw[-L:] in lhs_set for L in range(1, min(len(nw), max_lhs) + 1)):
+                    continue
+                nxt.append(nw)
+        levels.append(nxt)
+        if not nxt:
+            break
+    return levels
+
+
+def listing_dimension(rs, max_len, levels=None):
+    """The dimension report of rs read off the listed irreducible words;
+    levels, when given, are irreducible_levels(rs, L) for some L >= max_len."""
+    from hopfeq.rewriting import DimensionReport
+
+    levels = levels or irreducible_levels(rs, max_len)
+    counts = [len(level) for level in levels[:max_len + 1]]
+    total = sum(counts)
+    if rs.status == "complete" and counts[-1] == 0:
+        return DimensionReport("finite", total, counts)
+    return DimensionReport("lower_bound", total, counts, word_length_cap=max_len)
+
+
+def all_pairs_complete(relations, max_degree=8):
+    """Completion that tries every (new rule, rule) pair in both orders for
+    overlaps, in rule-list order, and builds each S-polynomial with
+    polynomial products: tail1 * b - a * tail2. Otherwise the same steps as
+    rewriting.complete, so the two must return the same system, capped runs
+    included."""
+    from collections import deque
+
+    from hopfeq.freealgebra import NCPoly, word_key
+    from hopfeq.rewriting import RewriteRule, RewriteSystem, normal_form
+
+    def orient(poly):
+        p = poly.monic()
+        lhs = p.leading_word()
+        return RewriteRule(lhs, NCPoly.word(p.alphabet, p.field, lhs) - p)
+
+    def has_factor(w, f):
+        return any(w[i:i + len(f)] == f for i in range(len(w) - len(f) + 1))
+
+    def overlaps(r1, r2):
+        w1, w2 = r1.lhs, r2.lhs
+        alphabet, field = r1.tail.alphabet, r1.tail.field
+        out = []
+        for L in range(1, min(len(w1), len(w2))):
+            if w1[len(w1) - L:] == w2[:L]:
+                a, b = w1[:len(w1) - L], w2[L:]
+                out.append((w1 + b, r1.tail * NCPoly.word(alphabet, field, b)
+                            - NCPoly.word(alphabet, field, a) * r2.tail))
+        return out
+
+    relations = [r for r in relations if not r.is_zero()]
+    if not relations:
+        return RewriteSystem(None, None, [], "complete", max_degree)
+    alphabet, field = relations[0].alphabet, relations[0].field
+    queue = deque(sorted((r.monic() for r in relations),
+                         key=lambda p: word_key(p.leading_word())))
+    rules = []
+    work = RewriteSystem(alphabet, field, rules, "capped", max_degree)
+    capped = False
+    while queue:
+        p = normal_form(queue.popleft(), work)
+        if p.is_zero():
+            continue
+        if p.degree() > max_degree:
+            capped = True
+            continue
+        new = orient(p)
+        if not new.lhs:
+            rules = [RewriteRule((), NCPoly.zero(alphabet, field))]
+            break
+        kept = []
+        for r in rules:
+            if has_factor(r.lhs, new.lhs):
+                queue.append(r.poly())
+            else:
+                kept.append(r)
+        rules = kept + [new]
+        work = RewriteSystem(alphabet, field, rules, "capped", max_degree)
+        for r in rules:
+            if any(has_factor(t, new.lhs) for t in r.tail.terms):
+                r.tail = normal_form(r.tail, work)
+        for r in rules:
+            for pair in (new, r), (r, new):
+                for amb, spoly in overlaps(*pair):
+                    if len(amb) > max_degree:
+                        capped = True
+                    else:
+                        queue.append(spoly)
+    rules.sort(key=lambda r: word_key(r.lhs))
+    return RewriteSystem(alphabet, field, rules, "capped" if capped else "complete", max_degree)

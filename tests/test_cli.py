@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +98,26 @@ def test_outputs_pinned(capsys, argv, want):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+# -- python -m hopfeq --------------------------------------------------------------
+
+def run_module(*argv):
+    """python -m hopfeq ARGV in a fresh interpreter, importing from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "hopfeq", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+
+
+@pytest.mark.parametrize("argv", [
+    ("frt", "--fixture", "char2", "--field", "fp:2", "--json"),
+    ("check", "--fixture", "nope"),
+], ids=["frt", "bad-fixture"])
+def test_python_dash_m_matches_main(capsys, argv):
+    proc = run_module(*argv)
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 # -- frt ------------------------------------------------------------------------

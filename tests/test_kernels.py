@@ -74,6 +74,6 @@ def test_pruned_search_matches_brute_force_n1(eq, p):
     assert kernels.solutions_mod(1, p, eq) == oracles.brute_force_solutions(1, p, eq)
 
 
-def test_pruned_search_f3_hopf_count():
+def test_pruned_search_f3_hopf_count(f3_hopf_solutions):
     # 3^16 = 43M candidates: far past brute force, about a second pruned
-    assert len(kernels.solutions_mod(2, 3, "hopf")) == 463
+    assert len(f3_hopf_solutions) == 463

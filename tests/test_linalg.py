@@ -58,12 +58,6 @@ def test_rank_matches_oracle():
             assert linalg.rank(field, m) == oracles.rank(field, m)
 
 
-def test_mat_vec():
-    m = [[QQ.from_int(1), QQ.from_int(2)], [QQ.from_int(3), QQ.from_int(4)]]
-    v = [QQ.from_int(5), QQ.from_int(6)]
-    assert linalg.mat_vec(QQ, m, v) == [QQ.from_int(17), QQ.from_int(39)]
-
-
 # -- mat_mul against the textbook product, property-based -------------------------
 
 F2, F3, F31 = (parse_field(f"fp:{p}") for p in (2, 3, 31))

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from hopfeq import bialgebras as B, frt, linalg, rewriting as RW, tensorops as T
@@ -12,6 +13,7 @@ from hopfeq.fixtures import build_fixture
 from hopfeq.freealgebra import NCPoly, comatrix_alphabet, free_alphabet, word_key
 
 F2 = parse_field("fp:2")
+F3 = parse_field("fp:3")
 F5 = parse_field("fp:5")
 A2 = comatrix_alphabet(2)
 
@@ -184,6 +186,34 @@ def test_indexed_normal_form_matches_linear_scan(k):
             oracles.linear_scan_normal_form(field, p.terms, rules), name
 
 
+def proper_overlap(u, v):
+    """A proper suffix of u is a proper prefix of v."""
+    return any(u[len(u) - L:] == v[:L] for L in range(1, min(len(u), len(v))))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_overlap_index_matches_pairwise_scan(k):
+    # completion pairs a new rule only with the rules the index returns, and
+    # queues their S-polynomials in that order: it must be every rule a scan
+    # of the live rule list pairs with, in list order, after retirements too
+    name, rs = index_cases()[k]
+    index = RW._RuleIndex(rs.rules)
+    rng = random.Random(70 + k)
+    retired = {id(r) for r in rng.sample(rs.rules, len(rs.rules) // 3)}
+    live = []
+    for r in rs.rules:
+        if id(r) in retired:
+            index.remove(r)
+        else:
+            live.append(r)
+    letters = len(rs.alphabet)
+    words = [r.lhs for r in rs.rules] + [
+        tuple(rng.randrange(letters) for _ in range(rng.randint(1, 6))) for _ in range(40)]
+    for w in words:
+        want = [r for r in live if proper_overlap(w, r.lhs) or proper_overlap(r.lhs, w)]
+        assert index.overlapping(w) == want, name
+
+
 def pipeline_doc(R):
     """Rule list, status, dimension report and quotient tables of B(R)."""
     pres = frt.frt_presentation(R)
@@ -216,23 +246,121 @@ def test_b_of_r_outputs_pinned_over_f2_hopf_solutions():
     ("r_q:0", "q", "4bdd240129491514bbb03d933821018547c150ea3e910d9dfb29bd36e936f08e"),
     ("r_q_prime:1", "q", "2c9843467b383f28dcb2ef0c943aab73116cd45d2d2212d2131c01394c113696"),
     ("graded_c2", "q", "244d0407f2fda2ad25d8b29b54149a57a7b6133b42e97e71d6e03e8966754e83"),
+    # capped at degree 8; recorded with all-pairs completion and listed words
+    ("r_q:1", "q", "fde73c35f5556da40953d20ea9c2d308a7aebf59aad53ea8139d3bc27dd57297"),
 ])
 def test_b_of_r_outputs_pinned_on_fixtures(fid, fd, want):
     # digests recorded with the linear-scan reduction, before the index
     assert digest(pipeline_doc(build_fixture(fid, parse_field(fd)))) == want
 
 
+# -- overlap-indexed completion and counted dimension against the oracles ---------
+
+ORACLE_LENGTHS = (0, 1, 3, 8)
+
+
+def assert_matches_oracles(relations):
+    """complete and dimension agree with all-pairs completion and listed
+    irreducible words; returns the completion status."""
+    rs = RW.complete(relations, 8)
+    want = oracles.all_pairs_complete(relations, 8)
+    assert rs.to_json() == want.to_json()
+    levels = oracles.irreducible_levels(want, max(ORACLE_LENGTHS))
+    for max_len in ORACLE_LENGTHS:
+        assert RW.dimension(rs, max_len) == oracles.listing_dimension(want, max_len, levels)
+    return rs.status
+
+
+@pytest.mark.parametrize("fid,fd", [
+    ("identity:2", "q"), ("r_q:0", "q"), ("r_q:1", "q"), ("r_q:2", "fp:5"),
+    ("r_q_prime:1", "q"), ("r_q_dblprime:1", "q"), ("char2", "fp:2"),
+    ("classical_yb:1", "q"), ("graded_c2", "q"), ("takesaki_c3", "q"),
+    ("takesaki_c4", "q"), ("galois_c3", "fp:7"),
+])
+def test_completion_and_dimension_match_oracles_on_fixtures(fid, fd):
+    pres = frt.frt_presentation(build_fixture(fid, parse_field(fd)))
+    assert_matches_oracles(pres.relations)
+
+
+def test_commutative_completion_matches_oracles():
+    assert assert_matches_oracles(frt.frt_commutative(B.char2_matrix(F2)).relations) \
+        == "complete"
+
+
+def test_completion_and_dimension_match_oracles_over_f2_hopf_solutions():
+    statuses = [assert_matches_oracles(frt.frt_presentation(R).relations)
+                for R in T.enumerate_solutions(2, F2, which="hopf")]
+    assert len(statuses) == 147 and statuses.count("capped") == 4
+
+
+def test_completion_and_dimension_match_oracles_over_f3_hopf_solutions(f3_hopf_solutions):
+    statuses = [
+        assert_matches_oracles(frt.frt_presentation(
+            T.TensorOp(2, F3, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)])).relations)
+        for flat in f3_hopf_solutions]
+    assert len(statuses) == 463 and statuses.count("capped") == 24
+
+
+# -- properties on random small relation sets --------------------------------------
+
+AB = free_alphabet("a", "b")
+ABC = free_alphabet("a", "b", "c")
+
+
+def random_poly(data, field, alphabet, min_len, max_len, min_terms=0):
+    words = st.lists(st.integers(0, len(alphabet) - 1),
+                     min_size=min_len, max_size=max_len).map(tuple)
+    terms = data.draw(st.dictionaries(words, st.integers(1, field.p - 1),
+                                      min_size=min_terms, max_size=3))
+    return NCPoly(alphabet, field, terms)
+
+
+def random_relations(data):
+    """Two to four relations over F_2 or F_3 on two or three letters, each
+    with one to three terms of degree 1 to 3."""
+    field = data.draw(st.sampled_from([F2, F3]), label="field")
+    alphabet = data.draw(st.sampled_from([AB, ABC]), label="alphabet")
+    count = data.draw(st.integers(2, 4), label="relations")
+    return [random_poly(data, field, alphabet, 1, 3, min_terms=1) for _ in range(count)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_complete_result_independent_of_relation_order(data):
+    relations = random_relations(data)
+    shuffled = data.draw(st.permutations(relations), label="order")
+    rs, rs2 = RW.complete(relations, 6), RW.complete(shuffled, 6)
+    # a run that ends complete yields the unique reduced system of the ideal
+    if rs.is_complete() and rs2.is_complete():
+        assert rs.to_json() == rs2.to_json()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_normal_form_idempotent_and_linear(data):
+    relations = random_relations(data)
+    field, alphabet = relations[0].field, relations[0].alphabet
+    rs = RW.complete(relations, 4)  # complete or capped: both must hold either way
+    p, q = (random_poly(data, field, alphabet, 0, 5) for _ in range(2))
+    c = data.draw(st.integers(0, field.p - 1), label="scalar")
+    np_, nq = RW.normal_form(p, rs), RW.normal_form(q, rs)
+    assert RW.normal_form(np_, rs) == np_
+    assert RW.normal_form(p.scale(c) + q, rs) == np_.scale(c) + nq
+
+
 # -- irreducible words and dimension -----------------------------------------------
 
-def test_b0_hilbert_prefix_matches_counting_formula():
+@pytest.mark.parametrize("max_len", [7, 40])
+def test_b0_hilbert_prefix_matches_counting_formula(max_len):
     # B_0^2 rules: c21 -> 0, yx -> x, yz -> 0; irreducible words are w y^k
-    # with w over {x, z}, so level d holds 2^(d+1) - 1 words
+    # with w over {x, z}, so level d holds 2^(d+1) - 1 words: counted, not
+    # listed, since 2^41 words would never fit
     pres = frt.frt_presentation(B.r_q(Fraction(0), QQ))
     rs = RW.complete(pres.relations, 8)
-    rep = RW.dimension(rs, 7)
+    rep = RW.dimension(rs, max_len)
     assert rep.kind == "lower_bound"
-    assert rep.hilbert_prefix == [2 ** (d + 1) - 1 for d in range(8)]
-    assert rep.word_length_cap == 7
+    assert rep.hilbert_prefix == [2 ** (d + 1) - 1 for d in range(max_len + 1)]
+    assert rep.word_length_cap == max_len
 
 
 def test_b2n1_family_dimensions():
