@@ -413,10 +413,7 @@ def dimension(rs, max_len=12):
     length has no irreducible words, no longer word can avoid reducible
     factors. Anything else is reported as a lower bound at the cap.
     """
-    return _report(rs, _WordGraph(rs).counts(max_len), max_len)
-
-
-def _report(rs, counts, max_len):
+    counts = _WordGraph(rs).counts(max_len)
     total = sum(counts)
     if rs.status == "complete" and counts[-1] == 0:
         return DimensionReport("finite", total, counts)
@@ -447,7 +444,7 @@ def quotient_bialgebra(pres, rs, max_len=12):
     if not rs.is_complete():
         raise NotFiniteDimensionalError("rewriting system is not complete")
     graph = _WordGraph(rs)
-    if not _report(rs, graph.counts(max_len), max_len).is_finite():
+    if graph.counts(max_len)[-1]:
         raise NotFiniteDimensionalError(
             f"no empty irreducible level up to length {max_len}; dimension undecided"
         )
