@@ -59,26 +59,16 @@ class StructureBialgebra:
                         out[k] = f.add(out[k], f.mul(coeff, m))
         return out
 
-    def comultiply(self, a):
-        f = self.field
-        zero = f.zero
-        out = [[zero] * self.dim for _ in range(self.dim)]
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for u in range(self.dim):
-                row = self.comult[i][u]
-                for v in range(self.dim):
-                    if row[v]:
-                        out[u][v] = f.add(out[u][v], f.mul(ai, row[v]))
-        return out
-
-    def counit_of(self, a):
-        f = self.field
-        acc = f.zero
-        for ai, e in zip(a, self.counit):
-            acc = f.add(acc, f.mul(ai, e))
-        return acc
+    def sparse(self):
+        """Sparse views of the tables: m[i][j] = {k: c} for m_i m_j, d[i] =
+        {(u, v): c} for Delta(m_i), the unit as {k: c}, and S[i] = {k: c} for
+        S(m_i), or S = None without an antipode table. Built anew per call,
+        so they follow changes to the tables."""
+        m = [[_sparse(vec) for vec in row] for row in self.mult]
+        d = [{(u, v): c for u, row in enumerate(mat) for v, c in enumerate(row) if c}
+             for mat in self.comult]
+        S = None if self.antipode is None else [_sparse(vec) for vec in self.antipode]
+        return m, d, _sparse(self.unit), S
 
     def is_commutative(self):
         return all(
@@ -146,6 +136,11 @@ class AxiomReport:
         return core and self.antipode is not False
 
 
+def _sparse(vec):
+    """A coefficient vector as {index: c} over its nonzero entries."""
+    return {k: c for k, c in enumerate(vec) if c}
+
+
 def _sum(f, terms):
     """Sum (key, scalar) pairs into a dict, dropping the keys that sum to zero."""
     add, zero = f.add, f.zero
@@ -159,24 +154,16 @@ def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
     """Decide every axiom exactly on the structure tables; a failing axiom is
     reported, never raised.
 
-    The dense tables are read once into sparse views: m[i][j] = {k: c} for
-    m_i m_j, d[i] = {(u, v): c} for Delta(m_i), and the unit and each S(m_i)
-    as {k: c}. Each axiom then compares two contractions of these views,
-    keyed by their free basis indices and summed by ``_sum``. ``antipode`` is
-    None when B has no antipode table.
+    The dense tables are read once into the sparse views of
+    ``StructureBialgebra.sparse``. Each axiom then compares two contractions
+    of these views, keyed by their free basis indices and summed by ``_sum``.
+    ``antipode`` is None when B has no antipode table.
     """
     f = B.field
     mul, one = f.mul, f.one
     n = range(B.dim)
     eps = B.counit
-
-    def sparse(vec):
-        return {k: c for k, c in enumerate(vec) if c}
-
-    m = [[sparse(vec) for vec in row] for row in B.mult]
-    d = [{(u, v): c for u, row in enumerate(mat) for v, c in enumerate(row) if c}
-         for mat in B.comult]
-    unit = sparse(B.unit)
+    m, d, unit, S = B.sparse()
     ident = {(i, i): one for i in n}
 
     # (m_i m_j) m_k = m_i (m_j m_k), keyed by (j, k, l) for each i
@@ -216,9 +203,8 @@ def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
         and _sum(f, (((), mul(a, eps[k])) for k, a in unit.items())) == {(): one}
 
     antipode = None
-    if B.antipode is not None:
+    if S is not None:
         # sum S(m_u) m_v = eps(m_i) 1 = sum m_u S(m_v) over Delta(m_i)
-        S = [sparse(vec) for vec in B.antipode]
         target = _sum(f, (((i, k), mul(eps[i], a)) for i in n for k, a in unit.items()))
         antipode = _sum(f, (((i, k), mul(mul(c, s), x)) for i in n for (u, v), c in d[i].items()
                             for t, s in S[u].items() for k, x in m[t][v].items())) \

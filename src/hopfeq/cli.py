@@ -95,7 +95,7 @@ def cmd_frt(args):
         # coideal property still holds for the chi ideal; annihilation may not
         annihilates = hopfmodules.check_annihilation(
             pres, hopfmodules.module_from_R(R))
-    rs = rewriting.complete(pres.relations, max_degree=args.max_deg)
+    rs = rewriting.complete(pres.relations, args.max_deg, pres.alphabet, pres.field)
     report = rewriting.dimension(rs, max_len=args.max_deg)
     names = _generator_names(R.n, rs)
     chi_index = dict(zip((id(r) for r in pres.relations), pres.chi_origin))

@@ -1,8 +1,17 @@
 """Module/comodule structures on V over a presented bialgebra or a structure
 bialgebra: the multiplicative action extension, the comatrix coaction, the
-Hopf compatibility check on generators, the induced operator
+Hopf compatibility check, the induced operator
 R(m (x) n) = sum n_<1>.m (x) n_<0>, annihilation checks and the universal
 property of B(R).
+
+Both module kinds give V as a T(C)-module, ``action``: (j, u) -> the
+matrix of c_{j+1,u+1}; over a structure bialgebra H, c_ju acts as the
+coaction coefficient coelems[j][u]. The regular module of H induces
+R(g (x) h) = sum h_(2) g (x) h_(1), Takesaki's map only when H is
+cocommutative. Checks over H read the sparse views of
+``StructureBialgebra.sparse`` and compare two contractions keyed by their
+free basis indices and summed by ``bialgebras._sum``, as
+``check_bialgebra_axioms`` does.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import linalg
+from .bialgebras import _sparse, _sum
 from .freealgebra import NCPoly, comatrix_alphabet
 from .rewriting import normal_form
 from .tensorops import TensorOp, to_structure_constants
@@ -24,7 +34,6 @@ class HopfModuleData:
     n: int
     field: object
     action: dict  # (j, u) -> n x n matrix of c_{j+1,u+1} acting on V
-    ambient: object = None  # optional Presentation, for bookkeeping
 
     def to_json(self):
         f = self.field
@@ -35,7 +44,6 @@ class HopfModuleData:
                 f"c[{j + 1},{u + 1}]": [[f.scalar_to_json(x) for x in row] for row in mat]
                 for (j, u), mat in sorted(self.action.items())
             },
-            "ambient": getattr(self.ambient, "provenance", None),
         }
 
 
@@ -78,30 +86,31 @@ def _act_word(w, data, memo):
     return mat
 
 
-def act_poly(p, data: HopfModuleData, memo=None):
-    """Matrix of a polynomial acting on V, as the coefficient row times the
-    word matrices (flattened) in one ``mat_mul``; memo as for ``act_word``."""
-    n = data.n
-    if not p.terms:
-        return linalg.zeros(data.field, n, n)
-    memo = {} if memo is None else memo
-    mats = [[x for row in _act_word(w, data, memo) for x in row] for w in p.terms]
-    flat = linalg.mat_mul(data.field, [list(p.terms.values())], mats)[0]
+def _combine(field, n, coeffs, mats):
+    """sum_t coeffs[t] mats[t] over n x n matrices: the coefficient row times
+    the flattened matrices, in one ``mat_mul``."""
+    if not coeffs:
+        return linalg.zeros(field, n, n)
+    flat = linalg.mat_mul(field, [coeffs], [[x for row in m for x in row] for m in mats])[0]
     return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def act_poly(p, data: HopfModuleData, memo=None):
+    """Matrix of a polynomial acting on V, the coefficient-weighted sum of its
+    word matrices; memo as for ``act_word``."""
+    memo = {} if memo is None else memo
+    return _combine(data.field, data.n, list(p.terms.values()),
+                    [_act_word(w, data, memo) for w in p.terms])
 
 
 def induced_R(data) -> TensorOp:
     """The operator R(m (x) n) = sum n_<1>.m (x) n_<0> of the module/comodule
-    pair; accepts either HopfModuleData or BialgebraHopfModule."""
-    if isinstance(data, BialgebraHopfModule):
-        return _induced_R_bialgebra(data)
+    pair, read off data.action: entries[i*n+j][v*n+u] = (c_ju . m_v)_i.
+    data is a HopfModuleData or a BialgebraHopfModule."""
     n = data.n
-    field = data.field
-    ent = linalg.zeros(field, n * n, n * n)
-    for v, u in product(range(n), repeat=2):
-        for i, j in product(range(n), repeat=2):
-            ent[i * n + j][v * n + u] = data.action[(j, u)][i][v]
-    return TensorOp(n, field, ent)
+    action = data.action
+    return TensorOp(n, data.field, [[action[(j, u)][i][v] for v in range(n) for u in range(n)]
+                                    for i in range(n) for j in range(n)])
 
 
 def check_annihilation(pres, data: HopfModuleData) -> bool:
@@ -154,17 +163,16 @@ class BialgebraHopfModule:
     coelems: list  # coelems[v][l] = coefficient vector in H
 
     def act(self, hvec):
-        f = self.field
-        out = linalg.zeros(f, self.n, self.n)
-        for t, c in enumerate(hvec):
-            if not c:
-                continue
-            mat = self.basis_action[t]
-            for i in range(self.n):
-                for j in range(self.n):
-                    if mat[i][j]:
-                        out[i][j] = f.add(out[i][j], f.mul(c, mat[i][j]))
-        return out
+        """The matrix by which the element hvec of H acts on V."""
+        terms = [(c, self.basis_action[t]) for t, c in enumerate(hvec) if c]
+        return _combine(self.field, self.n, [c for c, _ in terms], [m for _, m in terms])
+
+    @property
+    def action(self):
+        """V as a T(C)-module along c_ju -> coelems[j][u]: (j, u) -> the
+        matrix of c_{j+1,u+1}, as in HopfModuleData."""
+        return {(j, u): self.act(self.coelems[j][u])
+                for j in range(self.n) for u in range(self.n)}
 
 
 def regular_hopf_module(H) -> BialgebraHopfModule:
@@ -183,55 +191,27 @@ def regular_hopf_module(H) -> BialgebraHopfModule:
     return BialgebraHopfModule(H, dim, H.field, basis_action, coelems)
 
 
-def _induced_R_bialgebra(bm: BialgebraHopfModule) -> TensorOp:
-    n = bm.n
-    field = bm.field
-    ent = linalg.zeros(field, n * n, n * n)
-    for u in range(n):
-        for j in range(n):
-            A = bm.act(bm.coelems[j][u])
-            for v in range(n):
-                for i in range(n):
-                    ent[i * n + j][v * n + u] = A[i][v]
-    return TensorOp(n, field, ent)
-
-
 def check_hopf_compat_bialgebra(bm: BialgebraHopfModule) -> bool:
-    """The compatibility law checked over a structure bialgebra, all basis
-    elements h and basis vectors m_l, componentwise in V (x) H."""
+    """The compatibility law rho(h.m) = sum h_(1).m_<0> (x) h_(2) m_<1> for
+    every basis element h = m_t of H and basis vector m_l, as two
+    contractions keyed by (l, w, s), the coefficient of m_w (x) m_s."""
     H = bm.bialgebra
     f = bm.field
-    n = bm.n
-    dim = H.dim
-    zero = f.zero
-    for t in range(dim):
-        A = bm.basis_action[t]
-        for l in range(n):
-            # lhs component at m_w: sum_i A[i][l] coelems[w][i]
-            for w in range(n):
-                lhs = [zero] * dim
-                for i in range(n):
-                    if A[i][l] != zero:
-                        for s, c in enumerate(bm.coelems[w][i]):
-                            lhs[s] = f.add(lhs[s], f.mul(A[i][l], c))
-                rhs = [zero] * dim
-                for a in range(dim):
-                    for b in range(dim):
-                        c = H.comult[t][a][b]
-                        if c == zero:
-                            continue
-                        Aa = bm.basis_action[a]
-                        for v in range(n):
-                            if Aa[w][v] == zero:
-                                continue
-                            coeff = f.mul(c, Aa[w][v])
-                            hv = H.multiply(H.basis_vector(b), bm.coelems[v][l])
-                            for s in range(dim):
-                                if hv[s] != zero:
-                                    rhs[s] = f.add(rhs[s], f.mul(coeff, hv[s]))
-                if lhs != rhs:
-                    return False
-    return True
+    mul = f.mul
+    V = range(bm.n)
+    m, d, _, _ = H.sparse()
+    act = [{(i, v): c for i, row in enumerate(mat) for v, c in enumerate(row) if c}
+           for mat in bm.basis_action]
+    co = [[_sparse(vec) for vec in row] for row in bm.coelems]
+    # lhs: sum_i (m_t.m_l)_i rho(m_i); rhs: over Delta(m_t) = sum m_p (x) m_b,
+    # (m_p.m_v)_w m_w (x) m_b coelems[v][l]
+    return all(
+        _sum(f, (((l, w, s), mul(a, c)) for (i, l), a in act[t].items()
+                 for w in V for s, c in co[w][i].items()))
+        == _sum(f, (((l, w, s), mul(mul(c, a), mul(x, y))) for (p, b), c in d[t].items()
+                    for (w, v), a in act[p].items() for l in V
+                    for k, x in co[v][l].items() for s, y in m[b][k].items()))
+        for t in range(H.dim))
 
 
 def verify_morphism(source, target, target_data: BialgebraHopfModule, assignment,
@@ -243,50 +223,44 @@ def verify_morphism(source, target, target_data: BialgebraHopfModule, assignment
     source_data given, f(c_ij) must act exactly as c_ij does upstream."""
     n = source.alphabet.comatrix_n
     f = target.field
-    dim = target.dim
+    mul = f.mul
+    V = range(n)
+    gens = [assignment[divmod(k, n)] for k in range(n * n)]
 
-    def assigned(i, j):
-        return assignment[(i, j)]
+    # (a) relations map to zero; a word's image is its longest prefix's image
+    # times one generator image
+    images = {(): target.unit}
 
-    # (a) relations map to zero through target multiplication
+    def image(w):
+        vec = images.get(w)
+        if vec is None:
+            vec = images[w] = target.multiply(image(w[:-1]), gens[w[-1]])
+        return vec
+
     for r in source.relations:
-        total = [f.zero] * dim
-        for w, c in r.terms.items():
-            vec = target.unit
-            for k in w:
-                vec = target.multiply(vec, assigned(*divmod(k, n)))
-            for s in range(dim):
-                total[s] = f.add(total[s], f.mul(c, vec[s]))
-        if any(x != f.zero for x in total):
+        if _sum(f, ((s, mul(c, x)) for w, c in r.terms.items()
+                    for s, x in enumerate(image(w)) if x)):
             return False
 
-    # (b) Delta(f(c_jk)) = sum_u f(c_ju) (x) f(c_uk); eps(f(c_jk)) = delta_jk
-    for j, k in product(range(n), repeat=2):
-        lhs = target.comultiply(assigned(j, k))
-        rhs = [[f.zero] * dim for _ in range(dim)]
-        for u in range(n):
-            left, right = assigned(j, u), assigned(u, k)
-            for a in range(dim):
-                if left[a] == f.zero:
-                    continue
-                for b in range(dim):
-                    if right[b] != f.zero:
-                        rhs[a][b] = f.add(rhs[a][b], f.mul(left[a], right[b]))
-        if lhs != rhs:
-            return False
-        want = f.one if j == k else f.zero
-        if target.counit_of(assigned(j, k)) != want:
-            return False
+    # (b) Delta(f(c_jk)) = sum_u f(c_ju) (x) f(c_uk), keyed by (j, k, a, b),
+    # and eps(f(c_jk)) = delta_jk
+    _, d, _, _ = target.sparse()
+    g = [[_sparse(assignment[(j, k)]) for k in V] for j in V]
+    eps = target.counit
+    if _sum(f, (((j, k, a, b), mul(x, c)) for j in V for k in V
+                for t, x in g[j][k].items() for (a, b), c in d[t].items())) \
+            != _sum(f, (((j, k, a, b), mul(x, y)) for j in V for k in V for u in V
+                        for a, x in g[j][u].items() for b, y in g[u][k].items())):
+        return False
+    if _sum(f, (((j, k), mul(x, eps[t])) for j in V for k in V
+                for t, x in g[j][k].items())) != {(j, j): f.one for j in V}:
+        return False
 
-    # (c) coaction match and action match
-    for v, l in product(range(n), repeat=2):
-        if assigned(v, l) != target_data.coelems[v][l]:
-            return False
-    if source_data is not None:
-        for i, j in product(range(n), repeat=2):
-            if target_data.act(assigned(i, j)) != source_data.action[(i, j)]:
-                return False
-    return True
+    # (c) the assignment is the target coaction, so target_data.action is
+    # what each f(c_ij) does on V
+    if any(assignment[(v, l)] != target_data.coelems[v][l] for v in V for l in V):
+        return False
+    return source_data is None or target_data.action == source_data.action
 
 
 def quotient_hopf_module(pres, rs, quotient, data: HopfModuleData):

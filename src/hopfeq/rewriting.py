@@ -262,18 +262,20 @@ def _proper_overlaps(r1, r2):
     return out
 
 
-def complete(relations, max_degree=8):
+def complete(relations, max_degree=8, alphabet=None, field=None):
     """Inter-reduced rewriting system from the relations.
 
     Status is "complete" iff every overlap ambiguity resolved to zero and
     nothing (input relation, admitted rule, or ambiguity word) exceeded
     max_degree; otherwise "capped". Reaching the cap is never an exception.
+    The alphabet and field default to those of the first relation; a caller
+    that holds a presentation passes its own, which an empty relation list
+    cannot carry.
     """
     relations = [r for r in relations if not r.is_zero()]
     if not relations:
-        return RewriteSystem(None, None, [], "complete", max_degree)
-    alphabet = relations[0].alphabet
-    field = relations[0].field
+        return RewriteSystem(alphabet, field, [], "complete", max_degree)
+    alphabet, field = relations[0].alphabet, relations[0].field
     queue = deque(
         sorted((r.monic() for r in relations), key=lambda p: word_key(p.leading_word()))
     )
@@ -341,9 +343,7 @@ class _WordGraph:
     def __init__(self, rs):
         self.lhs = set(rs.lhs_words())
         self.max_lhs = max((len(w) for w in self.lhs), default=1)
-        # no alphabet (no relations): only the empty word, in a level that
-        # is never exhausted; an empty lhs (unit ideal): no word at all
-        self.letters = range(len(rs.alphabet)) if rs.alphabet is not None else None
+        self.letters = range(len(rs.alphabet))
         self._next = {}
 
     def step(self, state, g):
@@ -361,9 +361,7 @@ class _WordGraph:
     def counts(self, max_len):
         """Irreducible words per length, up to max_len or the first empty
         length, counted per state: a vector over the states, one step per
-        length."""
-        if self.letters is None:
-            return [1]
+        length; an empty lhs (unit ideal) leaves no word at all."""
         level = {} if () in self.lhs else {(): 1}
         out = [sum(level.values())]
         while level and len(out) <= max_len:
@@ -379,8 +377,6 @@ class _WordGraph:
 
     def words(self, max_len):
         """All irreducible words of length <= max_len, in deglex order."""
-        if self.letters is None:
-            return [()]
         level = [] if () in self.lhs else [((), ())]  # (word, state), deglex
         out = [w for w, _ in level]
         while level and len(level[0][0]) < max_len:
@@ -413,6 +409,8 @@ def dimension(rs, max_len=12):
     length has no irreducible words, no longer word can avoid reducible
     factors. Anything else is reported as a lower bound at the cap.
     """
+    if rs.alphabet is None:  # complete() given no relations and no alphabet
+        return DimensionReport("lower_bound", 1, [1], word_length_cap=max_len)
     counts = _WordGraph(rs).counts(max_len)
     total = sum(counts)
     if rs.status == "complete" and counts[-1] == 0:
@@ -526,8 +524,8 @@ def presentations_equivalent(p1, p2, forward, backward, max_degree=6, check_roun
     other way. Both relation lists must map to normal form zero; optionally
     the two composites must fix every generator modulo the ideals.
     """
-    rs1 = complete(p1.relations, max_degree)
-    rs2 = complete(p2.relations, max_degree)
+    rs1 = complete(p1.relations, max_degree, p1.alphabet, p1.field)
+    rs2 = complete(p2.relations, max_degree, p2.alphabet, p2.field)
     undecided = False
 
     def annihilates(relations, images, rs):

@@ -2,8 +2,9 @@
 matrix arithmetic, the scalar form of the Hopf equation, direct expansions
 of the obstruction formula, brute-force enumeration of solutions over F_p,
 normal forms by a scan of the whole rule list, completion that pairs every
-two rules, and irreducible words by listing them. Deliberately written
-without the package's production shortcuts."""
+two rules, irreducible words by listing them, and the bialgebra and Hopf
+module checks on dense vectors. Deliberately written without the package's
+production shortcuts."""
 
 from itertools import product
 from types import SimpleNamespace
@@ -415,8 +416,6 @@ def irreducible_levels(rs, max_len):
     """Irreducible words of rs grouped by length, listed by extending every
     word of the previous level by every letter and testing each suffix of
     the new word against the lhs set; stops early at an empty level."""
-    if rs.alphabet is None:
-        return [[()]]
     lhs_set = set(rs.lhs_words())
     if () in lhs_set:
         return [[]]
@@ -450,12 +449,12 @@ def listing_dimension(rs, max_len, levels=None):
     return DimensionReport("lower_bound", total, counts, word_length_cap=max_len)
 
 
-def all_pairs_complete(relations, max_degree=8):
+def all_pairs_complete(relations, max_degree=8, alphabet=None, field=None):
     """Completion that tries every (new rule, rule) pair in both orders for
     overlaps, in rule-list order, and builds each S-polynomial with
     polynomial products: tail1 * b - a * tail2. Otherwise the same steps as
     rewriting.complete, so the two must return the same system, capped runs
-    included."""
+    included; alphabet and field are for an empty relation list, as there."""
     from collections import deque
 
     from hopfeq.freealgebra import NCPoly, word_key
@@ -482,7 +481,7 @@ def all_pairs_complete(relations, max_degree=8):
 
     relations = [r for r in relations if not r.is_zero()]
     if not relations:
-        return RewriteSystem(None, None, [], "complete", max_degree)
+        return RewriteSystem(alphabet, field, [], "complete", max_degree)
     alphabet, field = relations[0].alphabet, relations[0].field
     queue = deque(sorted((r.monic() for r in relations),
                          key=lambda p: word_key(p.leading_word())))
@@ -520,3 +519,135 @@ def all_pairs_complete(relations, max_degree=8):
                         queue.append(spoly)
     rules.sort(key=lambda r: word_key(r.lhs))
     return RewriteSystem(alphabet, field, rules, "capped" if capped else "complete", max_degree)
+
+
+def _dense_bialgebra_ops(H):
+    """times, delta and eps on dense coefficient vectors of H, by plain loops
+    over its tables."""
+    field, dim = H.field, H.dim
+    zero = field.zero
+    rng = range(dim)
+
+    def times(a, b):
+        out = [zero] * dim
+        for i in rng:
+            for j in rng:
+                if a[i] != zero and b[j] != zero:
+                    c = field.mul(a[i], b[j])
+                    for k in rng:
+                        out[k] = field.add(out[k], field.mul(c, H.mult[i][j][k]))
+        return out
+
+    def delta(a):
+        out = [[zero] * dim for _ in rng]
+        for i in rng:
+            if a[i] != zero:
+                for u in rng:
+                    for v in rng:
+                        out[u][v] = field.add(out[u][v], field.mul(a[i], H.comult[i][u][v]))
+        return out
+
+    def eps(a):
+        acc = zero
+        for i in rng:
+            acc = field.add(acc, field.mul(a[i], H.counit[i]))
+        return acc
+
+    return times, delta, eps
+
+
+def act_element(bm, hvec):
+    """The matrix by which hvec in H acts on V: sum_t hvec[t] basis_action[t]."""
+    field, n = bm.field, bm.n
+    out = [[field.zero] * n for _ in range(n)]
+    for t, c in enumerate(hvec):
+        for i in range(n):
+            for j in range(n):
+                out[i][j] = field.add(out[i][j], field.mul(c, bm.basis_action[t][i][j]))
+    return out
+
+
+def naive_induced_R(bm):
+    """Entries of R(m (x) n) = sum n_<1>.m (x) n_<0> for a Hopf module over a
+    structure bialgebra: entries[i*n+j][v*n+u] = (coelems[j][u] . m_v)_i."""
+    field, n = bm.field, bm.n
+    ent = [[field.zero] * (n * n) for _ in range(n * n)]
+    for u in range(n):
+        for j in range(n):
+            A = act_element(bm, bm.coelems[j][u])
+            for v in range(n):
+                for i in range(n):
+                    ent[i * n + j][v * n + u] = A[i][v]
+    return ent
+
+
+def naive_hopf_compat_bialgebra(bm):
+    """rho(h.m) = sum h_(1).m_<0> (x) h_(2) m_<1> for every basis element h
+    of H and basis vector m_l, compared componentwise in V (x) H on dense
+    vectors."""
+    H, field, n, dim = bm.bialgebra, bm.field, bm.n, bm.bialgebra.dim
+    zero = field.zero
+    times, _, _ = _dense_bialgebra_ops(H)
+    basis = [[field.one if k == t else zero for k in range(dim)] for t in range(dim)]
+    # m_b coelems[v][l], for every b, v, l
+    hv = [[[times(basis[b], bm.coelems[v][l]) for l in range(n)] for v in range(n)]
+          for b in range(dim)]
+    for t in range(dim):
+        A = bm.basis_action[t]
+        for l in range(n):
+            for w in range(n):
+                lhs = [zero] * dim
+                for i in range(n):
+                    for s in range(dim):
+                        lhs[s] = field.add(lhs[s], field.mul(A[i][l], bm.coelems[w][i][s]))
+                rhs = [zero] * dim
+                for a in range(dim):
+                    for b in range(dim):
+                        for v in range(n):
+                            coeff = field.mul(H.comult[t][a][b], bm.basis_action[a][w][v])
+                            if coeff != zero:
+                                for s in range(dim):
+                                    rhs[s] = field.add(rhs[s], field.mul(coeff, hv[b][v][l][s]))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def naive_morphism_clauses(source, target, target_data, assignment, source_data=None):
+    """Each clause of the universal property, decided on dense vectors:
+    "relations", each relation's image, word by word from the unit, is zero;
+    "delta" and "eps", each f(c_jk) has the comultiplication and counit of a
+    comatrix entry; "coaction", the assignment is the target coaction;
+    "action", f(c_ij) acts on V as c_ij does in source_data (None without
+    source_data). The universal property holds iff no clause is False."""
+    n = source.alphabet.comatrix_n
+    field, dim = target.field, target.dim
+    zero = field.zero
+    times, delta, eps = _dense_bialgebra_ops(target)
+    pairs = list(product(range(n), repeat=2))
+    out = {"relations": True, "delta": True, "eps": True, "coaction": True, "action": None}
+    for r in source.relations:
+        total = [zero] * dim
+        for w, c in r.terms.items():
+            vec = target.unit
+            for k in w:
+                vec = times(vec, assignment[divmod(k, n)])
+            total = [field.add(x, field.mul(c, y)) for x, y in zip(total, vec)]
+        if any(x != zero for x in total):
+            out["relations"] = False
+    for j, k in pairs:
+        rhs = [[zero] * dim for _ in range(dim)]
+        for u in range(n):
+            left, right = assignment[(j, u)], assignment[(u, k)]
+            for a in range(dim):
+                for b in range(dim):
+                    rhs[a][b] = field.add(rhs[a][b], field.mul(left[a], right[b]))
+        if delta(assignment[(j, k)]) != rhs:
+            out["delta"] = False
+        if eps(assignment[(j, k)]) != (field.one if j == k else zero):
+            out["eps"] = False
+    out["coaction"] = all(assignment[(v, l)] == target_data.coelems[v][l] for v, l in pairs)
+    if source_data is not None:
+        out["action"] = all(act_element(target_data, assignment[(i, j)])
+                            == source_data.action[(i, j)] for i, j in pairs)
+    return out

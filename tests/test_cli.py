@@ -193,6 +193,19 @@ def test_frt_json(capsys):
     assert doc["tables"]["dim"] == 5
 
 
+def test_frt_zero_matrix_counts_the_free_algebra(capsys, tmp_path):
+    # every chi relation of R = 0 vanishes, so B(R) is free on the 4 generators
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"field": "q", "n": 2, "matrix": [["0"] * 4] * 4}))
+    code, out, _ = run(capsys, "frt", str(path), "--json", "--max-deg", "8")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["presentation"]["relations"] == []
+    assert doc["dimension"] == {"kind": "lower_bound", "count": 87381,
+                                "hilbert_prefix": [4 ** d for d in range(9)],
+                                "word_length_cap": 8}
+
+
 # -- verify ------------------------------------------------------------------------
 
 def test_verify_fixture(capsys):

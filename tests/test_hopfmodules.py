@@ -1,9 +1,12 @@
+import copy
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from bialgebra_examples import group_algebra_s3, sweedler_h4
 from hopfeq import bialgebras as B, frt, hopfmodules as HM, linalg, rewriting as RW, tensorops as T
 from hopfeq.fields import QQ, parse_field
 from hopfeq.fixtures import build_fixture
@@ -120,6 +123,8 @@ def test_induced_round_trip_random():
 
 
 def test_takesaki_equals_regular_module_induction():
+    # the regular module induces h_(2) g (x) h_(1), Takesaki's map is
+    # h_(1) g (x) h_(2): they agree because k[C_m] is cocommutative
     for m in (2, 3, 4):
         H = B.group_algebra(m, QQ)
         bm = HM.regular_hopf_module(H)
@@ -264,3 +269,209 @@ def test_hopf_module_json():
     data = HM.module_from_R(build_fixture("r_q:1", QQ))
     doc = data.to_json()
     assert doc["n"] == 2 and "c[1,1]" in doc["action"]
+
+
+def failing_clauses(*args):
+    """The universal-property clauses the dense oracle finds false."""
+    return [name for name, ok in oracles.naive_morphism_clauses(*args).items() if ok is False]
+
+
+def test_morphism_rejects_relations_not_annihilated():
+    # clause (a) alone: the Takesaki assignment is a comatrix and the coaction
+    # of the regular module, but sends c11 - c22 to 1 - g
+    H = B.group_algebra(2, QQ)
+    bm = HM.regular_hopf_module(H)
+    assignment = {(0, 0): H.basis_vector(0), (0, 1): [QQ.zero] * 2,
+                  (1, 0): [QQ.zero] * 2, (1, 1): H.basis_vector(1)}
+    c = lambda i, j: NCPoly.generator(A2, QQ, i, j)
+    empty = frt.Presentation(alphabet=A2, field=QQ, relations=[])
+    pres = frt.Presentation(alphabet=A2, field=QQ, relations=[c(0, 0) - c(1, 1)])
+    assert HM.verify_morphism(empty, H, bm, assignment)
+    assert not HM.verify_morphism(pres, H, bm, assignment)
+    assert failing_clauses(pres, H, bm, assignment) == ["relations"]
+
+
+@pytest.mark.parametrize("clause", ["delta", "eps"])
+def test_morphism_rejects_comatrix_violation(clause):
+    # clause (b) alone: no relations, and the module's coaction is the
+    # assignment. c12 -> g - 1 keeps every counit, but Delta(g - 1) =
+    # g (x) g - 1 (x) 1 is not 1 (x) (g - 1) + (g - 1) (x) 1; c_jk -> 0
+    # keeps Delta, but eps(0) is not 1
+    H = B.group_algebra(2, QQ)
+    one, zero = H.basis_vector(0), [QQ.zero] * 2
+    good = {(0, 0): one, (0, 1): zero, (1, 0): zero, (1, 1): one}
+    bad = {**good, (0, 1): [QQ.from_int(-1), QQ.one]} if clause == "delta" \
+        else dict.fromkeys(good, zero)
+    empty = frt.Presentation(alphabet=A2, field=QQ, relations=[])
+    regular = HM.regular_hopf_module(H)
+
+    def module(assignment):
+        coelems = [[assignment[(v, l)] for l in range(2)] for v in range(2)]
+        return HM.BialgebraHopfModule(H, 2, QQ, regular.basis_action, coelems)
+
+    assert HM.verify_morphism(empty, H, module(good), good)
+    assert not HM.verify_morphism(empty, H, module(bad), bad)
+    assert failing_clauses(empty, H, module(bad), bad) == [clause]
+
+
+def test_morphism_rejects_action_mismatch():
+    # clause (c) alone, in the action: the canonical morphism from B(R) to H,
+    # against a source module with one entry changed
+    H = B.group_algebra(2, QQ)
+    R = B.takesaki(H)
+    pres = frt.frt_presentation(R)
+    bm = HM.regular_hopf_module(H)
+    one, g, zero = H.basis_vector(0), H.basis_vector(1), [QQ.zero] * 2
+    assignment = {(0, 0): one, (0, 1): zero, (1, 0): zero, (1, 1): g}
+    data = HM.module_from_R(R)
+    data.action[(1, 1)] = [[QQ.one, QQ.zero], [QQ.zero, QQ.zero]]
+    assert HM.verify_morphism(pres, H, bm, assignment)
+    assert not HM.verify_morphism(pres, H, bm, assignment, source_data=data)
+    assert failing_clauses(pres, H, bm, assignment, data) == ["action"]
+
+
+# -- a noncommutative, noncocommutative Hopf algebra ----------------------------
+
+def regular_induced_by_formula(H):
+    """R(g (x) h) = sum h_(2) g (x) h_(1) on H (x) H, from the tables."""
+    f, dim = H.field, H.dim
+    ent = [[f.zero] * (dim * dim) for _ in range(dim * dim)]
+    for a in range(dim):
+        for b in range(dim):
+            for u in range(dim):
+                for v in range(dim):
+                    for i in range(dim):
+                        row = i * dim + u
+                        ent[row][a * dim + b] = f.add(
+                            ent[row][a * dim + b],
+                            f.mul(H.comult[b][u][v], H.mult[v][a][i]))
+    return T.TensorOp(dim, f, ent)
+
+
+@pytest.mark.parametrize("fd", ["q", "fp:3"])
+def test_sweedler_h4_regular_hopf_module(fd):
+    H = sweedler_h4(parse_field(fd))
+    assert not H.is_commutative() and not H.is_cocommutative()
+    bm = HM.regular_hopf_module(H)
+    assert HM.check_hopf_compat_bialgebra(bm)
+    R = HM.induced_R(bm)
+    assert R == regular_induced_by_formula(H)
+    assert R != B.takesaki(H)
+    assert T.check_hopf(R)
+
+
+# -- against the dense oracles ---------------------------------------------------
+
+def quotient_case(R):
+    """(source, target, module, assignment, source module) of the canonical
+    morphism B(R) -> B(R), or None when B(R) is not known finite."""
+    pres = frt.frt_presentation(R)
+    rs = RW.complete(pres.relations, 8)
+    if not RW.dimension(rs, 8).is_finite():
+        return None
+    quo = RW.quotient_bialgebra(pres, rs, 8)
+    data = HM.module_from_R(R)
+    bm, assignment = HM.quotient_hopf_module(pres, rs, quo, data)
+    return pres, quo, bm, assignment, data
+
+
+def regular_case(H):
+    """The canonical morphism B(R) -> H of the regular module of H, with R
+    built by the oracle."""
+    bm = HM.regular_hopf_module(H)
+    R = T.TensorOp(H.dim, H.field, oracles.naive_induced_R(bm))
+    assignment = {(v, l): bm.coelems[v][l] for v in range(H.dim) for l in range(H.dim)}
+    return frt.frt_presentation(R), H, bm, assignment, HM.module_from_R(R)
+
+
+@functools.cache
+def oracle_cases():
+    F7 = parse_field("fp:7")
+    f2 = [case for case in map(quotient_case, T.enumerate_solutions(2, F2, which="hopf"))
+          if case is not None]
+    assert len(f2) == 55
+    fixtures = [quotient_case(build_fixture(fid, parse_field(fd))) for fid, fd in (
+        ("identity:2", "q"), ("char2", "fp:2"), ("graded_c2", "q"), ("takesaki_c2", "q"),
+        ("takesaki_c3", "q"), ("galois_c2", "q"), ("galois_c3", "fp:7"))]
+    dense = T.conjugate(build_fixture("takesaki_c3", F7), T.EndoV(3, F7, [
+        [F7.from_int(x) for x in row] for row in ((1, -1, 1), (1, 1, 1), (1, 1, -1))]))
+    regular = [regular_case(H) for H in (
+        B.group_algebra(1, QQ), B.group_algebra(2, QQ), B.group_algebra(3, F3),
+        sweedler_h4(QQ), sweedler_h4(F3))]
+    return f2 + fixtures + [quotient_case(dense)] + regular
+
+
+def assert_matches_oracles(case):
+    """Compatibility, induced operator and universal property against the
+    dense oracles; returns the oracle's verdicts."""
+    pres, target, bm, assignment, data = case
+    compat = oracles.naive_hopf_compat_bialgebra(bm)
+    assert HM.check_hopf_compat_bialgebra(bm) == compat
+    assert HM.induced_R(bm).entries == oracles.naive_induced_R(bm)
+    clauses = oracles.naive_morphism_clauses(pres, target, bm, assignment, data)
+    assert HM.verify_morphism(pres, target, bm, assignment, source_data=data) \
+        == (False not in clauses.values())
+    return {"compat": compat, **clauses}
+
+
+def test_hopf_module_checks_match_oracles():
+    for case in oracle_cases():
+        assert all(assert_matches_oracles(case).values())
+
+
+@pytest.mark.parametrize("fd", ["q", "fp:3"])
+def test_regular_modules_of_noncommutative_algebras_match_oracles(fd):
+    # k[S3] is too large for the dense universal-property oracle
+    for H in (group_algebra_s3(parse_field(fd))[1], sweedler_h4(parse_field(fd))):
+        bm = HM.regular_hopf_module(H)
+        assert HM.check_hopf_compat_bialgebra(bm) is oracles.naive_hopf_compat_bialgebra(bm)
+        assert HM.induced_R(bm).entries == oracles.naive_induced_R(bm)
+
+
+def changed(field, vec, k, rng):
+    """A copy of vec with entry k set to another scalar."""
+    out = list(vec)
+    while out[k] == vec[k]:
+        out[k] = field.random(rng)
+    return out
+
+
+def perturb(case, rng):
+    """The case with one scalar changed: an assignment vector (the module's
+    coaction follows it), a coaction vector alone, an entry of a basis
+    action, or an entry of the source module's action."""
+    pres, target, bm, assignment, data = case
+    f, n, dim = target.field, bm.n, target.dim
+    bm = copy.copy(bm)
+    kind = rng.choice(["assignment", "coaction", "basis_action", "source"])
+    key = (rng.randrange(n), rng.randrange(n))
+    if kind == "assignment":
+        assignment = {**assignment, key: changed(f, assignment[key], rng.randrange(dim), rng)}
+        bm.coelems = [[assignment[(v, l)] for l in range(n)] for v in range(n)]
+    elif kind == "coaction":
+        bm.coelems = [row[:] for row in bm.coelems]
+        bm.coelems[key[0]][key[1]] = changed(f, bm.coelems[key[0]][key[1]],
+                                             rng.randrange(dim), rng)
+    elif kind == "basis_action":
+        t, i = rng.randrange(dim), rng.randrange(n)
+        bm.basis_action = bm.basis_action[:]
+        bm.basis_action[t] = [row[:] for row in bm.basis_action[t]]
+        bm.basis_action[t][i] = changed(f, bm.basis_action[t][i], rng.randrange(n), rng)
+    else:
+        data = HM.HopfModuleData(n, f, dict(data.action))
+        i = rng.randrange(n)
+        data.action[key] = [row[:] for row in data.action[key]]
+        data.action[key][i] = changed(f, data.action[key][i], rng.randrange(n), rng)
+    return pres, target, bm, assignment, data
+
+
+def test_hopf_module_checks_match_oracles_on_perturbations():
+    rng = random.Random(81)
+    cases = oracle_cases()
+    falses = dict.fromkeys(["compat", "relations", "delta", "eps", "coaction", "action"], 0)
+    for _ in range(300):
+        verdicts = assert_matches_oracles(perturb(rng.choice(cases), rng))
+        for name, verdict in verdicts.items():
+            falses[name] += verdict is False
+    # every clause was seen failing, so none is compared on passes alone
+    assert all(falses.values()), falses

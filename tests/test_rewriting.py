@@ -217,7 +217,7 @@ def test_overlap_index_matches_pairwise_scan(k):
 def pipeline_doc(R):
     """Rule list, status, dimension report and quotient tables of B(R)."""
     pres = frt.frt_presentation(R)
-    rs = RW.complete(pres.relations, 8)
+    rs = RW.complete(pres.relations, 8, pres.alphabet, pres.field)
     rep = RW.dimension(rs, 8)
     doc = {"rs": rs.to_json(),
            "dim": [rep.kind, rep.count, rep.hilbert_prefix, rep.word_length_cap]}
@@ -231,11 +231,14 @@ def digest(doc):
 
 
 def test_b_of_r_outputs_pinned_over_f2_hopf_solutions():
-    # digest recorded with the linear-scan reduction, before the index
+    # digest recorded with the linear-scan reduction, before the index, and
+    # re-recorded once the zero matrix's B(R), the free algebra on 4 letters,
+    # was counted on its own alphabet (its document alone changed)
     docs = [pipeline_doc(R) for R in T.enumerate_solutions(2, F2, which="hopf")]
     assert len(docs) == 147
     assert sum(d["rs"]["status"] == "complete" for d in docs) == 143
-    assert digest(docs) == "b834938657d8d6272116d37afff44831f90222e6e26233220596e683478fcf69"
+    assert docs[0]["dim"] == ["lower_bound", 87381, [4 ** d for d in range(9)], 8]
+    assert digest(docs) == "c94ccc7b85df8917e711f5405c04b7bbf0f6ec26eaa0b1fb57b3fc7264eaa304"
 
 
 @pytest.mark.parametrize("fid,fd,want", [
@@ -259,11 +262,13 @@ def test_b_of_r_outputs_pinned_on_fixtures(fid, fd, want):
 ORACLE_LENGTHS = (0, 1, 3, 8)
 
 
-def assert_matches_oracles(relations):
+def assert_matches_oracles(pres):
     """complete and dimension agree with all-pairs completion and listed
-    irreducible words; returns the completion status."""
-    rs = RW.complete(relations, 8)
-    want = oracles.all_pairs_complete(relations, 8)
+    irreducible words on the relations of pres; returns the completion
+    status."""
+    args = pres.relations, 8, pres.alphabet, pres.field
+    rs = RW.complete(*args)
+    want = oracles.all_pairs_complete(*args)
     assert rs.to_json() == want.to_json()
     levels = oracles.irreducible_levels(want, max(ORACLE_LENGTHS))
     for max_len in ORACLE_LENGTHS:
@@ -279,16 +284,16 @@ def assert_matches_oracles(relations):
 ])
 def test_completion_and_dimension_match_oracles_on_fixtures(fid, fd):
     pres = frt.frt_presentation(build_fixture(fid, parse_field(fd)))
-    assert_matches_oracles(pres.relations)
+    assert_matches_oracles(pres)
 
 
 def test_commutative_completion_matches_oracles():
-    assert assert_matches_oracles(frt.frt_commutative(B.char2_matrix(F2)).relations) \
+    assert assert_matches_oracles(frt.frt_commutative(B.char2_matrix(F2))) \
         == "complete"
 
 
 def test_completion_and_dimension_match_oracles_over_f2_hopf_solutions():
-    statuses = [assert_matches_oracles(frt.frt_presentation(R).relations)
+    statuses = [assert_matches_oracles(frt.frt_presentation(R))
                 for R in T.enumerate_solutions(2, F2, which="hopf")]
     assert len(statuses) == 147 and statuses.count("capped") == 4
 
@@ -296,7 +301,7 @@ def test_completion_and_dimension_match_oracles_over_f2_hopf_solutions():
 def test_completion_and_dimension_match_oracles_over_f3_hopf_solutions(f3_hopf_solutions):
     statuses = [
         assert_matches_oracles(frt.frt_presentation(
-            T.TensorOp(2, F3, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)])).relations)
+            T.TensorOp(2, F3, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)])))
         for flat in f3_hopf_solutions]
     assert len(statuses) == 463 and statuses.count("capped") == 24
 
@@ -497,6 +502,14 @@ def test_check_coideal_empty_relations():
     rs = RW.complete([], 8)
     pres_like = type("P", (), {"relations": []})()
     assert RW.check_coideal(pres_like, rs)
+
+
+def test_empty_relations_count_words_on_the_given_alphabet():
+    rs = RW.complete([], 8, A2, QQ)
+    assert RW.dimension(rs, 3) == RW.DimensionReport("lower_bound", 85, [1, 4, 16, 64], 3)
+    assert RW.irreducible_words(rs, 1) == [(), (0,), (1,), (2,), (3,)]
+    # without an alphabet the letters are unknown: never a finite verdict
+    assert RW.dimension(RW.complete([], 8), 3) == RW.DimensionReport("lower_bound", 1, [1], 3)
 
 
 # -- ideal membership cross-validated by linear algebra ----------------------------

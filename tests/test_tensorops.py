@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 from functools import reduce
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from hopfeq import bialgebras, linalg, tensorops as T
@@ -364,6 +367,25 @@ def test_tensorop_json_round_trip():
         R = build_fixture(fid, field)
         doc = R.to_json()
         assert T.TensorOp.from_json(doc) == R
+
+
+_SCALARS = {
+    "q": st.one_of(st.just(QQ.zero), st.builds(Fraction, st.integers(-10**12, 10**12),
+                                                 st.integers(1, 10**6))),
+    "fp:2": st.integers(0, 1),
+    "fp:5": st.integers(0, 4),
+    "fp:2147483647": st.integers(0, 2**31 - 2),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_tensorop_json_round_trip_property(data):
+    fd = data.draw(st.sampled_from(sorted(_SCALARS)), label="field")
+    n = data.draw(st.integers(1, 3), label="n")
+    row = st.lists(_SCALARS[fd], min_size=n * n, max_size=n * n)
+    R = T.TensorOp(n, parse_field(fd), data.draw(st.lists(row, min_size=n * n, max_size=n * n)))
+    assert T.TensorOp.from_json(json.loads(json.dumps(R.to_json()))) == R
 
 
 def test_tensorop_shape_validation():
