@@ -153,33 +153,23 @@ def cmd_frt(args):
 
 def _print_tables(B, basis):
     f = B.field
+    rng = range(B.dim)
 
-    def vec_text(vec):
-        parts = []
-        for c, label in zip(vec, basis):
-            if c == f.zero:
-                continue
-            cs = f.render(c)
-            parts.append(label if cs == "1" else f"{cs}*{label}")
+    def text(pairs):  # (scalar, label) pairs as a sum; zero scalars dropped
+        parts = [label if (cs := f.render(c)) == "1" else f"{cs}*{label}"
+                 for c, label in pairs if c]
         return " + ".join(parts) if parts else "0"
 
     print("multiplication:")
-    for i in range(B.dim):
-        for j in range(B.dim):
-            print(f"  {basis[i]} . {basis[j]} = {vec_text(B.mult[i][j])}")
+    for i in rng:
+        for j in rng:
+            print(f"  {basis[i]} . {basis[j]} = {text(zip(B.mult[i][j], basis))}")
     print("comultiplication:")
-    for i in range(B.dim):
-        parts = []
-        for u in range(B.dim):
-            for v in range(B.dim):
-                c = B.comult[i][u][v]
-                if c != f.zero:
-                    cs = f.render(c)
-                    head = "" if cs == "1" else f"{cs}*"
-                    parts.append(f"{head}{basis[u]}(x){basis[v]}")
-        print(f"  Delta({basis[i]}) = {' + '.join(parts) if parts else '0'}")
+    for i in rng:
+        terms = ((B.comult[i][u][v], f"{basis[u]}(x){basis[v]}") for u in rng for v in rng)
+        print(f"  Delta({basis[i]}) = {text(terms)}")
     print("counit:")
-    for i in range(B.dim):
+    for i in rng:
         print(f"  eps({basis[i]}) = {f.render(B.counit[i])}")
 
 

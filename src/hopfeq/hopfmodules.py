@@ -125,28 +125,18 @@ def check_hopf_compat(data: HopfModuleData, rs) -> bool:
     for every generator h = c_jk and basis vector m_l, with the second tensor
     legs reduced to normal form in B = T(C)/I (equality in T(C) is generally
     false; the defect is exactly sum_i m_i (x) chi(i,j,k,l))."""
-    n = data.n
-    field = data.field
+    n, field = data.n, data.field
     alphabet = comatrix_alphabet(n)
-    gen_word = lambda a, b: (a * n + b,)
     for j, k in product(range(n), repeat=2):
         A = data.action[(j, k)]
-        for l in range(n):
-            for w in range(n):
-                # rho(c_jk . m_l) component at m_w
-                lhs = NCPoly.zero(alphabet, field)
-                for i in range(n):
-                    if A[i][l]:
-                        lhs = lhs + NCPoly(alphabet, field, {gen_word(w, i): A[i][l]})
-                # sum_{u,v} (c_ju . m_v)_w  c_uk c_vl component at m_w
-                rhs = NCPoly.zero(alphabet, field)
-                for u, v in product(range(n), repeat=2):
-                    c = data.action[(j, u)][w][v]
-                    if c:
-                        word = gen_word(u, k) + gen_word(v, l)
-                        rhs = rhs + NCPoly(alphabet, field, {word: c})
-                if normal_form(lhs, rs) != normal_form(rhs, rs):
-                    return False
+        for l, w in product(range(n), repeat=2):
+            # rho(c_jk . m_l) at m_w against sum_{u,v} (c_ju . m_v)_w c_uk c_vl;
+            # the words of each side are distinct and NCPoly drops zero terms
+            lhs = NCPoly(alphabet, field, {(w * n + i,): A[i][l] for i in range(n)})
+            rhs = NCPoly(alphabet, field, {(u * n + k, v * n + l): data.action[(j, u)][w][v]
+                                           for u, v in product(range(n), repeat=2)})
+            if normal_form(lhs, rs) != normal_form(rhs, rs):
+                return False
     return True
 
 

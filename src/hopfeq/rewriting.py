@@ -17,7 +17,8 @@ On a list that is not inter-reduced the first matching rule in list order
 still wins. Every RewriteSystem builds its index from its rules; complete()
 updates the index of its working system only when it admits or retires a
 rule, and after admitting one re-reduces only the tails in which the new lhs
-occurs. quotient_bialgebra and check_coideal reduce each word once per call.
+occurs. quotient_bialgebra reduces each word once per call: one memo serves
+its coideal check, its mult table and its comult table.
 
 Completion pairs a new rule only with the rules whose lhs overlaps its lhs
 (Bergman's ambiguities): the same index maps every proper prefix and proper
@@ -37,6 +38,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
+from math import lcm
 
 from .freealgebra import NCPoly, word_key
 
@@ -218,21 +221,33 @@ def normal_form(poly, rs):
     return out
 
 
-def _word_normal_forms(rs):
-    """normal_form(., rs) that reduces each word once per returned function:
-    a single-term polynomial reuses the stored normal form of its word."""
-    memo = {}
+def _word_images(rs):
+    """(nf, delta): nf(w) is the normal form of the word w under rs and
+    delta(w) its reduced coproduct (nf (x) nf)(Delta(w)), each worked out
+    once and kept as (ints, d), a map from words or word pairs to ints that
+    stand for ints / d, with one positive int d (Field.lift)."""
+    alphabet, field = rs.alphabet, rs.field
 
-    def nf(p):
-        if len(p.terms) != 1:
-            return normal_form(p, rs)
-        (w, c), = p.terms.items()
-        q = memo.get(w)
-        if q is None:
-            q = memo[w] = normal_form(NCPoly.word(p.alphabet, p.field, w), rs)
-        return q if c == p.field.one else q.scale(c)
+    def reduce(w):
+        terms = normal_form(NCPoly.word(alphabet, field, w), rs).terms
+        (ints,), d = field.lift([list(terms.values())])
+        return dict(zip(terms, ints)), d
 
-    return nf
+    def reduce_delta(w):
+        # every key of Delta(w) has coefficient 1
+        legs = [(nf(w1), nf(w2)) for w1, w2 in NCPoly.word(alphabet, field, w).delta().terms]
+        den = lcm(*(d1 * d2 for (_, d1), (_, d2) in legs))
+        acc = {}
+        for (left, d1), (right, d2) in legs:
+            s = den // (d1 * d2)
+            for u1, a in left.items():
+                a *= s
+                for u2, b in right.items():
+                    acc[u1, u2] = acc.get((u1, u2), 0) + a * b
+        return acc, den
+
+    nf = cache(reduce)
+    return nf, cache(reduce_delta)
 
 
 def _proper_overlaps(r1, r2):
@@ -418,15 +433,28 @@ def dimension(rs, max_len=12):
     return DimensionReport("lower_bound", total, counts, word_length_cap=max_len)
 
 
-def check_coideal(pres, rs):
+def check_coideal(pres, rs, images=None):
     """Delta(r) with both tensor legs reduced must vanish for every relation.
 
     On a complete system this is exactly Delta(r) in I(x)T + T(x)I; with a
-    capped system the verdict is only degree-bounded.
+    capped system the verdict is only degree-bounded. (nf (x) nf) o Delta is
+    linear, so r = sum_w r_w w reduces to sum_w r_w image(w), where the image
+    of each word is worked out once (images: the caller's memo of them, from
+    _word_images). Each relation's sum is taken in ints over one denominator
+    and tested for zero on its own, never added to another relation first.
     """
-    nf = _word_normal_forms(rs)
+    images = images or _word_images(rs)[1]
+    field = rs.field
     for r in pres.relations:
-        if not r.delta().map_legs(nf).is_zero():
+        (coeffs,), e = field.lift([list(r.terms.values())])
+        parts = [images(w) for w in r.terms]
+        den = lcm(*(d for _, d in parts))
+        acc = {}
+        for a, (ints, d) in zip(coeffs, parts):
+            a *= den // d
+            for key, v in ints.items():
+                acc[key] = acc.get(key, 0) + a * v
+        if any(field.lower([list(acc.values())], e * den)[0]):
             return False
     return True
 
@@ -446,32 +474,31 @@ def quotient_bialgebra(pres, rs, max_len=12):
         raise NotFiniteDimensionalError(
             f"no empty irreducible level up to length {max_len}; dimension undecided"
         )
-    if not check_coideal(pres, rs):
+    nf, images = _word_images(rs)
+    if not check_coideal(pres, rs, images):
         raise ValueError("relation ideal is not a coideal; no quotient bialgebra")
-    field = rs.field
-    alphabet = rs.alphabet
+    field, alphabet = rs.field, rs.alphabet
     words = graph.words(max_len)
     index = {w: k for k, w in enumerate(words)}
     dim = len(words)
     zero = field.zero
 
-    def to_vec(poly):
+    def lowered(image):  # the (key, scalar) pairs of an (ints, d) image
+        ints, d = image
+        return zip(ints, field.lower([list(ints.values())], d)[0])
+
+    def to_vec(image):
         vec = [zero] * dim
-        for w, c in poly.terms.items():
+        for w, c in lowered(image):
             vec[index[w]] = c
         return vec
 
-    nf = _word_normal_forms(rs)
-    unit = to_vec(nf(NCPoly.one(alphabet, field)))
-    mult = [
-        [to_vec(nf(NCPoly.word(alphabet, field, wi + wj))) for wj in words]
-        for wi in words
-    ]
+    unit = to_vec(nf(()))
+    mult = [[to_vec(nf(wi + wj)) for wj in words] for wi in words]
     comult = []
     for w in words:
-        dw = NCPoly.word(alphabet, field, w).delta().map_legs(nf)
         mat = [[zero] * dim for _ in range(dim)]
-        for (w1, w2), c in dw.terms.items():
+        for (w1, w2), c in lowered(images(w)):
             mat[index[w1]][index[w2]] = c
         comult.append(mat)
     counit = [NCPoly.word(alphabet, field, w).eps() for w in words]
@@ -545,22 +572,15 @@ def presentations_equivalent(p1, p2, forward, backward, max_degree=6, check_roun
     roundtrip = None
     if check_roundtrip:
         roundtrip = True
-        for k in range(len(p1.alphabet)):
-            g = NCPoly.letter(p1.alphabet, p1.field, k)
-            back = forward[k].substitute(backward)
-            if back.degree() > max_degree:
-                undecided = True
-                continue
-            if normal_form(back, rs1) != normal_form(g, rs1):
-                roundtrip = False
-        for k in range(len(p2.alphabet)):
-            g = NCPoly.letter(p2.alphabet, p2.field, k)
-            back = backward[k].substitute(forward)
-            if back.degree() > max_degree:
-                undecided = True
-                continue
-            if normal_form(back, rs2) != normal_form(g, rs2):
-                roundtrip = False
+        for p, there, back_again, rs in (p1, forward, backward, rs1), (p2, backward, forward, rs2):
+            for k in range(len(p.alphabet)):
+                g = NCPoly.letter(p.alphabet, p.field, k)
+                back = there[k].substitute(back_again)
+                if back.degree() > max_degree:
+                    undecided = True
+                    continue
+                if normal_form(back, rs) != normal_form(g, rs):
+                    roundtrip = False
     return EquivalenceReport(
         forward_annihilates=fwd,
         backward_annihilates=bwd,

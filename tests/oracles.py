@@ -2,9 +2,9 @@
 matrix arithmetic, the scalar form of the Hopf equation, direct expansions
 of the obstruction formula, brute-force enumeration of solutions over F_p,
 normal forms by a scan of the whole rule list, completion that pairs every
-two rules, irreducible words by listing them, and the bialgebra and Hopf
-module checks on dense vectors. Deliberately written without the package's
-production shortcuts."""
+two rules, irreducible words by listing them, the coideal check relation by
+relation, and the bialgebra and Hopf module checks on dense vectors.
+Deliberately written without the package's production shortcuts."""
 
 from itertools import product
 from types import SimpleNamespace
@@ -519,6 +519,18 @@ def all_pairs_complete(relations, max_degree=8, alphabet=None, field=None):
                         queue.append(spoly)
     rules.sort(key=lambda r: word_key(r.lhs))
     return RewriteSystem(alphabet, field, rules, "capped" if capped else "complete", max_degree)
+
+
+def per_relation_coideal(pres, rs):
+    """The coideal verdict relation by relation: Delta(r) expanded as a
+    TensorPoly, both legs of every term put in normal form under rs by
+    TensorPoly.map_legs, and each result tested for zero on its own."""
+    from hopfeq.rewriting import normal_form
+
+    def nf(p):
+        return normal_form(p, rs)
+
+    return all(r.delta().map_legs(nf).is_zero() for r in pres.relations)
 
 
 def _dense_bialgebra_ops(H):
