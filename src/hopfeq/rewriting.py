@@ -444,8 +444,8 @@ def check_coideal(pres, rs, images=None):
     and tested for zero on its own, never added to another relation first.
     """
     images = images or _word_images(rs)[1]
-    field = rs.field
     for r in pres.relations:
+        field = r.field
         (coeffs,), e = field.lift([list(r.terms.values())])
         parts = [images(w) for w in r.terms]
         den = lcm(*(d for _, d in parts))

@@ -504,6 +504,12 @@ def test_check_coideal_empty_relations():
     assert RW.check_coideal(pres_like, rs)
 
 
+def test_check_coideal_zero_relations_without_alphabet():
+    # complete() drops zero relations, so its system has no alphabet or field
+    zero = NCPoly.zero(A2, QQ)
+    assert RW.check_coideal(type("P", (), {"relations": [zero]})(), RW.complete([zero]))
+
+
 # -- coideal check by linearity against the per-relation oracle ----------------
 
 # conjugators u of takesaki_c3 and galois_c3, as in the benchmark's dense items
