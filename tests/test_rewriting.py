@@ -515,7 +515,7 @@ def test_check_coideal_zero_relations_without_alphabet():
 # conjugators u of takesaki_c3 and galois_c3, as in the benchmark's dense items
 # (entries +-1, so the Q conjugate carries halves and quarters), and one with
 # entries up to +-7, whose inverse has denominators 6, 46 and 69: the relation
-# coefficients then have large coprime denominators
+# coefficients then carry denominators up to 6831
 DENSE_CONJUGATES = [
     ("takesaki_c3", "q", ((1, 1, -1), (1, -1, 1), (-1, 1, 1))),
     ("takesaki_c3", "fp:7", ((1, -1, 1), (1, 1, 1), (1, 1, -1))),
