@@ -653,12 +653,12 @@ def test_quotient_reduces_each_word_once(R, monkeypatch):
     pres = frt.frt_presentation(R)
     rs = RW.complete(pres.relations, 8)
     reduced = []
+    normal_form = RW.normal_form
 
     def recording(poly, system):
         reduced.extend(poly.terms)
         return normal_form(poly, system)
 
-    normal_form = RW.normal_form
     monkeypatch.setattr(RW, "normal_form", recording)
     quo = RW.quotient_bialgebra(pres, rs)
     monkeypatch.undo()
