@@ -88,7 +88,7 @@ class StructureBialgebra:
     def to_json(self):
         f = self.field
         s = f.scalar_to_json
-        return {
+        doc = {
             "field": f.descriptor,
             "dim": self.dim,
             "basis": list(self.basis_labels),
@@ -99,6 +99,9 @@ class StructureBialgebra:
             "antipode": None if self.antipode is None
             else [[s(x) for x in vec] for vec in self.antipode],
         }
+        if self.basis_words is not None:
+            doc["basis_words"] = [list(w) for w in self.basis_words]
+        return doc
 
     @classmethod
     def from_json(cls, doc):
@@ -114,6 +117,8 @@ class StructureBialgebra:
             counit=[p(x) for x in doc["counit"]],
             antipode=None if doc.get("antipode") is None
             else [[p(x) for x in vec] for vec in doc["antipode"]],
+            basis_words=None if doc.get("basis_words") is None
+            else [tuple(w) for w in doc["basis_words"]],
         )
 
 
@@ -141,26 +146,17 @@ def _sparse(vec):
     return {k: c for k, c in enumerate(vec) if c}
 
 
-def _sum(f, terms):
-    """Sum (key, scalar) pairs into a dict, dropping the keys that sum to zero."""
-    add, zero = f.add, f.zero
-    out = {}
-    for key, c in terms:
-        out[key] = add(out.get(key, zero), c)
-    return {key: c for key, c in out.items() if c}
-
-
 def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
     """Decide every axiom exactly on the structure tables; a failing axiom is
     reported, never raised.
 
     The dense tables are read once into the sparse views of
     ``StructureBialgebra.sparse``. Each axiom then compares two contractions
-    of these views, keyed by their free basis indices and summed by ``_sum``.
-    ``antipode`` is None when B has no antipode table.
+    of these views, keyed by their free basis indices and summed by
+    ``Field.combine``. ``antipode`` is None when B has no antipode table.
     """
     f = B.field
-    mul, one = f.mul, f.one
+    mul, one, total = f.mul, f.one, f.combine
     n = range(B.dim)
     eps = B.counit
     m, d, unit, S = B.sparse()
@@ -168,49 +164,48 @@ def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
 
     # (m_i m_j) m_k = m_i (m_j m_k), keyed by (j, k, l) for each i
     assoc = all(
-        _sum(f, (((j, k, l), mul(a, c)) for j in n for t, a in m[i][j].items()
-                 for k in n for l, c in m[t][k].items()))
-        == _sum(f, (((j, k, l), mul(a, c)) for j in n for k in n
-                    for t, a in m[j][k].items() for l, c in m[i][t].items()))
+        total(((j, k, l), mul(a, c)) for j in n for t, a in m[i][j].items()
+              for k in n for l, c in m[t][k].items())
+        == total(((j, k, l), mul(a, c)) for j in n for k in n
+                 for t, a in m[j][k].items() for l, c in m[i][t].items())
         for i in n)
-    unit_ok = _sum(f, (((i, k), mul(a, c)) for i in n for t, a in unit.items()
-                       for k, c in m[t][i].items())) == ident \
-        and _sum(f, (((i, k), mul(a, c)) for i in n for t, a in unit.items()
-                     for k, c in m[i][t].items())) == ident
+    unit_ok = total(((i, k), mul(a, c)) for i in n for t, a in unit.items()
+                    for k, c in m[t][i].items()) == ident \
+        and total(((i, k), mul(a, c)) for i in n for t, a in unit.items()
+                  for k, c in m[i][t].items()) == ident
     # (Delta (x) 1) Delta(m_i) = (1 (x) Delta) Delta(m_i), keyed by (u, v, w)
     coassoc = all(
-        _sum(f, (((u, v, w), mul(c, e)) for (t, w), c in d[i].items()
-                 for (u, v), e in d[t].items()))
-        == _sum(f, (((u, v, w), mul(c, e)) for (u, t), c in d[i].items()
-                    for (v, w), e in d[t].items()))
+        total(((u, v, w), mul(c, e)) for (t, w), c in d[i].items()
+              for (u, v), e in d[t].items())
+        == total(((u, v, w), mul(c, e)) for (u, t), c in d[i].items()
+                 for (v, w), e in d[t].items())
         for i in n)
-    counit = _sum(f, (((i, v), mul(c, eps[u])) for i in n for (u, v), c in d[i].items())) \
-        == ident == _sum(f, (((i, u), mul(c, eps[v])) for i in n
-                             for (u, v), c in d[i].items()))
+    counit = total(((i, v), mul(c, eps[u])) for i in n for (u, v), c in d[i].items()) \
+        == ident == total(((i, u), mul(c, eps[v])) for i in n for (u, v), c in d[i].items())
     # Delta(m_i m_j) = Delta(m_i) Delta(m_j) in H (x) H, keyed by (j, u, v)
     delta_mult = all(
-        _sum(f, (((j, u, v), mul(a, c)) for j in n for k, a in m[i][j].items()
-                 for (u, v), c in d[k].items()))
-        == _sum(f, (((j, u, v), mul(mul(c, e), mul(x, y))) for (a, b), c in d[i].items()
-                    for j in n for (g, h), e in d[j].items()
-                    for u, x in m[a][g].items() for v, y in m[b][h].items()))
+        total(((j, u, v), mul(a, c)) for j in n for k, a in m[i][j].items()
+              for (u, v), c in d[k].items())
+        == total(((j, u, v), mul(mul(c, e), mul(x, y))) for (a, b), c in d[i].items()
+                 for j in n for (g, h), e in d[j].items()
+                 for u, x in m[a][g].items() for v, y in m[b][h].items())
         for i in n
-    ) and _sum(f, (((u, v), mul(a, c)) for k, a in unit.items() for (u, v), c in d[k].items())) \
-        == _sum(f, (((u, v), mul(a, b)) for u, a in unit.items() for v, b in unit.items()))
-    eps_mult = _sum(f, (((i, j), mul(a, eps[k])) for i in n for j in n
-                        for k, a in m[i][j].items())) \
-        == _sum(f, (((i, j), mul(eps[i], eps[j])) for i in n for j in n)) \
-        and _sum(f, (((), mul(a, eps[k])) for k, a in unit.items())) == {(): one}
+    ) and total(((u, v), mul(a, c)) for k, a in unit.items() for (u, v), c in d[k].items()) \
+        == total(((u, v), mul(a, b)) for u, a in unit.items() for v, b in unit.items())
+    eps_mult = total(((i, j), mul(a, eps[k])) for i in n for j in n
+                     for k, a in m[i][j].items()) \
+        == total(((i, j), mul(eps[i], eps[j])) for i in n for j in n) \
+        and total(((), mul(a, eps[k])) for k, a in unit.items()) == {(): one}
 
     antipode = None
     if S is not None:
         # sum S(m_u) m_v = eps(m_i) 1 = sum m_u S(m_v) over Delta(m_i)
-        target = _sum(f, (((i, k), mul(eps[i], a)) for i in n for k, a in unit.items()))
-        antipode = _sum(f, (((i, k), mul(mul(c, s), x)) for i in n for (u, v), c in d[i].items()
-                            for t, s in S[u].items() for k, x in m[t][v].items())) \
-            == target == _sum(f, (((i, k), mul(mul(c, s), x)) for i in n
-                                  for (u, v), c in d[i].items()
-                                  for t, s in S[v].items() for k, x in m[u][t].items()))
+        target = total(((i, k), mul(eps[i], a)) for i in n for k, a in unit.items())
+        antipode = total(((i, k), mul(mul(c, s), x)) for i in n for (u, v), c in d[i].items()
+                         for t, s in S[u].items() for k, x in m[t][v].items()) \
+            == target == total(((i, k), mul(mul(c, s), x)) for i in n
+                               for (u, v), c in d[i].items()
+                               for t, s in S[v].items() for k, x in m[u][t].items())
 
     return AxiomReport(assoc, unit_ok, coassoc, counit, delta_mult, eps_mult, antipode)
 
@@ -239,25 +234,23 @@ def group_algebra(m: int, field: Field) -> StructureBialgebra:
     return StructureBialgebra(field, dim, labels, vec(0), mult, comult, counit, antipode)
 
 
+def _tensor_op(f, dim, entries):
+    """The operator on H (x) H with the {(row, col): c} entries, zero elsewhere."""
+    ent = linalg.zeros(f, dim * dim, dim * dim)
+    for (row, col), c in entries.items():
+        ent[row][col] = c
+    return TensorOp(dim, f, ent)
+
+
 def _comult_map(H: StructureBialgebra, h_first: bool) -> TensorOp:
     """g (x) h -> sum x h_(2), where x is h_(1) g if h_first, else g h_(1)."""
-    f = H.field
-    dim = H.dim
-    ent = linalg.zeros(f, dim * dim, dim * dim)
-    for a in range(dim):
-        for b in range(dim):
-            col = a * dim + b
-            for u in range(dim):
-                for v in range(dim):
-                    c = H.comult[b][u][v]
-                    if not c:
-                        continue
-                    prod = H.mult[u][a] if h_first else H.mult[a][u]
-                    for i in range(dim):
-                        if prod[i]:
-                            row = i * dim + v
-                            ent[row][col] = f.add(ent[row][col], f.mul(c, prod[i]))
-    return TensorOp(dim, f, ent)
+    f, dim = H.field, H.dim
+    mul = f.mul
+    m, d, _, _ = H.sparse()
+    # m_a (x) m_b -> c x m_i (x) m_v over Delta(m_b) = sum c m_u (x) m_v
+    return _tensor_op(f, dim, f.combine(
+        ((i * dim + v, a * dim + b), mul(c, x)) for a in range(dim) for b in range(dim)
+        for (u, v), c in d[b].items() for i, x in (m[u][a] if h_first else m[a][u]).items()))
 
 
 def takesaki(H: StructureBialgebra) -> TensorOp:
@@ -274,23 +267,15 @@ def galois_rprime(H: StructureBialgebra) -> TensorOp:
     """R'(g (x) h) = sum g_(1) (x) S(g_(2)) h; needs the antipode."""
     if H.antipode is None:
         raise MissingAntipodeError("R' needs an antipode")
-    f = H.field
-    dim = H.dim
-    ent = linalg.zeros(f, dim * dim, dim * dim)
-    for a in range(dim):
-        for b in range(dim):
-            col = a * dim + b
-            for u in range(dim):
-                for v in range(dim):
-                    c = H.comult[a][u][v]
-                    if not c:
-                        continue
-                    sv = H.multiply(H.antipode[v], H.basis_vector(b))
-                    for j in range(dim):
-                        if sv[j]:
-                            row = u * dim + j
-                            ent[row][col] = f.add(ent[row][col], f.mul(c, sv[j]))
-    return TensorOp(dim, f, ent)
+    f, dim = H.field, H.dim
+    mul = f.mul
+    m, d, _, S = H.sparse()
+    # m_a (x) m_b -> c s x m_u (x) m_j over Delta(m_a) = sum c m_u (x) m_v,
+    # S(m_v) = sum s m_t and m_t m_b = sum x m_j
+    return _tensor_op(f, dim, f.combine(
+        ((u * dim + j, a * dim + b), mul(mul(c, s), x)) for a in range(dim)
+        for (u, v), c in d[a].items() for t, s in S[v].items()
+        for b in range(dim) for j, x in m[t][b].items()))
 
 
 @dataclass
@@ -362,7 +347,7 @@ class GradedModuleSpec:
                 target = G.mul(g, sigma) if mode == "graded" \
                     else G.mul(G.mul(g, sigma), G.inv(g))
                 for i in range(self.n):
-                    if mat[i][b] != f.zero and self.degree[i] != target:
+                    if mat[i][b] and self.degree[i] != target:
                         raise GradingError(
                             f"action of {g} maps degree {sigma} outside degree {target}"
                         )
@@ -381,7 +366,7 @@ def graded_solution(spec: GradedModuleSpec, mode="graded") -> TensorOp:
             col = a * n + b
             mat = spec.action[spec.degree[b]]
             for i in range(n):
-                if mat[i][a] != f.zero:
+                if mat[i][a]:
                     ent[i * n + b][col] = mat[i][a]
     return TensorOp(n, f, ent)
 
@@ -444,7 +429,7 @@ def char2_matrix(field: Field) -> TensorOp:
 
 def classical_yb(q, field: Field) -> TensorOp:
     """The classical two-dimensional Yang-Baxter operator; needs q != 0."""
-    if q == field.zero:
+    if not q:
         raise ValueError("classical YB operator needs q != 0")
     d = field.sub(q, field.inv(q))
     return _op4(field, [

@@ -18,6 +18,7 @@ import sys
 from . import bialgebras, frt, hopfmodules, rewriting, tensorops
 from .fields import FieldError, parse_field
 from .fixtures import FIXTURE_NAMES, FixtureError, build_fixture
+from .freealgebra import render_word
 from .frt import NotCommutativeSolutionError, NotHopfSolutionError
 from .rewriting import CompletionError, NotFiniteDimensionalError
 from .tensorops import CapExceededError, TensorOp
@@ -98,7 +99,6 @@ def cmd_frt(args):
     rs = rewriting.complete(pres.relations, args.max_deg, pres.alphabet, pres.field)
     report = rewriting.dimension(rs, max_len=args.max_deg)
     names = _generator_names(R.n, rs)
-    chi_index = dict(zip((id(r) for r in pres.relations), pres.chi_origin))
 
     doc = {
         "presentation": pres.to_json(),
@@ -142,9 +142,7 @@ def cmd_frt(args):
         print(f"dimension: lower bound {report.count} at word length {report.word_length_cap}")
     print(f"irreducible words by degree: {report.hilbert_prefix}")
     if quotient is not None:
-        basis = [
-            "*".join(names[k] for k in w) if w else "1" for w in quotient.basis_words
-        ]
+        basis = [render_word(w, names) for w in quotient.basis_words]
         print(f"basis: {{{', '.join(basis)}}}")
         if args.tables:
             _print_tables(quotient, basis)

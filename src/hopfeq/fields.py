@@ -11,6 +11,11 @@ truthy, so hot loops test ``if c:`` in place of ``c != field.zero``: on a
 Fraction the comparison goes through an abstract-base-class check and costs
 several times more.
 
+Every sparse linear combination in the package is summed by one method,
+``Field.combine``: it takes (key, scalar) pairs and returns the dict of the
+nonzero sums. The first scalar of a key is kept without an ``add``, and zero
+sums are dropped once, at the end.
+
 For integer accumulation (``linalg.mat_mul``) a field lifts a matrix to
 plain ints and lowers int sums back to scalars: ``lift(rows)`` returns
 ``(ints, d)`` with ``rows == ints / d`` entrywise for one positive int ``d``,
@@ -74,6 +79,16 @@ class Field:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def combine(self, pairs):
+        """Sum (key, scalar) pairs into {key: sum} over the nonzero sums."""
+        add = self.add
+        out = {}
+        get = out.get
+        for key, c in pairs:
+            s = get(key)
+            out[key] = c if s is None else add(s, c)
+        return {key: c for key, c in out.items() if c}
 
 
 class Rationals(Field):

@@ -10,6 +10,7 @@ everywhere is deglex with the generators ordered c[1,1] < c[1,2] < ... < c[n,n]
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .fields import Field
 
@@ -35,6 +36,11 @@ def free_alphabet(*names: str) -> Alphabet:
 def word_key(w):
     """Deglex sort key: degree first, then left-to-right letter comparison."""
     return (len(w), w)
+
+
+def render_word(w, names):
+    """A word as its letter names joined by "*"; "1" for the empty word."""
+    return "*".join(names[k] for k in w) if w else "1"
 
 
 class NCPoly:
@@ -85,52 +91,35 @@ class NCPoly:
         if self.alphabet != other.alphabet or self.field != other.field:
             raise ValueError("mixed alphabets or fields")
 
-    def __add__(self, other):
-        self._same_parent(other)
-        add, zero = self.field.add, self.field.zero
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = add(terms.get(w, zero), c)
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
+    def _with(self, terms):
+        """A polynomial of the same parent on terms, which holds no zeros."""
         out = NCPoly(self.alphabet, self.field)
         out.terms = terms
         return out
 
+    def __add__(self, other):
+        self._same_parent(other)
+        return self._with(self.field.combine(chain(self.terms.items(), other.terms.items())))
+
     def __neg__(self):
         neg = self.field.neg
-        out = NCPoly(self.alphabet, self.field)
-        out.terms = {w: neg(c) for w, c in self.terms.items()}
-        return out
+        return self._with({w: neg(c) for w, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        if c == self.field.zero:
+        if not c:
             return NCPoly.zero(self.alphabet, self.field)
         mul = self.field.mul
-        out = NCPoly(self.alphabet, self.field)
-        out.terms = {w: mul(c, x) for w, x in self.terms.items()}
-        return out
+        return self._with({w: mul(c, x) for w, x in self.terms.items()})
 
     def __mul__(self, other):
         self._same_parent(other)
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = add(terms.get(w, zero), mul(c1, c2))
-                if s:
-                    terms[w] = s
-                else:
-                    terms.pop(w, None)
-        out = NCPoly(self.alphabet, self.field)
-        out.terms = terms
-        return out
+        mul = self.field.mul
+        return self._with(self.field.combine((w1 + w2, mul(c1, c2))
+                                             for w1, c1 in self.terms.items()
+                                             for w2, c2 in other.terms.items()))
 
     def __eq__(self, other):
         return (
@@ -173,7 +162,7 @@ class NCPoly:
         names = names or self.alphabet.names
         parts = []
         for w, c in self.sorted_terms():
-            mono = "*".join(names[k] for k in w) if w else "1"
+            mono = render_word(w, names)
             cs = self.field.render(c)
             if cs == "1" and w:
                 parts.append(mono)
@@ -194,15 +183,16 @@ class NCPoly:
         """Algebra map sending letter k to images[k]; images share one parent."""
         if len(images) != len(self.alphabet):
             raise ValueError("need one image per letter")
-        target_alphabet = images[0].alphabet
-        target_field = images[0].field
-        out = NCPoly.zero(target_alphabet, target_field)
-        for w, c in self.terms.items():
-            acc = NCPoly.scalar(target_alphabet, target_field, c)
+        target = images[0]
+
+        def image(w, c):  # the terms of c times the product of the letter images
+            acc = NCPoly.scalar(target.alphabet, target.field, c)
             for k in w:
                 acc = acc * images[k]
-            out = out + acc
-        return out
+            return acc.terms.items()
+
+        return target._with(target.field.combine(
+            chain.from_iterable(image(w, c) for w, c in self.terms.items())))
 
     # -- comatrix coalgebra ----------------------------------------------
     def delta(self) -> "TensorPoly":
@@ -271,25 +261,19 @@ class TensorPoly:
         if self.alphabet != other.alphabet or self.field != other.field:
             raise ValueError("mixed alphabets or fields")
 
-    def __add__(self, other):
-        self._same_parent(other)
-        add, zero = self.field.add, self.field.zero
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = add(terms.get(key, zero), c)
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
+    def _with(self, terms):
+        """A tensor of the same parent on terms, which holds no zeros."""
         out = TensorPoly(self.alphabet, self.field)
         out.terms = terms
         return out
 
+    def __add__(self, other):
+        self._same_parent(other)
+        return self._with(self.field.combine(chain(self.terms.items(), other.terms.items())))
+
     def __neg__(self):
         neg = self.field.neg
-        out = TensorPoly(self.alphabet, self.field)
-        out.terms = {k: neg(c) for k, c in self.terms.items()}
-        return out
+        return self._with({k: neg(c) for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -297,19 +281,10 @@ class TensorPoly:
     def __mul__(self, other):
         """(a (x) b)(c (x) d) = ac (x) bd, bilinearly."""
         self._same_parent(other)
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero
-        terms = {}
-        for (a, b), c1 in self.terms.items():
-            for (c, d), c2 in other.terms.items():
-                key = (a + c, b + d)
-                s = add(terms.get(key, zero), mul(c1, c2))
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        out = TensorPoly(self.alphabet, self.field)
-        out.terms = terms
-        return out
+        mul = self.field.mul
+        return self._with(self.field.combine(((a + c, b + d), mul(c1, c2))
+                                             for (a, b), c1 in self.terms.items()
+                                             for (c, d), c2 in other.terms.items()))
 
     def __eq__(self, other):
         return (
@@ -328,34 +303,25 @@ class TensorPoly:
     def map_legs(self, f):
         """Apply an NCPoly -> NCPoly linear map to both tensor legs."""
         alphabet, field = self.alphabet, self.field
-        add, mul = field.add, field.mul
-        terms = {}
-        for (w1, w2), c in self.terms.items():
-            right = f(NCPoly.word(alphabet, field, w2)).terms
-            for u1, c1 in f(NCPoly.word(alphabet, field, w1)).terms.items():
-                c1 = mul(c, c1)
-                for u2, c2 in right.items():
-                    key = (u1, u2)
-                    s = add(terms.get(key, field.zero), mul(c1, c2))
-                    if s:
-                        terms[key] = s
-                    else:
-                        terms.pop(key, None)
-        out = TensorPoly(alphabet, field)
-        out.terms = terms
-        return out
+        mul = field.mul
+
+        def terms():
+            for (w1, w2), c in self.terms.items():
+                right = f(NCPoly.word(alphabet, field, w2)).terms.items()
+                for u1, c1 in f(NCPoly.word(alphabet, field, w1)).terms.items():
+                    c1 = mul(c, c1)
+                    for u2, c2 in right:
+                        yield (u1, u2), mul(c1, c2)
+
+        return self._with(field.combine(terms()))
 
     def render(self):
         if not self.terms:
             return "0"
         names = self.alphabet.names
-
-        def mono(w):
-            return "*".join(names[k] for k in w) if w else "1"
-
         keys = sorted(self.terms, key=lambda k: (word_key(k[0]), word_key(k[1])), reverse=True)
-        parts = [f"{self.field.render(self.terms[k])}*({mono(k[0])} (x) {mono(k[1])})"
-                 for k in keys]
+        parts = [f"{self.field.render(self.terms[k])}*({render_word(k[0], names)} (x) "
+                 f"{render_word(k[1], names)})" for k in keys]
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):

@@ -14,7 +14,7 @@ indices 0-based internally, listed in lexicographic (i,j,k,l) order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product
+from itertools import chain, product
 
 from . import linalg
 from .freealgebra import NCPoly, comatrix_alphabet
@@ -44,7 +44,7 @@ class Presentation:
         for r in self.relations:
             if r.is_zero():
                 raise ValueError("zero relation in presentation")
-            if self.alphabet.comatrix_n is not None and r.eps() != self.field.zero:
+            if self.alphabet.comatrix_n is not None and r.eps():
                 raise ValueError(f"relation {r.render()} has nonzero counit")
 
     @property
@@ -119,21 +119,23 @@ def chi(R: TensorOp):
     return out
 
 
-def chi_relations(R: TensorOp):
-    """Deduplicated nonzero chi list (monic), with originating indices."""
-    indexed = chi(R)
-    seen = {}
-    order = []
-    for idx in sorted(indexed):
-        poly = indexed[idx]
-        if poly.is_zero():
+def chi_relations(R: TensorOp, extra=()):
+    """Deduplicated nonzero chi list (monic), with originating indices, then
+    the monic forms of the extra polynomials not listed yet."""
+    indexed = sorted(chi(R).items()) + [(None, p) for p in extra]
+    seen = set()
+    relations, origin = [], []
+    for idx, poly in indexed:
+        if not poly:
             continue
-        key = tuple(sorted(poly.monic().terms.items(), key=lambda kv: kv[0]))
-        if key in seen:
-            continue
-        seen[key] = idx
-        order.append((idx, poly.monic()))
-    return [p for _, p in order], [idx for idx, _ in order]
+        p = poly.monic()
+        key = frozenset(p.terms.items())
+        if key not in seen:
+            seen.add(key)
+            relations.append(p)
+            if idx is not None:
+                origin.append(idx)
+    return relations, origin
 
 
 def commutator_relations(n, field):
@@ -178,15 +180,7 @@ def frt_commutative(R: TensorOp, force=False) -> Presentation:
             raise NotHopfSolutionError("R does not solve the Hopf equation")
         if not check_commutative(R):
             raise NotCommutativeSolutionError("R is not a commutative solution")
-    relations, origin = chi_relations(R)
-    seen = {
-        tuple(sorted(r.terms.items(), key=lambda kv: kv[0])) for r in relations
-    }
-    for p in commutator_relations(R.n, R.field):
-        key = tuple(sorted(p.monic().terms.items(), key=lambda kv: kv[0]))
-        if key not in seen:
-            seen.add(key)
-            relations.append(p.monic())
+    relations, origin = chi_relations(R, commutator_relations(R.n, R.field))
     return Presentation(
         alphabet=comatrix_alphabet(R.n),
         field=R.field,
@@ -207,24 +201,15 @@ def verify_delta_chi(R: TensorOp) -> bool:
     c_ak c_bl + sum_p c_ip (x) chi(p,j,k,l); holds for every R. Its
     companion eps(chi) = 0 is ``eps_chi_zero``, checked on its own."""
     n = R.n
-    add = R.field.add
     indexed = chi(R)
     for i, j, k, l in product(range(n), repeat=4):
         lhs = indexed[(i, j, k, l)].delta()
         # the right-hand side summed into one dict of (word, word) -> scalar
-        rhs = {}
-        terms = [((w, (a * n + k, b * n + l)), c)
-                 for a, b in product(range(n), repeat=2)
-                 for w, c in indexed[(i, j, a, b)].terms.items()]
-        terms += [(((i * n + p,), w), c)
-                  for p in range(n) for w, c in indexed[(p, j, k, l)].terms.items()]
-        for key, c in terms:
-            s = rhs.get(key)
-            s = c if s is None else add(s, c)
-            if s:
-                rhs[key] = s
-            else:
-                del rhs[key]
+        rhs = R.field.combine(chain(
+            (((w, (a * n + k, b * n + l)), c) for a, b in product(range(n), repeat=2)
+             for w, c in indexed[(i, j, a, b)].terms.items()),
+            ((((i * n + p,), w), c) for p in range(n)
+             for w, c in indexed[(p, j, k, l)].terms.items())))
         if lhs.terms != rhs:
             return False
     return True

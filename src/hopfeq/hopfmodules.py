@@ -10,7 +10,7 @@ coaction coefficient coelems[j][u]. The regular module of H induces
 R(g (x) h) = sum h_(2) g (x) h_(1), Takesaki's map only when H is
 cocommutative. Checks over H read the sparse views of
 ``StructureBialgebra.sparse`` and compare two contractions keyed by their
-free basis indices and summed by ``bialgebras._sum``, as
+free basis indices and summed by ``Field.combine``, as
 ``check_bialgebra_axioms`` does.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import linalg
-from .bialgebras import _sparse, _sum
+from .bialgebras import _sparse
 from .freealgebra import NCPoly, comatrix_alphabet
 from .rewriting import normal_form
 from .tensorops import TensorOp, to_structure_constants
@@ -187,7 +187,7 @@ def check_hopf_compat_bialgebra(bm: BialgebraHopfModule) -> bool:
     contractions keyed by (l, w, s), the coefficient of m_w (x) m_s."""
     H = bm.bialgebra
     f = bm.field
-    mul = f.mul
+    mul, total = f.mul, f.combine
     V = range(bm.n)
     m, d, _, _ = H.sparse()
     act = [{(i, v): c for i, row in enumerate(mat) for v, c in enumerate(row) if c}
@@ -196,11 +196,11 @@ def check_hopf_compat_bialgebra(bm: BialgebraHopfModule) -> bool:
     # lhs: sum_i (m_t.m_l)_i rho(m_i); rhs: over Delta(m_t) = sum m_p (x) m_b,
     # (m_p.m_v)_w m_w (x) m_b coelems[v][l]
     return all(
-        _sum(f, (((l, w, s), mul(a, c)) for (i, l), a in act[t].items()
-                 for w in V for s, c in co[w][i].items()))
-        == _sum(f, (((l, w, s), mul(mul(c, a), mul(x, y))) for (p, b), c in d[t].items()
-                    for (w, v), a in act[p].items() for l in V
-                    for k, x in co[v][l].items() for s, y in m[b][k].items()))
+        total(((l, w, s), mul(a, c)) for (i, l), a in act[t].items()
+              for w in V for s, c in co[w][i].items())
+        == total(((l, w, s), mul(mul(c, a), mul(x, y))) for (p, b), c in d[t].items()
+                 for (w, v), a in act[p].items() for l in V
+                 for k, x in co[v][l].items() for s, y in m[b][k].items())
         for t in range(H.dim))
 
 
@@ -213,7 +213,7 @@ def verify_morphism(source, target, target_data: BialgebraHopfModule, assignment
     source_data given, f(c_ij) must act exactly as c_ij does upstream."""
     n = source.alphabet.comatrix_n
     f = target.field
-    mul = f.mul
+    mul, total = f.mul, f.combine
     V = range(n)
     gens = [assignment[divmod(k, n)] for k in range(n * n)]
 
@@ -228,8 +228,8 @@ def verify_morphism(source, target, target_data: BialgebraHopfModule, assignment
         return vec
 
     for r in source.relations:
-        if _sum(f, ((s, mul(c, x)) for w, c in r.terms.items()
-                    for s, x in enumerate(image(w)) if x)):
+        if total((s, mul(c, x)) for w, c in r.terms.items()
+                 for s, x in enumerate(image(w)) if x):
             return False
 
     # (b) Delta(f(c_jk)) = sum_u f(c_ju) (x) f(c_uk), keyed by (j, k, a, b),
@@ -237,13 +237,13 @@ def verify_morphism(source, target, target_data: BialgebraHopfModule, assignment
     _, d, _, _ = target.sparse()
     g = [[_sparse(assignment[(j, k)]) for k in V] for j in V]
     eps = target.counit
-    if _sum(f, (((j, k, a, b), mul(x, c)) for j in V for k in V
-                for t, x in g[j][k].items() for (a, b), c in d[t].items())) \
-            != _sum(f, (((j, k, a, b), mul(x, y)) for j in V for k in V for u in V
-                        for a, x in g[j][u].items() for b, y in g[u][k].items())):
+    if total(((j, k, a, b), mul(x, c)) for j in V for k in V
+             for t, x in g[j][k].items() for (a, b), c in d[t].items()) \
+            != total(((j, k, a, b), mul(x, y)) for j in V for k in V for u in V
+                     for a, x in g[j][u].items() for b, y in g[u][k].items()):
         return False
-    if _sum(f, (((j, k), mul(x, eps[t])) for j in V for k in V
-                for t, x in g[j][k].items())) != {(j, j): f.one for j in V}:
+    if total(((j, k), mul(x, eps[t])) for j in V for k in V
+             for t, x in g[j][k].items()) != {(j, j): f.one for j in V}:
         return False
 
     # (c) the assignment is the target coaction, so target_data.action is

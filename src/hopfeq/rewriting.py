@@ -41,7 +41,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cache
 from math import lcm
 
-from .freealgebra import NCPoly, word_key
+from .freealgebra import NCPoly, render_word, word_key
 
 COMPLETION_STEP_LIMIT = 500_000  # safety valve; desk-scale inputs never get close
 
@@ -64,8 +64,7 @@ class RewriteRule:
 
     def render(self, names=None):
         names = names or self.tail.alphabet.names
-        lhs = "*".join(names[k] for k in self.lhs) if self.lhs else "1"
-        return f"{lhs} -> {self.tail.render(names)}"
+        return f"{render_word(self.lhs, names)} -> {self.tail.render(names)}"
 
 
 @dataclass
@@ -255,25 +254,17 @@ def _proper_overlaps(r1, r2):
 
     With w1 = a t and w2 = t b, the S-polynomial is tail1 b - a tail2."""
     w1, w2 = r1.lhs, r2.lhs
-    field = r1.tail.field
-    add, neg, zero = field.add, field.neg, field.zero
+    tail1, tail2 = r1.tail, r2.tail
+    neg = tail1.field.neg
     out = []
     for L in range(1, min(len(w1), len(w2))):
         if w1[len(w1) - L:] != w2[:L]:
             continue
         a = w1[:len(w1) - L]
         b = w2[L:]
-        terms = {t + b: c for t, c in r1.tail.terms.items()}
-        for t, c in r2.tail.terms.items():
-            w = a + t
-            s = add(terms.get(w, zero), neg(c))
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        spoly = NCPoly(r1.tail.alphabet, field)
-        spoly.terms = terms
-        out.append((w1 + b, spoly))
+        out.append((w1 + b, tail1._with(tail1.field.combine(
+            [(t + b, c) for t, c in tail1.terms.items()]
+            + [(a + t, neg(c)) for t, c in tail2.terms.items()]))))
     return out
 
 
@@ -502,8 +493,7 @@ def quotient_bialgebra(pres, rs, max_len=12):
             mat[index[w1]][index[w2]] = c
         comult.append(mat)
     counit = [NCPoly.word(alphabet, field, w).eps() for w in words]
-    names = alphabet.names
-    labels = ["*".join(names[k] for k in w) if w else "1" for w in words]
+    labels = [render_word(w, alphabet.names) for w in words]
     return StructureBialgebra(
         field=field,
         dim=dim,

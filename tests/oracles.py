@@ -3,7 +3,8 @@ matrix arithmetic, the scalar form of the Hopf equation, direct expansions
 of the obstruction formula, brute-force enumeration of solutions over F_p,
 normal forms by a scan of the whole rule list, completion that pairs every
 two rules, irreducible words by listing them, the coideal check relation by
-relation, and the bialgebra and Hopf module checks on dense vectors.
+relation, the bialgebra and Hopf module checks on dense vectors, and the
+Takesaki and Galois maps by loops over the dense tables.
 Deliberately written without the package's production shortcuts."""
 
 from itertools import product
@@ -663,3 +664,45 @@ def naive_morphism_clauses(source, target, target_data, assignment, source_data=
         out["action"] = all(act_element(target_data, assignment[(i, j)])
                             == source_data.action[(i, j)] for i, j in pairs)
     return out
+
+
+def naive_comult_map(H, h_first):
+    """Entries of g (x) h -> sum x (x) h_(2), with x = h_(1) g if h_first, else
+    g h_(1), by a loop over every dense table entry."""
+    f, dim = H.field, H.dim
+    ent = [[f.zero] * (dim * dim) for _ in range(dim * dim)]
+    for a in range(dim):
+        for b in range(dim):
+            col = a * dim + b
+            for u in range(dim):
+                for v in range(dim):
+                    c = H.comult[b][u][v]
+                    if c == f.zero:
+                        continue
+                    prod = H.mult[u][a] if h_first else H.mult[a][u]
+                    for i in range(dim):
+                        row = i * dim + v
+                        ent[row][col] = f.add(ent[row][col], f.mul(c, prod[i]))
+    return ent
+
+
+def naive_galois_rprime(H):
+    """Entries of R'(g (x) h) = sum g_(1) (x) S(g_(2)) h, with S(g_(2)) h
+    multiplied out on dense vectors."""
+    f, dim = H.field, H.dim
+    times, _, _ = _dense_bialgebra_ops(H)
+    basis = [[f.one if k == t else f.zero for k in range(dim)] for t in range(dim)]
+    ent = [[f.zero] * (dim * dim) for _ in range(dim * dim)]
+    for a in range(dim):
+        for b in range(dim):
+            col = a * dim + b
+            for u in range(dim):
+                for v in range(dim):
+                    c = H.comult[a][u][v]
+                    if c == f.zero:
+                        continue
+                    sv = times(H.antipode[v], basis[b])
+                    for j in range(dim):
+                        row = u * dim + j
+                        ent[row][col] = f.add(ent[row][col], f.mul(c, sv[j]))
+    return ent

@@ -284,6 +284,45 @@ def test_galois_rprime_needs_antipode():
         B.galois_rprime(H)
 
 
+def comult_map_examples():
+    """Bialgebras whose bases are not all grouplike, or whose product is
+    noncommutative: H4 over Q and F_3, k[S3], T(k) (no antipode) and the
+    finite B(R) over F_2."""
+    return [sweedler_h4(QQ), sweedler_h4(F3), group_algebra_s3()[1],
+            group_algebra_s3(F5)[1], tk_bialgebra()] + f2_quotients()
+
+
+def assert_comult_maps_match_oracle(H):
+    assert B.takesaki(H).entries == oracles.naive_comult_map(H, h_first=True)
+    assert B.galois_beta(H).entries == oracles.naive_comult_map(H, h_first=False)
+    if H.antipode is not None:
+        assert B.galois_rprime(H).entries == oracles.naive_galois_rprime(H)
+
+
+def test_comult_maps_match_oracle_on_examples():
+    for H in comult_map_examples():
+        assert_comult_maps_match_oracle(H)
+
+
+def test_comult_maps_match_oracle_on_perturbed_tables():
+    rng = random.Random(10)
+    pool = comult_map_examples() + [B.group_algebra(3, F2)]
+    for _ in range(300):
+        assert_comult_maps_match_oracle(perturb(rng.choice(pool), rng))
+
+
+@pytest.mark.parametrize("fd", ["q", "fp:3"])
+def test_comult_maps_on_sweedler_h4(fd):
+    # H4 is noncommutative and noncocommutative, so the three maps are not
+    # permutations of basis tensors; each solves the Hopf equation, and beta
+    # and R' are bijective on a Hopf algebra
+    H = sweedler_h4(parse_field(fd))
+    maps = [B.takesaki(H), B.galois_beta(H), B.galois_rprime(H)]
+    assert len({str(R.entries) for R in maps}) == 3
+    assert all(T.check_hopf(R) for R in maps)
+    assert T.is_bijective(maps[1]) and T.is_bijective(maps[2])
+
+
 # -- graded and crossed modules -------------------------------------------------
 
 def test_graded_trivial_group_gives_identity():
@@ -451,6 +490,18 @@ def test_structure_bialgebra_json_round_trip_property(data):
             data.draw(st.one_of(st.none(), st.just([vec() for _ in range(dim)]))))
     doc = json.loads(json.dumps(H.to_json()))
     assert B.StructureBialgebra.from_json(doc) == H
+
+
+@pytest.mark.parametrize("fid,fd", [("char2", "fp:2"), ("takesaki_c3", "q")])
+def test_quotient_json_round_trip_keeps_basis_words(fid, fd):
+    H = finite_quotient(build_fixture(fid, parse_field(fd)))
+    doc = json.loads(json.dumps(H.to_json()))
+    assert doc["basis_words"] == [list(w) for w in H.basis_words]
+    assert B.StructureBialgebra.from_json(doc) == H
+
+
+def test_group_algebra_json_has_no_basis_words():
+    assert "basis_words" not in B.group_algebra(3, QQ).to_json()
 
 
 def test_commutativity_flags():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfeq.fields import QQ, FieldError, PrimeField, is_prime, parse_field
 
@@ -115,3 +116,47 @@ def test_scalar_json_round_trip():
         QQ.parse_scalar("1/0")
     with pytest.raises(FieldError):
         f7.parse_scalar("2/3x")
+
+
+_COMBINE_SCALARS = {
+    "q": st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    "fp:2": st.integers(0, 1),
+    "fp:3": st.integers(0, 2),
+    "fp:7": st.integers(0, 6),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_combine_equals_dense_sum(data):
+    # few keys and small scalars, so keys repeat and sums often cancel
+    desc = data.draw(st.sampled_from(sorted(_COMBINE_SCALARS)), label="field")
+    field = parse_field(desc)
+    keys = st.tuples(st.integers(0, 3), st.integers(0, 1))
+    pairs = data.draw(st.lists(st.tuples(keys, _COMBINE_SCALARS[desc]), max_size=30))
+    dense = {}
+    for k in {key for key, _ in pairs}:
+        acc = field.zero
+        for key, c in pairs:
+            if key == k:
+                acc = field.add(acc, c)
+        dense[k] = acc
+    got = field.combine(iter(pairs))
+    assert got == {k: c for k, c in dense.items() if c != field.zero}
+    assert all(got.values())
+
+
+def test_combine_adds_only_repeated_keys():
+    class CountingF7(PrimeField):
+        adds = 0
+
+        def add(self, a, b):
+            CountingF7.adds += 1
+            return super().add(a, b)
+
+    f = CountingF7(7)
+    got = f.combine([("x", 3), ("y", 5), ("x", 4), ("z", 0), ("y", 1)])
+    assert got == {"y": 6}  # x sums to zero, z is a lone zero
+    assert CountingF7.adds == 2
+    half = Fraction(1, 2)
+    assert QQ.combine([("a", half)])["a"] is half

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from hopfeq.fields import QQ, parse_field
-from hopfeq.freealgebra import NCPoly, TensorPoly, comatrix_alphabet, free_alphabet
+from hopfeq.freealgebra import (NCPoly, TensorPoly, comatrix_alphabet, free_alphabet,
+                                render_word)
 
 F5 = parse_field("fp:5")
 A2 = comatrix_alphabet(2)
@@ -175,6 +176,24 @@ def test_render_generators():
     assert gen(0, 1).render() == "c[1,2]"
     assert (gen(0, 0) * gen(1, 1) - NCPoly.one(A2, QQ)).render() == "c[1,1]*c[2,2] - 1"
     assert NCPoly.zero(A2, QQ).render() == "0"
+
+
+def test_render_word_and_tensor_render():
+    assert render_word((), A2.names) == "1"
+    assert render_word((0, 3, 1), A2.names) == "c[1,1]*c[2,2]*c[1,2]"
+    assert render_word((1, 0), ["x", "z"]) == "z*x"
+    t = TensorPoly.of(NCPoly.one(A2, QQ) - gen(1, 0), gen(0, 1) * gen(1, 1))
+    assert t.render() == "-1*(c[2,1] (x) c[1,2]*c[2,2]) + 1*(1 (x) c[1,2]*c[2,2])"
+
+
+def test_substitute_sums_cancelling_words():
+    # c11 c22 - c22 c11 maps to ab - ab with a = b: the images cancel
+    AB = free_alphabet("A", "B")
+    a = NCPoly.letter(AB, F5, 0)
+    images = [a, a, a * a, NCPoly.one(AB, F5)]
+    p = gen(0, 0, F5) * gen(0, 1, F5) - gen(0, 1, F5) * gen(0, 0, F5) + gen(1, 0, F5)
+    assert p.substitute(images) == a * a
+    assert p.substitute(images).terms == {(0, 0): 1}
 
 
 def test_tensorpoly_product():

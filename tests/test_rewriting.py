@@ -10,7 +10,7 @@ import oracles
 from hopfeq import bialgebras as B, frt, linalg, rewriting as RW, tensorops as T
 from hopfeq.fields import QQ, parse_field
 from hopfeq.fixtures import build_fixture
-from hopfeq.freealgebra import NCPoly, comatrix_alphabet, free_alphabet, word_key
+from hopfeq.freealgebra import NCPoly, comatrix_alphabet, free_alphabet, render_word, word_key
 
 F2 = parse_field("fp:2")
 F3 = parse_field("fp:3")
@@ -222,7 +222,11 @@ def pipeline_doc(R):
     doc = {"rs": rs.to_json(),
            "dim": [rep.kind, rep.count, rep.hilbert_prefix, rep.word_length_cap]}
     if rep.is_finite():
-        doc["tables"] = RW.quotient_bialgebra(pres, rs, 8).to_json()
+        tables = RW.quotient_bialgebra(pres, rs, 8).to_json()
+        # the digests predate the basis_words key; the words must spell the labels
+        words = tables.pop("basis_words")
+        assert [render_word(w, pres.alphabet.names) for w in words] == tables["basis"]
+        doc["tables"] = tables
     return doc
 
 
