@@ -14,7 +14,7 @@ indices 0-based internally, listed in lexicographic (i,j,k,l) order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, product
+from itertools import product
 
 from . import linalg
 from .freealgebra import NCPoly, comatrix_alphabet
@@ -205,11 +205,11 @@ def verify_delta_chi(R: TensorOp) -> bool:
     for i, j, k, l in product(range(n), repeat=4):
         lhs = indexed[(i, j, k, l)].delta()
         # the right-hand side summed into one dict of (word, word) -> scalar
-        rhs = R.field.combine(chain(
-            (((w, (a * n + k, b * n + l)), c) for a, b in product(range(n), repeat=2)
-             for w, c in indexed[(i, j, a, b)].terms.items()),
-            ((((i * n + p,), w), c) for p in range(n)
-             for w, c in indexed[(p, j, k, l)].terms.items())))
+        rhs = R.field.combine(
+            [((w, (a * n + k, b * n + l)), c) for a, b in product(range(n), repeat=2)
+             for w, c in indexed[(i, j, a, b)].terms.items()]
+            + [(((i * n + p,), w), c) for p in range(n)
+               for w, c in indexed[(p, j, k, l)].terms.items()])
         if lhs.terms != rhs:
             return False
     return True
