@@ -13,8 +13,9 @@ several times more.
 
 Every sparse linear combination in the package is summed by one method,
 ``Field.combine``: it takes (key, scalar) pairs and returns the dict of the
-nonzero sums. The first scalar of a key is kept without an ``add``, and zero
-sums are dropped once, at the end.
+nonzero sums. The first scalar of a key is kept without an ``add``, and a key
+leaves the dict as soon as its sum is zero (it comes back with its next
+scalar), so no zero is ever stored.
 
 For integer accumulation (``linalg.mat_mul``) a field lifts a matrix to
 plain ints and lowers int sums back to scalars: ``lift(rows)`` returns
@@ -87,8 +88,14 @@ class Field:
         get = out.get
         for key, c in pairs:
             s = get(key)
-            out[key] = c if s is None else add(s, c)
-        return {key: c for key, c in out.items() if c}
+            if s is None:
+                if c:
+                    out[key] = c
+            elif s := add(s, c):
+                out[key] = s
+            else:
+                del out[key]
+        return out
 
 
 class Rationals(Field):
