@@ -1,6 +1,7 @@
 """The equation table, the leg index map and the exact search for every
 solution of an equation over F_p. No matrix products: every equation over
-every field is decided by ``tensorops`` on ``linalg.mat_mul``.
+every field is decided by ``tensorops`` on one lifted chain of
+``linalg.lifted_mul``.
 
 It imports nothing from the package. The search runs on plain ints, with
 operators as flat row-major entry vectors.

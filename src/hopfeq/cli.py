@@ -216,9 +216,8 @@ def cmd_enumerate(args):
     table = {}
     for R in solutions:
         product = tensorops.leg_products(R)  # the two equations share R^13
-        sides = [tensorops.equation_sides(R, name, product)
-                 for name in ("commutative", "cocommutative")]
-        key = (*(lhs == rhs for lhs, rhs in sides), tensorops.is_bijective(R))
+        key = (*(tensorops._equation_holds(R, name, product)
+                 for name in ("commutative", "cocommutative")), tensorops.is_bijective(R))
         table[key] = table.get(key, 0) + 1
     if args.json:
         doc = {

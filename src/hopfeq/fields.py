@@ -17,13 +17,16 @@ nonzero sums. The first scalar of a key is kept without an ``add``, and a key
 leaves the dict as soon as its sum is zero (it comes back with its next
 scalar), so no zero is ever stored.
 
-For integer accumulation (``linalg.mat_mul``) a field lifts a matrix to
-plain ints and lowers int sums back to scalars: ``lift(rows)`` returns
-``(ints, d)`` with ``rows == ints / d`` entrywise for one positive int ``d``,
-and ``lower(ints, d)`` returns the matrix of scalars ``ints / d``, each in
-canonical form and every zero the shared ``field.zero``. Over the rationals
-``d`` is the lcm of the entries' denominators; over F_p the entries are
-already ints and ``d`` is 1.
+For integer accumulation a field lifts a matrix to plain ints and lowers
+int sums back to scalars: ``lift(rows)`` returns ``(ints, d)`` with ``rows ==
+ints / d`` entrywise for one positive int ``d``, and ``lower(ints, d)``
+returns the matrix of scalars ``ints / d``, each in canonical form and every
+zero the shared ``field.zero``. Over the rationals ``d`` is the lcm of the
+entries' denominators; over F_p the entries are already ints and ``d`` is 1.
+A matrix chain (``linalg.lifted_mul``/``lifted_sub``: the legs of an
+equation, the letters of a word acting on V) is a lifted chain: it stays in
+this form between products and is lowered once, where its scalar matrix
+leaves the chain.
 """
 
 from __future__ import annotations

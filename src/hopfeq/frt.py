@@ -19,7 +19,7 @@ from itertools import product
 from . import linalg
 from .freealgebra import NCPoly, comatrix_alphabet
 from .hopfmodules import act_poly, module_from_R
-from .tensorops import (TensorOp, check_commutative, check_hopf, equation_sides,
+from .tensorops import (TensorOp, check_commutative, check_hopf, equation_defect,
                         to_structure_constants)
 
 
@@ -216,8 +216,7 @@ def verify_delta_chi(R: TensorOp) -> bool:
 
 
 def _hopf_defect(R: TensorOp):
-    lhs, rhs = equation_sides(R, "hopf")
-    return linalg.mat_sub(R.field, lhs, rhs)
+    return R.field.lower(*equation_defect(R, "hopf"))
 
 
 def verify_defect_identity(R: TensorOp) -> bool:
@@ -243,12 +242,11 @@ def verify_commutator_identity(R: TensorOp) -> bool:
     sum_{r,s} (c_rk c_sj - c_sj c_rk).z (x) m_r (x) m_s for every z, k, j."""
     n = R.n
     field = R.field
-    diff = linalg.mat_sub(field, *equation_sides(R, "commutative"))
-    act = module_from_R(R).action
-    mm = lambda a, b: linalg.mat_mul(field, a, b)
+    diff = field.lower(*equation_defect(R, "commutative"))
+    act = {key: field.lift(mat) for key, mat in module_from_R(R).action.items()}
+    mm, sub = linalg.lifted_mul, linalg.lifted_sub
     brackets = {
-        (r, k, s, j): linalg.mat_sub(field, mm(act[(r, k)], act[(s, j)]),
-                                     mm(act[(s, j)], act[(r, k)]))
+        (r, k, s, j): field.lower(*sub(mm(act[(r, k)], act[(s, j)]), mm(act[(s, j)], act[(r, k)])))
         for r, k, s, j in product(range(n), repeat=4)
     }
     for t, k, j in product(range(n), repeat=3):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 
 from . import linalg
 from .bialgebras import _sparse
@@ -63,35 +64,37 @@ def module_from_R(R: TensorOp) -> HopfModuleData:
 def act_word(w, data: HopfModuleData, memo=None):
     """Matrix of a word acting on V; the empty word acts as the identity.
 
-    memo maps words to their matrices. Pass one dict to the calls of one
-    computation and each prefix is multiplied out once: a word then costs
-    one product beyond its longest prefix. The returned matrix is shared
-    with memo; do not change it.
+    memo maps words to their lifted matrices (ints, d) (see ``linalg``).
+    Pass one dict to the calls of one computation and each prefix is
+    multiplied out once: a word then costs one product beyond its longest
+    prefix, and its ints grow with its length only. The returned matrix is
+    lowered afresh on each call.
     """
-    return _act_word(w, data, {} if memo is None else memo)
+    return data.field.lower(*_act_word(w, data, {} if memo is None else memo))
 
 
 def _act_word(w, data, memo):
     mat = memo.get(w)
     if mat is None:
-        n = data.n
+        field = data.field
         if len(w) > 1:
-            mat = linalg.mat_mul(data.field, _act_word(w[:-1], data, memo),
-                                 data.action[divmod(w[-1], n)])
+            mat = linalg.lifted_mul(_act_word(w[:-1], data, memo),
+                                    _act_word(w[-1:], data, memo))
         elif w:
-            mat = [row[:] for row in data.action[divmod(w[0], n)]]
+            mat = field.lift(data.action[divmod(w[0], data.n)])
         else:
-            mat = linalg.identity(data.field, n)
+            mat = field.lift(linalg.identity(field, data.n))
         memo[w] = mat
     return mat
 
 
-def _combine(field, n, coeffs, mats):
-    """sum_t coeffs[t] mats[t] over n x n matrices: the coefficient row times
-    the flattened matrices, in one ``mat_mul``."""
+def _combine(field, n, coeffs, stacked):
+    """sum_t coeffs[t] M_t over n x n matrices, lowered once: the lifted
+    coefficient row times ``stacked``, the lifted matrix whose row t is M_t
+    flattened, in one ``linalg.lifted_mul``."""
     if not coeffs:
         return linalg.zeros(field, n, n)
-    flat = linalg.mat_mul(field, [coeffs], [[x for row in m for x in row] for m in mats])[0]
+    flat = field.lower(*linalg.lifted_mul(field.lift([coeffs]), stacked))[0]
     return [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
@@ -99,8 +102,10 @@ def act_poly(p, data: HopfModuleData, memo=None):
     """Matrix of a polynomial acting on V, the coefficient-weighted sum of its
     word matrices; memo as for ``act_word``."""
     memo = {} if memo is None else memo
-    return _combine(data.field, data.n, list(p.terms.values()),
-                    [_act_word(w, data, memo) for w in p.terms])
+    mats = [_act_word(w, data, memo) for w in p.terms]
+    d = lcm(*(e for _, e in mats))
+    stacked = [[x * (d // e) for row in ints for x in row] for ints, e in mats]
+    return _combine(data.field, data.n, list(p.terms.values()), (stacked, d))
 
 
 def induced_R(data) -> TensorOp:
@@ -155,7 +160,8 @@ class BialgebraHopfModule:
     def act(self, hvec):
         """The matrix by which the element hvec of H acts on V."""
         terms = [(c, self.basis_action[t]) for t, c in enumerate(hvec) if c]
-        return _combine(self.field, self.n, [c for c, _ in terms], [m for _, m in terms])
+        stacked = self.field.lift([[x for row in m for x in row] for _, m in terms])
+        return _combine(self.field, self.n, [c for c, _ in terms], stacked)
 
     @property
     def action(self):

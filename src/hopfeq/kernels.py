@@ -1,6 +1,6 @@
 """The equation table, the leg index map and the exact pruned search over
 F_p, in pure Python. No matrix products: ``tensorops`` decides every
-equation over every field on ``linalg.mat_mul``.
+equation over every field on one lifted chain of ``linalg.lifted_mul``.
 
 BACKEND names the implementation; there is one, ``python``.
 """

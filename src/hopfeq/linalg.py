@@ -1,13 +1,18 @@
 """Dense exact linear algebra over a Field, on plain list-of-list matrices.
 
-``mat_mul`` and ``mat_sub`` work in plain Python ints: the field lifts each
-operand to ints over one common denominator (``Field.lift``), the product
-sums int products, and each output entry is normalised once
-(``Field.lower``: one ``Fraction`` over the rationals, one reduction mod p
-over F_p) instead of once per term. Products skip zero entries, so the
-permutation-like operators this package produces (Takesaki/Galois maps,
-graded solutions) stay cheap even at dimension n^3 on V (x) V (x) V. Zero
-tests are by truthiness (see ``fields``).
+Products and differences work in plain Python ints, on lifted matrices: a
+pair ``(ints, d)`` that stands for the matrix ``ints / d`` (``Field.lift``).
+``lifted_mul`` and ``lifted_sub`` take and return such pairs, so a chain of
+products (the legs of an equation, the letters of a word acting on V) stays
+in ints from end to end, and only the matrix that leaves the chain is
+lowered, each entry normalised once (``Field.lower``: one ``Fraction`` over
+the rationals, one reduction mod p over F_p). ``mat_mul`` and ``mat_sub``
+are the one-step chains. Lifted ints are never reduced by a gcd or mod p, so
+every chain in the package has a bounded length: at most three legs, or one
+word of bounded length. Products skip zero entries, so the permutation-like
+operators this package produces (Takesaki/Galois maps, graded solutions)
+stay cheap even at dimension n^3 on V (x) V (x) V. Zero tests are by
+truthiness (see ``fields``).
 """
 
 from __future__ import annotations
@@ -31,19 +36,11 @@ def identity(field, n):
     return m
 
 
-def mat_sub(field, a, b):
-    """a - b, on ints over the lcm of the two common denominators."""
-    ia, da = field.lift(a)
-    ib, db = field.lift(b)
-    d = lcm(da, db)
-    sa, sb = d // da, d // db
-    return field.lower([[x * sa - y * sb for x, y in zip(ra, rb)] for ra, rb in zip(ia, ib)], d)
-
-
-def mat_mul(field, a, b):
-    cols = len(b[0]) if b else 0
-    ia, da = field.lift(a)
-    ib, db = field.lift(b)
+def lifted_mul(a, b):
+    """The product of two lifted matrices (ints, d): (ints_a ints_b, d_a d_b)."""
+    ia, da = a
+    ib, db = b
+    cols = len(ib[0]) if ib else 0
     bnz = [[(j, v) for j, v in enumerate(row) if v] for row in ib]
     out = []
     for arow in ia:
@@ -53,7 +50,31 @@ def mat_mul(field, a, b):
                 for j, bkj in brow:
                     acc[j] += aik * bkj
         out.append(acc)
-    return field.lower(out, da * db)
+    return out, da * db
+
+
+def lifted_sub(a, b):
+    """a - b of two lifted matrices, over the lcm of their denominators."""
+    ia, da = a
+    ib, db = b
+    d = lcm(da, db)
+    sa, sb = d // da, d // db
+    return [[x * sa - y * sb for x, y in zip(ra, rb)] for ra, rb in zip(ia, ib)], d
+
+
+def lifted_is_zero(field, a):
+    """Whether the lifted matrix a is zero over field. Only the rows that
+    hold a nonzero int are lowered: over F_p such an int may be 0 mod p."""
+    ints, d = a
+    return not any(any(field.lower([row], d)[0]) for row in ints if any(row))
+
+
+def mat_sub(field, a, b):
+    return field.lower(*lifted_sub(field.lift(a), field.lift(b)))
+
+
+def mat_mul(field, a, b):
+    return field.lower(*lifted_mul(field.lift(a), field.lift(b)))
 
 
 def kron(field, a, b):

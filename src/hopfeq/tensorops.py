@@ -110,8 +110,11 @@ def leg(R: TensorOp, which: int):
 
 def leg_products(R: TensorOp):
     """A function from a tuple of legs, e.g. (23, 13, 12), to their product
-    R^23 R^13 R^12, associated from the left. It builds each leg and each
-    prefix product once, so the sides of several equations share them."""
+    R^23 R^13 R^12 as a lifted matrix (ints, d) (see ``linalg``), associated
+    from the left. It lifts each leg and builds each prefix product once, so
+    the sides of several equations share them; a product has at most three
+    legs, which bounds the size of its ints."""
+    field = R.field
     memo = {}
 
     # a loop, not recursion: a closure that calls itself is a reference
@@ -120,24 +123,29 @@ def leg_products(R: TensorOp):
         for end in range(1, len(legs) + 1):
             prefix, last = legs[:end], legs[end - 1:end]
             if last not in memo:
-                memo[last] = leg(R, last[0])
+                memo[last] = field.lift(leg(R, last[0]))
             if prefix not in memo:
-                memo[prefix] = linalg.mat_mul(R.field, memo[prefix[:-1]], memo[last])
+                memo[prefix] = linalg.lifted_mul(memo[prefix[:-1]], memo[last])
         return memo[legs]
 
     return product
 
 
-def equation_sides(R: TensorOp, name: str, product=None):
-    """Both sides of the named equation of ``kernels.EQUATIONS`` as matrices
-    over R's field; pass one ``leg_products(R)`` to share products."""
+def equation_defect(R: TensorOp, name: str, product=None):
+    """lhs - rhs of the named equation of ``kernels.EQUATIONS`` as a lifted
+    matrix; pass one ``leg_products(R)`` to share products."""
     product = product or leg_products(R)
-    return tuple(product(side) for side in kernels.EQUATIONS[name])
+    return linalg.lifted_sub(*(product(side) for side in kernels.EQUATIONS[name]))
+
+
+def equation_sides(R: TensorOp, name: str, product=None):
+    """Both sides of the named equation as matrices over R's field."""
+    product = product or leg_products(R)
+    return tuple(R.field.lower(*product(side)) for side in kernels.EQUATIONS[name])
 
 
 def _equation_holds(R: TensorOp, name: str, product=None) -> bool:
-    lhs, rhs = equation_sides(R, name, product)
-    return lhs == rhs
+    return linalg.lifted_is_zero(R.field, equation_defect(R, name, product))
 
 
 def check_hopf(R):
@@ -212,9 +220,7 @@ def conjugate(R: TensorOp, u: EndoV) -> TensorOp:
         raise ValueError("mismatched operator and automorphism")
     field = R.field
     uu = linalg.kron(field, u.entries, u.entries)
-    uu_inv = linalg.inverse(field, uu)
-    m = linalg.mat_mul(field, uu, linalg.mat_mul(field, R.entries, uu_inv))
-    return TensorOp(R.n, field, m)
+    return transform(R, TensorOp(R.n, field, uu), TensorOp(R.n, field, linalg.inverse(field, uu)))
 
 
 def invert(R: TensorOp) -> TensorOp:
@@ -223,9 +229,9 @@ def invert(R: TensorOp) -> TensorOp:
 
 def transform(R: TensorOp, left: TensorOp, right: TensorOp) -> TensorOp:
     """Matrix product left * R * right as a TensorOp (e.g. tau R tau)."""
-    field = R.field
-    m = linalg.mat_mul(field, left.entries, linalg.mat_mul(field, R.entries, right.entries))
-    return TensorOp(R.n, field, m)
+    lift = R.field.lift
+    m = linalg.lifted_mul(lift(left.entries), linalg.lifted_mul(lift(R.entries), lift(right.entries)))
+    return TensorOp(R.n, R.field, R.field.lower(*m))
 
 
 def random_tensorop(n, field, rng) -> TensorOp:

@@ -77,6 +77,32 @@ def test_memoised_act_word_matches_left_to_right_product(field, n):
     assert HM.act_word((0,), data, memo) is not data.action[(0, 0)]
 
 
+@pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
+def test_act_word_memo_is_lifted_and_results_are_fresh(field):
+    rng = random.Random(53)
+    R = T.random_tensorop(2, field, rng)
+    data = HM.module_from_R(R)
+    memo = {}
+    w = (1, 2, 3)
+    want = HM.act_word(w, data)
+    got = HM.act_word(w, data, memo)
+    assert got == want
+    # the memo holds (ints, d) pairs for every prefix and every letter
+    assert {(1,), (1, 2), (1, 2, 3), (2,), (3,)} <= set(memo)
+    for ints, d in memo.values():
+        assert type(d) is int and d > 0
+        assert all(type(x) is int for row in ints for x in row)
+    assert field.lower(*memo[w]) == want
+    # changing a returned matrix changes neither the memo nor later results
+    got[0][0] = field.add(got[0][0], field.one)
+    assert HM.act_word(w, data, memo) == want
+    assert HM.act_word(w, data, memo) is not HM.act_word(w, data, memo)
+    poly = NCPoly(A2, field, {w: field.one})
+    assert HM.act_poly(poly, data, memo) == want
+    HM.act_poly(poly, data, memo)[1][1] = field.one
+    assert HM.act_word(w, data, memo) == want
+
+
 def test_act_poly_with_memo_matches_term_by_term():
     rng = random.Random(52)
     R = T.random_tensorop(2, QQ, rng)

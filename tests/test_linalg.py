@@ -135,3 +135,50 @@ def test_lift_and_lower_round_trip():
     assert F31.lift([[3, 0]]) == ([[3, 0]], 1)
     assert F31.lower([[65, -1]], 1) == [[3, 30]]
     assert F31.lower([[1]], 2) == [[16]]  # 1/2 in F_31
+
+
+# -- lifted chains against the entrywise oracle, property-based -------------------
+
+F7 = parse_field("fp:7")
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F7], ids=["Q", "F2", "F3", "F7"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lifted_chain_lowered_once_matches_entrywise_oracle(field, data):
+    # a chain of 1-4 lifted products and differences stays in ints and is
+    # lowered once at the end; the oracle lowers after every step
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    start = _matrix(data, field, rows, cols, data.draw(st.booleans()))
+    want, chain = start, field.lift(start)
+    for _ in range(data.draw(st.integers(1, 4), label="steps")):
+        op = data.draw(st.sampled_from(["mul", "sub", "cancel"]), label="op")
+        if op == "mul":
+            nxt = data.draw(st.integers(1, 4))
+            m = _matrix(data, field, cols, nxt, data.draw(st.booleans()))
+            want, chain, cols = oracles.naive_mat_mul(field, want, m), \
+                linalg.lifted_mul(chain, field.lift(m)), nxt
+        else:
+            # "cancel" subtracts the chain's own value: over Q every int is
+            # then 0, over F_p each is a multiple of p that must lower to 0
+            m = want if op == "cancel" else _matrix(data, field, rows, cols,
+                                                    data.draw(st.booleans()))
+            want = [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(want, m)]
+            chain = linalg.lifted_sub(chain, field.lift(m))
+    got = field.lower(*chain)
+    assert got == want
+    flat = [x for row in got for x in row]
+    if field is QQ:
+        assert all(type(x) is Fraction for x in flat)
+    else:
+        assert all(type(x) is int and 0 <= x < field.p for x in flat)
+    assert linalg.lifted_is_zero(field, chain) == (not any(flat))
+
+
+def test_lifted_is_zero_lowers_nonzero_ints():
+    # over F_3 the ints 3 and -6 are zero; over Q 1/2 - 1/2 cancels
+    assert linalg.lifted_is_zero(F3, ([[0, 3], [-6, 0]], 1))
+    assert not linalg.lifted_is_zero(F3, ([[0, 3], [1, 0]], 1))
+    half = QQ.lift([[Fraction(1, 2)]])
+    assert linalg.lifted_is_zero(QQ, linalg.lifted_sub(half, half))
+    assert not linalg.lifted_is_zero(QQ, half)

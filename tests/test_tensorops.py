@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 import json
 
@@ -141,6 +141,64 @@ def test_commutativity_checks():
         == T.check_commutative(R)
     assert (mm(T.leg(R, 13), T.leg(R, 23)) == mm(T.leg(R, 23), T.leg(R, 13))) \
         == T.check_cocommutative(R)
+
+
+F7 = parse_field("fp:7")
+_FAMILIES = (bialgebras.r_q, bialgebras.r_q_prime, bialgebras.r_q_dblprime,
+             bialgebras.classical_yb)
+
+
+def _scalar(data, field, nonzero=False):
+    if field is QQ:
+        num = st.integers(-3, 3).filter(bool) if nonzero else st.integers(-3, 3)
+        return Fraction(data.draw(num), data.draw(st.integers(1, 3)))
+    return data.draw(st.integers(1 if nonzero else 0, field.p - 1))
+
+
+@cache
+def _hopf_solutions_f2():
+    return T.enumerate_solutions(2, F2)
+
+
+def test_equation_holds_matches_oracle_products():
+    # random operators, scalar multiples of I, the R_q families and the
+    # Hopf solutions over F_2, each also with one entry perturbed; every
+    # equation must come out both true and false somewhere
+    seen = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def verdicts_agree(data):
+        field = data.draw(st.sampled_from([QQ, F2, F3, F7]), label="field")
+        kind = data.draw(st.sampled_from(["random", "scalar", "family", "solution"]))
+        if kind == "random":
+            n = data.draw(st.integers(1, 2), label="n")
+            R = T.TensorOp(n, field, [[_scalar(data, field) for _ in range(n * n)]
+                                      for _ in range(n * n)])
+        elif kind == "scalar":
+            n = data.draw(st.integers(1, 2), label="n")
+            c = _scalar(data, field)
+            R = T.TensorOp(n, field, [[c if i == j else field.zero for j in range(n * n)]
+                                      for i in range(n * n)])
+        elif kind == "family" or field is not F2:  # the solutions are over F_2
+            R = data.draw(st.sampled_from(_FAMILIES))(_scalar(data, field, True), field)
+        else:
+            R = data.draw(st.sampled_from(_hopf_solutions_f2())).copy()
+            assert T.check_hopf(R)
+        if data.draw(st.booleans(), label="perturb"):
+            d2 = R.n * R.n
+            R.entries[data.draw(st.integers(0, d2 - 1))][data.draw(st.integers(0, d2 - 1))] \
+                = _scalar(data, field)
+        product = T.leg_products(R)
+        for name in T.kernels.EQUATIONS:
+            lhs, rhs = oracles.naive_sides(R, name)
+            got = T._equation_holds(R, name, product)
+            assert got == (lhs == rhs)
+            assert T.equation_sides(R, name, product) == (lhs, rhs)
+            seen.add((name, got))
+
+    verdicts_agree()
+    assert seen == {(name, v) for name in T.kernels.EQUATIONS for v in (False, True)}
 
 
 # -- structure constants ----------------------------------------------------
