@@ -229,9 +229,10 @@ def invert(R: TensorOp) -> TensorOp:
 
 def transform(R: TensorOp, left: TensorOp, right: TensorOp) -> TensorOp:
     """Matrix product left * R * right as a TensorOp (e.g. tau R tau)."""
-    lift = R.field.lift
-    m = linalg.lifted_mul(lift(left.entries), linalg.lifted_mul(lift(R.entries), lift(right.entries)))
-    return TensorOp(R.n, R.field, R.field.lower(*m))
+    field = R.field
+    m = linalg.lifted_mul(field.lift(left.entries),
+                          linalg.lifted_mul(field.lift(R.entries), field.lift(right.entries)))
+    return TensorOp(R.n, field, field.lower(*m))
 
 
 def random_tensorop(n, field, rng) -> TensorOp:
