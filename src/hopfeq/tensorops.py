@@ -139,7 +139,8 @@ def equation_defect(R: TensorOp, name: str, product=None):
 
 
 def equation_sides(R: TensorOp, name: str, product=None):
-    """Both sides of the named equation as matrices over R's field."""
+    """Both sides of the named equation as matrices over R's field, each
+    lowered from its lifted product; ``product`` as for ``equation_defect``."""
     product = product or leg_products(R)
     return tuple(R.field.lower(*product(side)) for side in kernels.EQUATIONS[name])
 
