@@ -43,23 +43,69 @@ def render_word(w, names):
     return "*".join(names[k] for k in w) if w else "1"
 
 
-class NCPoly:
+class _LinearCombination:
+    """A sparse linear combination: a dict from keys to nonzero scalars of
+    one field, over one alphabet. The subclass fixes what a key is and how
+    two keys multiply; equality holds only between elements of one class."""
+
     __slots__ = ("alphabet", "field", "terms")
 
     def __init__(self, alphabet: Alphabet, field: Field, terms=None):
         self.alphabet = alphabet
         self.field = field
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[w] = c
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
-    # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, alphabet, field):
         return cls(alphabet, field)
 
+    @classmethod
+    def _from_terms(cls, alphabet, field, terms):
+        """An element on terms, taken as is: terms must hold no zeros."""
+        out = cls.__new__(cls)
+        out.alphabet, out.field, out.terms = alphabet, field, terms
+        return out
+
+    def _same_parent(self, other):
+        if self.alphabet != other.alphabet or self.field != other.field:
+            raise ValueError("mixed alphabets or fields")
+
+    def _with(self, terms):
+        """An element of the same class and parent on terms, which hold no zeros."""
+        return self._from_terms(self.alphabet, self.field, terms)
+
+    def __add__(self, other):
+        self._same_parent(other)
+        return self._with(self.field.combine(chain(self.terms.items(), other.terms.items())))
+
+    def __neg__(self):
+        neg = self.field.neg
+        return self._with({k: neg(c) for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.alphabet == other.alphabet
+            and self.field == other.field
+            and self.terms == other.terms
+        )
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+
+class NCPoly(_LinearCombination):
+    """Element of T(C): words with nonzero scalars."""
+
+    __slots__ = ()
+
+    # -- constructors -------------------------------------------------
     @classmethod
     def one(cls, alphabet, field):
         return cls(alphabet, field, {(): field.one})
@@ -87,27 +133,6 @@ class NCPoly:
         return cls(alphabet, field, {tuple(letters): field.one})
 
     # -- ring structure -----------------------------------------------
-    def _same_parent(self, other):
-        if self.alphabet != other.alphabet or self.field != other.field:
-            raise ValueError("mixed alphabets or fields")
-
-    def _with(self, terms):
-        """A polynomial of the same parent on terms, which holds no zeros."""
-        out = NCPoly(self.alphabet, self.field)
-        out.terms = terms
-        return out
-
-    def __add__(self, other):
-        self._same_parent(other)
-        return self._with(self.field.combine(chain(self.terms.items(), other.terms.items())))
-
-    def __neg__(self):
-        neg = self.field.neg
-        return self._with({w: neg(c) for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c):
         if not c:
             return NCPoly.zero(self.alphabet, self.field)
@@ -120,20 +145,6 @@ class NCPoly:
         return self._with(self.field.combine((w1 + w2, mul(c1, c2))
                                              for w1, c1 in self.terms.items()
                                              for w2, c2 in other.terms.items()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NCPoly)
-            and self.alphabet == other.alphabet
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     # -- inspection ----------------------------------------------------
     def degree(self):
@@ -213,9 +224,7 @@ class NCPoly:
                 keys = [(w1 + (j * n + u,), w2 + (u * n + kk,))
                         for w1, w2 in keys for u in range(n)]
             out.update(dict.fromkeys(keys, c))
-        res = TensorPoly(self.alphabet, self.field)
-        res.terms = out
-        return res
+        return TensorPoly._from_terms(self.alphabet, self.field, out)
 
     def eps(self):
         """Counit eps(c_jk) = delta_jk, extended multiplicatively and linearly."""
@@ -229,54 +238,19 @@ class NCPoly:
         return acc
 
 
-class TensorPoly:
+class TensorPoly(_LinearCombination):
     """Element of T(C) (x) T(C): (word, word) pairs with nonzero scalars."""
 
-    __slots__ = ("alphabet", "field", "terms")
-
-    def __init__(self, alphabet, field, terms=None):
-        self.alphabet = alphabet
-        self.field = field
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    self.terms[key] = c
-
-    @classmethod
-    def zero(cls, alphabet, field):
-        return cls(alphabet, field)
+    __slots__ = ()
 
     @classmethod
     def of(cls, left: NCPoly, right: NCPoly):
         left._same_parent(right)
         mul = left.field.mul
-        out = cls(left.alphabet, left.field)
         # a product of nonzero scalars is nonzero, and the keys are distinct
-        out.terms = {(w1, w2): mul(c1, c2)
-                     for w1, c1 in left.terms.items() for w2, c2 in right.terms.items()}
-        return out
-
-    def _same_parent(self, other):
-        if self.alphabet != other.alphabet or self.field != other.field:
-            raise ValueError("mixed alphabets or fields")
-
-    def _with(self, terms):
-        """A tensor of the same parent on terms, which holds no zeros."""
-        out = TensorPoly(self.alphabet, self.field)
-        out.terms = terms
-        return out
-
-    def __add__(self, other):
-        self._same_parent(other)
-        return self._with(self.field.combine(chain(self.terms.items(), other.terms.items())))
-
-    def __neg__(self):
-        neg = self.field.neg
-        return self._with({k: neg(c) for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return cls._from_terms(left.alphabet, left.field,
+                               {(w1, w2): mul(c1, c2) for w1, c1 in left.terms.items()
+                                for w2, c2 in right.terms.items()})
 
     def __mul__(self, other):
         """(a (x) b)(c (x) d) = ac (x) bd, bilinearly."""
@@ -285,20 +259,6 @@ class TensorPoly:
         return self._with(self.field.combine(((a + c, b + d), mul(c1, c2))
                                              for (a, b), c1 in self.terms.items()
                                              for (c, d), c2 in other.terms.items()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorPoly)
-            and self.alphabet == other.alphabet
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def map_legs(self, f):
         """Apply an NCPoly -> NCPoly linear map to both tensor legs."""

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from . import linalg
-from .freealgebra import NCPoly, comatrix_alphabet
+from .fields import parse_field
+from .freealgebra import Alphabet, NCPoly, comatrix_alphabet
 from .hopfmodules import act_poly, module_from_R
 from .tensorops import (TensorOp, check_commutative, check_hopf, equation_defect,
                         to_structure_constants)
@@ -66,13 +67,11 @@ class Presentation:
                 }
                 for r in self.relations
             ],
+            "chi_origin": [list(idx) for idx in self.chi_origin],
         }
 
     @classmethod
     def from_json(cls, doc):
-        from .fields import parse_field
-        from .freealgebra import Alphabet
-
         field = parse_field(doc["field"])
         n = doc.get("comatrix_n")
         if n is not None:
@@ -89,6 +88,7 @@ class Presentation:
             relations=relations,
             commutative_closure=doc.get("commutative_closure", False),
             provenance=doc.get("provenance", ""),
+            chi_origin=[tuple(idx) for idx in doc.get("chi_origin", [])],
         )
 
 
@@ -113,9 +113,7 @@ def chi(R: TensorOp):
             c = x[k][l][j][a]
             if c:
                 terms[(i * n + a,)] = neg(c)
-        poly = NCPoly(alphabet, field)
-        poly.terms = terms
-        out[(i, j, k, l)] = poly
+        out[(i, j, k, l)] = NCPoly._from_terms(alphabet, field, terms)
     return out
 
 
@@ -215,45 +213,38 @@ def verify_delta_chi(R: TensorOp) -> bool:
     return True
 
 
-def _hopf_defect(R: TensorOp):
-    return R.field.lower(*equation_defect(R, "hopf"))
+def _matches_defect(R: TensorOp, equation, M):
+    """defect(z (x) m_k (x) m_j) = sum_{r,s} M[r,s,j,k].z (x) m_r (x) m_s for
+    every basis z, k, j, where defect is the lowered lhs - rhs of the equation
+    and M holds n x n matrices keyed (r, s, j, k)."""
+    n = R.n
+    defect = R.field.lower(*equation_defect(R, equation))
+    for t, k, j in product(range(n), repeat=3):
+        col = (t * n + k) * n + j
+        for r, s in product(range(n), repeat=2):
+            mat = M[(r, s, j, k)]
+            for i in range(n):
+                if defect[(i * n + r) * n + s][col] != mat[i][t]:
+                    return False
+    return True
 
 
 def verify_defect_identity(R: TensorOp) -> bool:
     """(R^23 R^13 R^12 - R^12 R^23)(z (x) m_k (x) m_j) =
     sum_{r,s} chi(r,s,j,k).z (x) m_r (x) m_s for every basis z, k, j; any R."""
-    n = R.n
-    defect = _hopf_defect(R)
     data = module_from_R(R)
     memo = {}  # word matrices, shared by the n^4 chi polynomials
-    acted = {idx: act_poly(poly, data, memo) for idx, poly in chi(R).items()}
-    for t, k, j in product(range(n), repeat=3):
-        col = (t * n + k) * n + j
-        for i, r, s in product(range(n), repeat=3):
-            lhs = defect[(i * n + r) * n + s][col]
-            rhs = acted[(r, s, j, k)][i][t]
-            if lhs != rhs:
-                return False
-    return True
+    return _matches_defect(R, "hopf", {idx: act_poly(poly, data, memo)
+                                       for idx, poly in chi(R).items()})
 
 
 def verify_commutator_identity(R: TensorOp) -> bool:
     """(R^12 R^13 - R^13 R^12)(z (x) m_k (x) m_j) =
     sum_{r,s} (c_rk c_sj - c_sj c_rk).z (x) m_r (x) m_s for every z, k, j."""
-    n = R.n
     field = R.field
-    diff = field.lower(*equation_defect(R, "commutative"))
     act = {key: field.lift(mat) for key, mat in module_from_R(R).action.items()}
     mm, sub = linalg.lifted_mul, linalg.lifted_sub
-    brackets = {
-        (r, k, s, j): field.lower(*sub(mm(act[(r, k)], act[(s, j)]), mm(act[(s, j)], act[(r, k)])))
-        for r, k, s, j in product(range(n), repeat=4)
-    }
-    for t, k, j in product(range(n), repeat=3):
-        col = (t * n + k) * n + j
-        for r, s in product(range(n), repeat=2):
-            bracket = brackets[(r, k, s, j)]
-            for i in range(n):
-                if diff[(i * n + r) * n + s][col] != bracket[i][t]:
-                    return False
-    return True
+    return _matches_defect(R, "commutative", {
+        (r, s, j, k): field.lower(*sub(mm(act[(r, k)], act[(s, j)]), mm(act[(s, j)], act[(r, k)])))
+        for r, s, j, k in product(range(R.n), repeat=4)
+    })

@@ -215,9 +215,7 @@ def normal_form(poly, rs):
                 work[nw] = s
             else:
                 work.pop(nw, None)
-    out = NCPoly(poly.alphabet, poly.field)
-    out.terms = done
-    return out
+    return poly._with(done)
 
 
 def _word_images(rs):

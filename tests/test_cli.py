@@ -90,9 +90,9 @@ PINNED_OUTPUTS = [
      "b8990ea6100f4f60553e067816df4a5ee9417dbc318e12a059988ba2a3d57ccd"),
     (("check", "--fixture", "takesaki_c3", "--json"),
      "f8243938dc6faded7399687016b4910347bf5950eb864811d924eb9cb2da16cb"),
-    # recorded before every sparse sum went through Field.combine
+    # re-recorded when the presentation gained its "chi_origin" key, the one change
     (("frt", "--fixture", "crossed_s3", "--force", "--json"),
-     "3769776a7e02fbfc110808392b988f2e66ec93ef7c8b12fe1aef8942cc3a9b2a"),
+     "2bfe986c2a66bef3251b38b1235220ba724492cc7c4ae19c747eff70a6460729"),
     (("frt", "--fixture", "takesaki_c3", "--tables"),
      "ae9379a85f468bacf99dd99389057dc8a803ab4dd372feb46eea9b6bbba43405"),
     (("enumerate", "--n", "2", "--field", "fp:2", "--eq", "hopf", "--dump", "--json"),

@@ -208,3 +208,39 @@ def test_mixed_parents_rejected():
         gen(0, 0) * NCPoly.generator(A3, QQ, 0, 0)
     with pytest.raises(ValueError):
         gen(0, 0, field=QQ) + NCPoly.generator(A2, F5, 0, 0)
+
+
+# -- the shared linear-combination base ----------------------------------------
+
+def test_zero_poly_is_not_a_zero_tensor():
+    assert NCPoly.zero(A2, QQ) == NCPoly.zero(A2, QQ)
+    assert TensorPoly.zero(A2, QQ) == TensorPoly.zero(A2, QQ)
+    assert NCPoly.zero(A2, QQ) != TensorPoly.zero(A2, QQ)
+    assert TensorPoly.zero(A2, QQ) != NCPoly.zero(A2, QQ)
+    p = gen(0, 0)
+    t = TensorPoly.of(p, gen(1, 1))
+    assert p - p != t - t
+
+
+def test_arithmetic_keeps_the_class():
+    t = TensorPoly.of(gen(0, 0), gen(0, 1) + gen(1, 1))
+    for x in (-t, t + t, t - t, t * t):
+        assert type(x) is TensorPoly
+    assert t - t == TensorPoly.zero(A2, QQ) != NCPoly.zero(A2, QQ)
+    p = gen(0, 0) + gen(1, 0).scale(Fraction(3))
+    for x in (-p, p + p, p - p, p * p, p.scale(QQ.zero), p.monic()):
+        assert type(x) is NCPoly
+    assert p - p == NCPoly.zero(A2, QQ) != TensorPoly.zero(A2, QQ)
+
+
+@pytest.mark.parametrize("cls,kept,dropped", [
+    (NCPoly, (1, 2), (0,)),
+    (TensorPoly, ((1,), (2,)), ((0,), ())),
+], ids=["NCPoly", "TensorPoly"])
+def test_constructor_drops_zero_scalars(cls, kept, dropped):
+    x = cls(A2, F5, {dropped: F5.zero, kept: 3})
+    assert x.terms == {kept: 3}
+    assert x + x == cls(A2, F5, {kept: 1})
+    assert cls(A2, F5, {dropped: F5.zero}) == cls.zero(A2, F5)
+    other = TensorPoly if cls is NCPoly else NCPoly
+    assert cls(A2, F5, {dropped: F5.zero}) != other.zero(A2, F5)

@@ -1,12 +1,15 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from hopfeq import bialgebras as B, frt, linalg, rewriting as RW, tensorops as T
 from hopfeq.fields import QQ, parse_field
+from hopfeq.fixtures import build_fixture
 from hopfeq.freealgebra import NCPoly, TensorPoly, comatrix_alphabet
 from hopfeq.hopfmodules import act_poly, module_from_R
 
@@ -350,8 +353,36 @@ def test_frt_presentations_pass_coideal():
 
 def test_presentation_json_round_trip():
     pres = frt.frt_presentation(B.char2_matrix(F2))
-    doc = pres.to_json()
+    doc = json.loads(json.dumps(pres.to_json()))
     back = frt.Presentation.from_json(doc)
     assert back.relations == pres.relations
     assert back.commutative_closure == pres.commutative_closure
     assert back.alphabet == pres.alphabet
+    assert len(pres.chi_origin) == 16
+    assert back.chi_origin == pres.chi_origin
+    assert all(type(idx) is tuple for idx in back.chi_origin)
+    del doc["chi_origin"]  # a document written without the key reads as no origins
+    assert frt.Presentation.from_json(doc).chi_origin == []
+
+
+# fixture ids; those ending in ":" take a scalar parameter
+ROUND_TRIP_FIXTURES = ("identity:1", "identity:2", "r_q:", "r_q_prime:", "r_q_dblprime:",
+                       "char2", "classical_yb:", "graded_c2", "takesaki_c2", "takesaki_c3",
+                       "galois_c2", "galois_c3")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_presentation_json_round_trip_property(data):
+    field = parse_field(data.draw(st.sampled_from(("q", "fp:2", "fp:3", "fp:5", "fp:7"))))
+    fixture_id = data.draw(st.sampled_from(ROUND_TRIP_FIXTURES))
+    if fixture_id.endswith(":"):
+        q = data.draw(st.integers(-3, 3))
+        assume(field.parse_scalar(str(q)) or fixture_id != "classical_yb:")  # needs q != 0
+        fixture_id += str(q)
+    make = data.draw(st.sampled_from((frt.frt_presentation, frt.frt_commutative)))
+    pres = make(build_fixture(fixture_id, field), force=True)
+    doc = json.loads(json.dumps(pres.to_json()))
+    back = frt.Presentation.from_json(doc)
+    assert back == pres
+    assert back.to_json() == doc
