@@ -65,6 +65,7 @@ from .hopfmodules import (
     check_hopf_compat,
     induced_R,
     module_from_R,
+    obstructions,
     regular_hopf_module,
     verify_morphism,
 )

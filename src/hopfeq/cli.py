@@ -211,6 +211,8 @@ def cmd_verify(args):
 
 
 def cmd_enumerate(args):
+    if args.cap < 1:
+        raise CliInputError(f"--cap must be >= 1, got {args.cap}")
     field = parse_field(args.field)
     solutions = tensorops.enumerate_solutions(args.n, field, which=args.eq, cap=args.cap)
     table = {}

@@ -8,7 +8,8 @@ With structure constants R(m_v (x) m_u) = sum x[u][v][j][i] m_i (x) m_j,
     chi(i,j,k,l) = sum_{u,v} x[u][v][j][i] c_{uk} c_{vl}
                    - sum_{a} x[k][l][j][a] c_{ia},
 
-indices 0-based internally, listed in lexicographic (i,j,k,l) order.
+indices 0-based internally, listed in lexicographic (i,j,k,l) order. ``chi`` is
+``hopfmodules.obstructions`` of ``module_from_R(R)``, where (c_ju.m_v)_i = x[u][v][j][i].
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from itertools import product
 from . import linalg
 from .fields import parse_field
 from .freealgebra import Alphabet, NCPoly, comatrix_alphabet
-from .hopfmodules import act_poly, module_from_R
-from .tensorops import (TensorOp, check_commutative, check_hopf, equation_defect,
-                        to_structure_constants)
+from .hopfmodules import act_poly, module_from_R, obstructions
+from .tensorops import TensorOp, check_commutative, check_hopf, equation_defect
 
 
 class NotHopfSolutionError(ValueError):
@@ -93,28 +93,8 @@ class Presentation:
 
 
 def chi(R: TensorOp):
-    """All n^4 obstruction polynomials, keyed by (i,j,k,l); zeros included."""
-    n = R.n
-    field = R.field
-    alphabet = comatrix_alphabet(n)
-    x = to_structure_constants(R)
-    neg = field.neg
-    out = {}
-    for i, j, k, l in product(range(n), repeat=4):
-        # the quadratic words (u*n+k, v*n+l) differ for different (u, v) and
-        # the linear words (i*n+a,) for different a, so no two terms meet
-        terms = {}
-        for u in range(n):
-            for v in range(n):
-                c = x[u][v][j][i]
-                if c:
-                    terms[(u * n + k, v * n + l)] = c
-        for a in range(n):
-            c = x[k][l][j][a]
-            if c:
-                terms[(i * n + a,)] = neg(c)
-        out[(i, j, k, l)] = NCPoly._from_terms(alphabet, field, terms)
-    return out
+    """The n^4 obstructions of ``module_from_R(R)``, keyed by (i,j,k,l); zeros included."""
+    return obstructions(module_from_R(R))
 
 
 def chi_relations(R: TensorOp, extra=()):
@@ -235,7 +215,7 @@ def verify_defect_identity(R: TensorOp) -> bool:
     data = module_from_R(R)
     memo = {}  # word matrices, shared by the n^4 chi polynomials
     return _matches_defect(R, "hopf", {idx: act_poly(poly, data, memo)
-                                       for idx, poly in chi(R).items()})
+                                       for idx, poly in obstructions(data).items()})
 
 
 def verify_commutator_identity(R: TensorOp) -> bool:

@@ -1,6 +1,7 @@
 """Module/comodule structures on V over a presented bialgebra or a structure
 bialgebra: the multiplicative action extension, the comatrix coaction, the
-Hopf compatibility check, the induced operator
+obstructions chi read off the action, the Hopf compatibility check (every
+chi reduces to zero), the induced operator
 R(m (x) n) = sum n_<1>.m (x) n_<0>, annihilation checks and the universal
 property of B(R).
 
@@ -24,7 +25,7 @@ from . import linalg
 from .bialgebras import _sparse
 from .freealgebra import NCPoly, comatrix_alphabet
 from .rewriting import normal_form
-from .tensorops import TensorOp, to_structure_constants
+from .tensorops import TensorOp
 
 
 @dataclass
@@ -49,16 +50,39 @@ class HopfModuleData:
 
 
 def module_from_R(R: TensorOp) -> HopfModuleData:
-    """Read the action off the structure constants: c_ju . m_v = sum_i
-    x[u][v][j][i] m_i; coaction is the comatrix assignment."""
-    n = R.n
-    x = to_structure_constants(R)
+    """Read the action off R.entries through the index map that ``induced_R``
+    inverts: (c_ju . m_v)_i = entries[i*n+j][v*n+u]; coaction is the
+    comatrix assignment."""
+    n, ent = R.n, R.entries
     action = {
-        (j, u): [[x[u][v][j][i] for v in range(n)] for i in range(n)]
+        (j, u): [[ent[i * n + j][v * n + u] for v in range(n)] for i in range(n)]
         for j in range(n)
         for u in range(n)
     }
     return HopfModuleData(n=n, field=R.field, action=action)
+
+
+def obstructions(data: HopfModuleData) -> dict:
+    """All n^4 obstruction polynomials of the module, keyed by (i,j,k,l) in
+    lexicographic order, zeros included: chi(i,j,k,l) =
+    sum_{u,v} (c_ju . m_v)_i c_uk c_vl - sum_a (c_jk . m_l)_a c_ia."""
+    n, field, V = data.n, data.field, range(data.n)
+    alphabet, neg = comatrix_alphabet(n), field.neg
+    mats = [[data.action[(j, u)] for u in V] for j in V]
+    out = {}
+    for i, j, k, l in product(V, repeat=4):
+        # the quadratic words differ for different (u, v) and the linear
+        # words for different a, so no two terms meet
+        terms = {}
+        for u in V:
+            for v, c in enumerate(mats[j][u][i]):
+                if c:
+                    terms[(u * n + k, v * n + l)] = c
+        for a, row in enumerate(mats[j][k]):
+            if row[l]:
+                terms[(i * n + a,)] = neg(row[l])
+        out[(i, j, k, l)] = NCPoly._from_terms(alphabet, field, terms)
+    return out
 
 
 def act_word(w, data: HopfModuleData, memo=None):
@@ -126,23 +150,12 @@ def check_annihilation(pres, data: HopfModuleData) -> bool:
 
 
 def check_hopf_compat(data: HopfModuleData, rs) -> bool:
-    """Hopf compatibility rho(h.m) = sum h_(1).m_<0> (x) h_(2) m_<1> checked
-    for every generator h = c_jk and basis vector m_l, with the second tensor
-    legs reduced to normal form in B = T(C)/I (equality in T(C) is generally
-    false; the defect is exactly sum_i m_i (x) chi(i,j,k,l))."""
-    n, field = data.n, data.field
-    alphabet = comatrix_alphabet(n)
-    for j, k in product(range(n), repeat=2):
-        A = data.action[(j, k)]
-        for l, w in product(range(n), repeat=2):
-            # rho(c_jk . m_l) at m_w against sum_{u,v} (c_ju . m_v)_w c_uk c_vl;
-            # the words of each side are distinct and NCPoly drops zero terms
-            lhs = NCPoly(alphabet, field, {(w * n + i,): A[i][l] for i in range(n)})
-            rhs = NCPoly(alphabet, field, {(u * n + k, v * n + l): data.action[(j, u)][w][v]
-                                           for u, v in product(range(n), repeat=2)})
-            if normal_form(lhs, rs) != normal_form(rhs, rs):
-                return False
-    return True
+    """Hopf compatibility rho(h.m) = sum h_(1).m_<0> (x) h_(2) m_<1> for every
+    generator h = c_jk and basis vector m_l, second legs in B = T(C)/I. At
+    m_w the right side minus the left is chi(w,j,k,l), nonzero in T(C) in
+    general; ``normal_form`` is linear, so the law holds iff every
+    obstruction has normal form zero."""
+    return not any(normal_form(p, rs) for p in obstructions(data).values())
 
 
 @dataclass

@@ -321,9 +321,10 @@ def complete(relations, max_degree=8, alphabet=None, field=None):
             if any(_has_factor(t, new.lhs) for t in r.tail.terms):
                 r.tail = normal_form(r.tail, work)
         # only rules that overlap new can form an ambiguity with it; rank
-        # order keeps the queue in the order of a pass over the rule list
+        # order keeps the queue in the order of a pass over the rule list,
+        # and a self-overlap of new is one pair, not two
         for r in index.overlapping(new.lhs):
-            for pair in (new, r), (r, new):
+            for pair in ((new, r), (r, new)) if r is not new else ((new, new),):
                 for amb, spoly in _proper_overlaps(*pair):
                     if len(amb) > max_degree:
                         capped = True

@@ -3,8 +3,9 @@ matrix arithmetic, the scalar form of the Hopf equation, direct expansions
 of the obstruction formula, brute-force enumeration of solutions over F_p,
 normal forms by a scan of the whole rule list, completion that pairs every
 two rules, irreducible words by listing them, the coideal check relation by
-relation, the bialgebra and Hopf module checks on dense vectors, and the
-Takesaki and Galois maps by loops over the dense tables.
+relation, Hopf compatibility over a presented quotient side by side, the
+bialgebra and Hopf module checks on dense vectors, and the Takesaki and
+Galois maps by loops over the dense tables.
 Deliberately written without the package's production shortcuts."""
 
 from itertools import product
@@ -532,6 +533,27 @@ def per_relation_coideal(pres, rs):
         return normal_form(p, rs)
 
     return all(r.delta().map_legs(nf).is_zero() for r in pres.relations)
+
+
+def two_sided_hopf_compat(data, rs):
+    """Hopf compatibility over a presented quotient, side by side: for every
+    generator c_jk, basis vector m_l and coordinate m_w, the second legs
+    rho(c_jk . m_l) = sum_i (c_jk . m_l)_i c_wi and
+    sum_{u,v} (c_ju . m_v)_w c_uk c_vl are put in normal form under rs apart
+    and compared, 2 n^4 normal forms in all."""
+    from hopfeq.freealgebra import NCPoly, comatrix_alphabet
+    from hopfeq.rewriting import normal_form
+
+    n, field = data.n, data.field
+    alphabet = comatrix_alphabet(n)
+    for j, k, l, w in product(range(n), repeat=4):
+        lhs = NCPoly(alphabet, field, {(w * n + i,): data.action[(j, k)][i][l]
+                                       for i in range(n)})
+        rhs = NCPoly(alphabet, field, {(u * n + k, v * n + l): data.action[(j, u)][w][v]
+                                       for u, v in product(range(n), repeat=2)})
+        if normal_form(lhs, rs) != normal_form(rhs, rs):
+            return False
+    return True
 
 
 def _dense_bialgebra_ops(H):

@@ -270,6 +270,12 @@ def test_enumerate_n_below_one_exits_2(capsys):
     assert code == 2 and "n must be >= 1" in err and not out
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_enumerate_cap_below_one_exits_2(capsys, cap):
+    code, out, err = run(capsys, "enumerate", "--n", "2", "--field", "fp:2", "--cap", cap)
+    assert code == 2 and "--cap" in err and not out
+
+
 def test_enumerate_bad_field_exit_3(capsys):
     code, _, _ = run(capsys, "enumerate", "--n", "1", "--field", "fp:9",
                      "--eq", "hopf")

@@ -16,6 +16,7 @@ from hopfeq.hopfmodules import act_poly, module_from_R
 F2 = parse_field("fp:2")
 F3 = parse_field("fp:3")
 F5 = parse_field("fp:5")
+F7 = parse_field("fp:7")
 A2 = comatrix_alphabet(2)
 
 
@@ -25,13 +26,32 @@ def gen(i, j, field=QQ, alphabet=A2):
 
 # -- chi -------------------------------------------------------------------
 
+def assert_chi_matches_expansion_oracle(R):
+    # the same terms in the same insertion order: quadratic words in (u, v)
+    # order, then linear words in a order
+    indexed = frt.chi(R)
+    assert list(indexed) == list(product(range(R.n), repeat=4))
+    for idx in indexed:
+        assert list(indexed[idx].terms.items()) == \
+            list(oracles.obstruction_terms(R, *idx).items())
+
+
 def test_chi_matches_expansion_oracle_random():
     rng = random.Random(41)
-    for field, n in ((F5, 2), (QQ, 2), (F3, 3)):
-        R = T.random_tensorop(n, field, rng)
-        indexed = frt.chi(R)
-        for idx in indexed:
-            assert indexed[idx].terms == oracles.obstruction_terms(R, *idx)
+    for field, n in ((F5, 2), (QQ, 2), (F3, 3), (F2, 1), (QQ, 1)):
+        assert_chi_matches_expansion_oracle(T.random_tensorop(n, field, rng))
+
+
+CHI_FIXTURES = [
+    ("identity:1", QQ), ("identity:2", F5), ("r_q:2", QQ), ("r_q_prime:1", QQ),
+    ("r_q_dblprime:1", F3), ("char2", F2), ("classical_yb:2", QQ), ("graded_c2", QQ),
+    ("crossed_s3", QQ), ("takesaki_c3", QQ), ("galois_c3", F7),
+]
+
+
+@pytest.mark.parametrize("fid,field", CHI_FIXTURES, ids=[fid for fid, _ in CHI_FIXTURES])
+def test_chi_matches_expansion_oracle_fixtures(fid, field):
+    assert_chi_matches_expansion_oracle(build_fixture(fid, field))
 
 
 def test_chi_for_identity_formula():

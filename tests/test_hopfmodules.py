@@ -2,6 +2,7 @@ import copy
 import functools
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -50,6 +51,18 @@ def test_rq_action_constants():
     assert data.action[(0, 1)][0][1] == -q * q
     # c21 acts as zero for every q
     assert data.action[(1, 0)] == linalg.zeros(QQ, 2, 2)
+
+
+def test_action_is_read_off_the_structure_constants():
+    # (c_ju . m_v)_i = x[u][v][j][i], read off R.entries without the array
+    rng = random.Random(60)
+    ops = [build_fixture(fid, field) for fid, field in HOPF_FIXTURES + [("crossed_s3", QQ)]]
+    ops += [T.random_tensorop(n, field, rng) for field in (F2, F3, QQ) for n in (1, 2, 3)]
+    for R in ops:
+        x = oracles.structure_constants(R)
+        action = HM.module_from_R(R).action
+        assert all(action[(j, u)][i][v] == x[u][v][j][i]
+                   for j, u, i, v in product(range(R.n), repeat=4))
 
 
 def test_act_word_homomorphism():
@@ -133,6 +146,24 @@ def test_chi_annihilates_for_char2():
     assert all(HM.act_poly(p, data) == zero for p in frt.chi(R).values())
 
 
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_obstructions_of_a_changed_action_are_chi_of_its_induced_R(field):
+    # the obstructions are read off any action: changing one entry gives the
+    # chi of the operator that the changed action induces, term order and all
+    rng = random.Random(63)
+    for n in (1, 2, 3):
+        R = T.random_tensorop(n, field, rng)
+        data = HM.module_from_R(R)
+        mat = data.action[(rng.randrange(n), rng.randrange(n))]
+        i, v = rng.randrange(n), rng.randrange(n)
+        mat[i][v] = field.add(mat[i][v], field.one)
+        got = HM.obstructions(data)
+        want = frt.chi(HM.induced_R(data))
+        assert [(k, list(p.terms.items())) for k, p in got.items()] == \
+            [(k, list(p.terms.items())) for k, p in want.items()]
+        assert got != frt.chi(R)
+
+
 # -- induced operator -----------------------------------------------------------
 
 def test_induced_round_trip_fixtures():
@@ -160,14 +191,26 @@ def test_takesaki_equals_regular_module_induction():
 
 # -- compatibility and annihilation ------------------------------------------------
 
-@pytest.mark.parametrize("fid,field", [("char2", F2), ("r_q:0", QQ)],
-                         ids=["char2", "r_q0"])
-def test_hopf_compat_on_presented_quotients(fid, field):
+def compat_case(fid, field, max_degree=8, force=False):
     R = build_fixture(fid, field)
-    pres = frt.frt_presentation(R)
-    rs = RW.complete(pres.relations, 8)
-    data = HM.module_from_R(R)
+    pres = frt.frt_presentation(R, force=force)
+    rs = RW.complete(pres.relations, max_degree, pres.alphabet, pres.field)
+    return HM.module_from_R(R), rs
+
+
+@pytest.mark.parametrize("fid,field,max_degree,force,status", [
+    ("char2", F2, 8, False, "complete"),
+    ("r_q:0", QQ, 8, False, "complete"),
+    ("takesaki_c3", QQ, 8, False, "complete"),
+    ("crossed_s3", QQ, 8, True, "complete"),
+    ("r_q:1", QQ, 3, False, "capped"),
+], ids=["char2", "r_q0", "takesaki_c3", "crossed_s3", "r_q1-capped"])
+def test_hopf_compat_on_presented_quotients(fid, field, max_degree, force, status):
+    # one normal form per obstruction against two per coordinate, side by side
+    data, rs = compat_case(fid, field, max_degree, force)
+    assert rs.status == status
     assert HM.check_hopf_compat(data, rs)
+    assert oracles.two_sided_hopf_compat(data, rs)
 
 
 def test_hopf_compat_detects_corruption():
@@ -177,6 +220,39 @@ def test_hopf_compat_detects_corruption():
     data = HM.module_from_R(R)
     data.action[(0, 0)] = [[F2.one, F2.one], [F2.zero, F2.one]]
     assert not HM.check_hopf_compat(data, rs)
+
+
+@pytest.mark.parametrize("fid,field,rejected", [
+    ("char2", F2, 16),
+    ("takesaki_c2", F3, 16),
+    ("graded_c2", QQ, 16),
+    ("r_q:0", QQ, 14),  # its 3 rules leave room for two of the changes
+], ids=["char2-F2", "takesaki_c2-F3", "graded_c2-Q", "r_q0-Q"])
+def test_hopf_compat_on_one_entry_action_changes(fid, field, rejected):
+    data, rs = compat_case(fid, field)
+    n = data.n
+    verdicts = []
+    for j, u, i, v in product(range(n), repeat=4):
+        changed = copy.deepcopy(data)
+        mat = changed.action[(j, u)]
+        mat[i][v] = field.add(mat[i][v], field.one)
+        verdict = HM.check_hopf_compat(changed, rs)
+        assert verdict is oracles.two_sided_hopf_compat(changed, rs), (j, u, i, v)
+        verdicts.append(verdict)
+    assert verdicts.count(False) == rejected
+
+
+def test_hopf_compat_takes_one_normal_form_per_obstruction(monkeypatch):
+    data, rs = compat_case("takesaki_c3", QQ)
+    calls = []
+
+    def counted(p, rs):
+        calls.append(p)
+        return RW.normal_form(p, rs)
+
+    monkeypatch.setattr(HM, "normal_form", counted)
+    assert HM.check_hopf_compat(data, rs)
+    assert len(calls) == data.n ** 4
 
 
 def test_annihilation_claims():

@@ -214,6 +214,24 @@ def test_overlap_index_matches_pairwise_scan(k):
         assert index.overlapping(w) == want, name
 
 
+def test_completion_pairs_each_self_overlap_once(monkeypatch):
+    # a new rule is in the index when its overlaps are looked up, so it finds
+    # itself; (new, new) must go to _proper_overlaps once, not once per order
+    self_pairs = []  # the rules themselves, kept alive so their ids stay apart
+    proper_overlaps = RW._proper_overlaps
+
+    def recording(r1, r2):
+        if r1 is r2:
+            self_pairs.append(r1)
+        return proper_overlaps(r1, r2)
+
+    monkeypatch.setattr(RW, "_proper_overlaps", recording)
+    rels, _ = frt.chi_relations(B.char2_matrix(F2))
+    RW.complete(rels, 8)
+    assert self_pairs
+    assert len({id(r) for r in self_pairs}) == len(self_pairs)
+
+
 def pipeline_doc(R):
     """Rule list, status, dimension report and quotient tables of B(R)."""
     pres = frt.frt_presentation(R)
