@@ -81,6 +81,9 @@ class Field:
     def __repr__(self):
         return f"Field({self.descriptor!r})"
 
+    def render(self, a) -> str:
+        return str(a)
+
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
@@ -149,9 +152,6 @@ class Rationals(Field):
     def scalar_to_json(self, a):
         return str(a)
 
-    def render(self, a) -> str:
-        return str(a)
-
     def random(self, rng):
         return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
 
@@ -207,9 +207,6 @@ class PrimeField(Field):
 
     def scalar_to_json(self, a):
         return a
-
-    def render(self, a) -> str:
-        return str(a)
 
     def random(self, rng):
         return rng.randrange(self.p)

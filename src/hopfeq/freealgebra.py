@@ -43,6 +43,32 @@ def render_word(w, names):
     return "*".join(names[k] for k in w) if w else "1"
 
 
+def word_products(letter, mul, memo):
+    """The multiplicative extension of letter k -> letter(k): a function from
+    a word to the product of its letter images, associated from the left.
+
+    memo maps words to their images and keeps every prefix and every letter
+    met, so a word costs one ``mul`` per prefix not yet in memo; a one-letter
+    word is its letter image, with no ``mul``. Seed memo[()] with the image
+    of the empty word to allow that word.
+    """
+    # a loop, not recursion: a closure that calls itself is a reference
+    # cycle, and long words would exhaust the stack
+    def product(word):
+        value = memo.get(word)
+        if value is not None:
+            return value
+        for end in range(1, len(word) + 1):
+            prefix, last = word[:end], word[end - 1:end]
+            if last not in memo:
+                memo[last] = letter(last[0])
+            if prefix not in memo:
+                memo[prefix] = mul(memo[prefix[:-1]], memo[last])
+        return memo[word]
+
+    return product
+
+
 class _LinearCombination:
     """A sparse linear combination: a dict from keys to nonzero scalars of
     one field, over one alphabet. The subclass fixes what a key is and how
@@ -195,15 +221,11 @@ class NCPoly(_LinearCombination):
         if len(images) != len(self.alphabet):
             raise ValueError("need one image per letter")
         target = images[0]
-
-        def image(w, c):  # the terms of c times the product of the letter images
-            acc = NCPoly.scalar(target.alphabet, target.field, c)
-            for k in w:
-                acc = acc * images[k]
-            return acc.terms.items()
-
-        return target._with(target.field.combine(
-            chain.from_iterable(image(w, c) for w, c in self.terms.items())))
+        field, mul = target.field, target.field.mul
+        image = word_products(images.__getitem__, NCPoly.__mul__,
+                              {(): NCPoly.one(target.alphabet, field)})
+        return target._with(field.combine((u, mul(c, x)) for w, c in self.terms.items()
+                                          for u, x in image(w).terms.items()))
 
     # -- comatrix coalgebra ----------------------------------------------
     def delta(self) -> "TensorPoly":

@@ -23,7 +23,7 @@ from math import lcm
 
 from . import linalg
 from .bialgebras import _sparse
-from .freealgebra import NCPoly, comatrix_alphabet
+from .freealgebra import NCPoly, comatrix_alphabet, word_products
 from .rewriting import normal_form
 from .tensorops import TensorOp
 
@@ -94,42 +94,37 @@ def act_word(w, data: HopfModuleData, memo=None):
     prefix, and its ints grow with its length only. The returned matrix is
     lowered afresh on each call.
     """
-    return data.field.lower(*_act_word(w, data, {} if memo is None else memo))
+    return data.field.lower(*_word_matrices(data, memo)(w))
 
 
-def _act_word(w, data, memo):
-    mat = memo.get(w)
-    if mat is None:
-        field = data.field
-        if len(w) > 1:
-            mat = linalg.lifted_mul(_act_word(w[:-1], data, memo),
-                                    _act_word(w[-1:], data, memo))
-        elif w:
-            mat = field.lift(data.action[divmod(w[0], data.n)])
-        else:
-            mat = field.lift(linalg.identity(field, data.n))
-        memo[w] = mat
-    return mat
+def _word_matrices(data, memo):
+    """``freealgebra.word_products`` over the lifted action matrices, on
+    memo (a fresh dict for None) with the lifted identity as the empty word."""
+    field, n = data.field, data.n
+    memo = {} if memo is None else memo
+    if () not in memo:
+        memo[()] = field.lift(linalg.identity(field, n))
+    return word_products(lambda k: field.lift(data.action[divmod(k, n)]),
+                         linalg.lifted_mul, memo)
 
 
-def _combine(field, n, coeffs, stacked):
-    """sum_t coeffs[t] M_t over n x n matrices, lowered once: the lifted
-    coefficient row times ``stacked``, the lifted matrix whose row t is M_t
-    flattened, in one ``linalg.lifted_mul``."""
+def _combine(field, n, coeffs, mats):
+    """sum_t coeffs[t] M_t over the lifted n x n matrices mats, lowered once:
+    the lifted coefficient row times the matrix whose row t is M_t flattened
+    over the lcm of their denominators, in one ``linalg.lifted_mul``."""
     if not coeffs:
         return linalg.zeros(field, n, n)
-    flat = field.lower(*linalg.lifted_mul(field.lift([coeffs]), stacked))[0]
+    d = lcm(*(e for _, e in mats))
+    stacked = [[x * (d // e) for row in ints for x in row] for ints, e in mats]
+    flat = field.lower(*linalg.lifted_mul(field.lift([coeffs]), (stacked, d)))[0]
     return [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
 def act_poly(p, data: HopfModuleData, memo=None):
     """Matrix of a polynomial acting on V, the coefficient-weighted sum of its
     word matrices; memo as for ``act_word``."""
-    memo = {} if memo is None else memo
-    mats = [_act_word(w, data, memo) for w in p.terms]
-    d = lcm(*(e for _, e in mats))
-    stacked = [[x * (d // e) for row in ints for x in row] for ints, e in mats]
-    return _combine(data.field, data.n, list(p.terms.values()), (stacked, d))
+    word = _word_matrices(data, memo)
+    return _combine(data.field, data.n, list(p.terms.values()), [word(w) for w in p.terms])
 
 
 def induced_R(data) -> TensorOp:
@@ -172,9 +167,10 @@ class BialgebraHopfModule:
 
     def act(self, hvec):
         """The matrix by which the element hvec of H acts on V."""
-        terms = [(c, self.basis_action[t]) for t, c in enumerate(hvec) if c]
-        stacked = self.field.lift([[x for row in m for x in row] for _, m in terms])
-        return _combine(self.field, self.n, [c for c, _ in terms], stacked)
+        field = self.field
+        terms = [t for t, c in enumerate(hvec) if c]
+        return _combine(field, self.n, [hvec[t] for t in terms],
+                        [field.lift(self.basis_action[t]) for t in terms])
 
     @property
     def action(self):
@@ -238,14 +234,7 @@ def verify_morphism(source, target, target_data: BialgebraHopfModule, assignment
 
     # (a) relations map to zero; a word's image is its longest prefix's image
     # times one generator image
-    images = {(): target.unit}
-
-    def image(w):
-        vec = images.get(w)
-        if vec is None:
-            vec = images[w] = target.multiply(image(w[:-1]), gens[w[-1]])
-        return vec
-
+    image = word_products(gens.__getitem__, target.multiply, {(): target.unit})
     for r in source.relations:
         if total((s, mul(c, x)) for w, c in r.terms.items()
                  for s, x in enumerate(image(w)) if x):

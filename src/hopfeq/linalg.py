@@ -8,8 +8,8 @@ in ints from end to end, and only the matrix that leaves the chain is
 lowered, each entry normalised once (``Field.lower``: one ``Fraction`` over
 the rationals, one reduction mod p over F_p). ``mat_mul`` and ``mat_sub``
 are the one-step chains. Lifted ints are never reduced by a gcd or mod p, so
-every chain in the package has a bounded length: at most three legs, or one
-word of bounded length. Products skip zero entries, so the permutation-like
+their size grows with the length of the chain: at most three legs, or the
+letters of one word. Products skip zero entries, so the permutation-like
 operators this package produces (Takesaki/Galois maps, graded solutions)
 stay cheap even at dimension n^3 on V (x) V (x) V. Zero tests are by
 truthiness (see ``fields``).

@@ -510,7 +510,7 @@ def quotient_bialgebra(pres, rs, max_len=12):
 class EquivalenceReport:
     forward_annihilates: bool
     backward_annihilates: bool
-    roundtrip_ok: bool | None
+    roundtrip_ok: bool
     undecided: bool
     degree_bounded: bool
     max_degree: int
@@ -521,7 +521,7 @@ class EquivalenceReport:
             not self.undecided
             and self.forward_annihilates
             and self.backward_annihilates
-            and self.roundtrip_ok is not False
+            and self.roundtrip_ok
         )
 
     @property
@@ -533,12 +533,12 @@ class EquivalenceReport:
         return None
 
 
-def presentations_equivalent(p1, p2, forward, backward, max_degree=6, check_roundtrip=True):
+def presentations_equivalent(p1, p2, forward, backward, max_degree=6):
     """Degree-bounded bidirectional equivalence under the given substitutions.
 
     forward maps each letter of p1's alphabet into p2's algebra, backward the
-    other way. Both relation lists must map to normal form zero; optionally
-    the two composites must fix every generator modulo the ideals.
+    other way. Both relation lists must map to normal form zero, and the two
+    composites must fix every generator modulo the ideals.
     """
     rs1 = complete(p1.relations, max_degree, p1.alphabet, p1.field)
     rs2 = complete(p2.relations, max_degree, p2.alphabet, p2.field)
@@ -558,18 +558,16 @@ def presentations_equivalent(p1, p2, forward, backward, max_degree=6, check_roun
 
     fwd = annihilates(p1.relations, forward, rs2)
     bwd = annihilates(p2.relations, backward, rs1)
-    roundtrip = None
-    if check_roundtrip:
-        roundtrip = True
-        for p, there, back_again, rs in (p1, forward, backward, rs1), (p2, backward, forward, rs2):
-            for k in range(len(p.alphabet)):
-                g = NCPoly.letter(p.alphabet, p.field, k)
-                back = there[k].substitute(back_again)
-                if back.degree() > max_degree:
-                    undecided = True
-                    continue
-                if normal_form(back, rs) != normal_form(g, rs):
-                    roundtrip = False
+    roundtrip = True
+    for p, there, back_again, rs in (p1, forward, backward, rs1), (p2, backward, forward, rs2):
+        for k in range(len(p.alphabet)):
+            g = NCPoly.letter(p.alphabet, p.field, k)
+            back = there[k].substitute(back_again)
+            if back.degree() > max_degree:
+                undecided = True
+                continue
+            if normal_form(back, rs) != normal_form(g, rs):
+                roundtrip = False
     return EquivalenceReport(
         forward_annihilates=fwd,
         backward_annihilates=bwd,

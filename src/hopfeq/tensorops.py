@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from . import kernels, linalg
 from .fields import Field, FieldError, PrimeField, parse_field
+from .freealgebra import word_products
 
 
 class CapExceededError(RuntimeError):
@@ -111,24 +112,12 @@ def leg(R: TensorOp, which: int):
 def leg_products(R: TensorOp):
     """A function from a tuple of legs, e.g. (23, 13, 12), to their product
     R^23 R^13 R^12 as a lifted matrix (ints, d) (see ``linalg``), associated
-    from the left. It lifts each leg and builds each prefix product once, so
-    the sides of several equations share them; a product has at most three
-    legs, which bounds the size of its ints."""
+    from the left (``freealgebra.word_products``). It lifts each leg and
+    builds each prefix product once, so the sides of several equations share
+    them; a product has at most three legs, which bounds the size of its
+    ints."""
     field = R.field
-    memo = {}
-
-    # a loop, not recursion: a closure that calls itself is a reference
-    # cycle, and memo would then wait for the cyclic collector
-    def product(legs):
-        for end in range(1, len(legs) + 1):
-            prefix, last = legs[:end], legs[end - 1:end]
-            if last not in memo:
-                memo[last] = field.lift(leg(R, last[0]))
-            if prefix not in memo:
-                memo[prefix] = linalg.lifted_mul(memo[prefix[:-1]], memo[last])
-        return memo[legs]
-
-    return product
+    return word_products(lambda which: field.lift(leg(R, which)), linalg.lifted_mul, {})
 
 
 def equation_defect(R: TensorOp, name: str, product=None):
@@ -136,13 +125,6 @@ def equation_defect(R: TensorOp, name: str, product=None):
     matrix; pass one ``leg_products(R)`` to share products."""
     product = product or leg_products(R)
     return linalg.lifted_sub(*(product(side) for side in kernels.EQUATIONS[name]))
-
-
-def equation_sides(R: TensorOp, name: str, product=None):
-    """Both sides of the named equation as matrices over R's field, each
-    lowered from its lifted product; ``product`` as for ``equation_defect``."""
-    product = product or leg_products(R)
-    return tuple(R.field.lower(*product(side)) for side in kernels.EQUATIONS[name])
 
 
 def _equation_holds(R: TensorOp, name: str, product=None) -> bool:

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from hopfeq import linalg
 from hopfeq.fields import QQ, parse_field
 from hopfeq.freealgebra import (NCPoly, TensorPoly, comatrix_alphabet, free_alphabet,
-                                render_word)
+                                render_word, word_products)
 
 F5 = parse_field("fp:5")
 A2 = comatrix_alphabet(2)
@@ -170,6 +174,58 @@ def test_substitute_is_an_algebra_map():
         p = random_poly(A2, QQ, rng, 2, 3)
         q = random_poly(A2, QQ, rng, 2, 3)
         assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_word_products_is_a_left_fold(data):
+    # letter images are lifted matrices over F_5 or Q, or polynomials; the
+    # products must equal a naive left fold, with one mul per new prefix of
+    # length >= 2 and one letter call per new letter
+    kind = data.draw(st.sampled_from(["fp:5", "q", "ncpoly"]), label="kind")
+    letters = data.draw(st.integers(1, 3), label="letters")
+    field = QQ if kind == "ncpoly" else parse_field(kind)
+    scalar = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)) if field is QQ \
+        else st.integers(0, field.p - 1)
+    if kind == "ncpoly":
+        AB = free_alphabet("A", "B")
+        words = st.lists(st.integers(0, 1), max_size=2).map(tuple)
+        images = [NCPoly(AB, field, data.draw(st.dictionaries(words, scalar, max_size=3)))
+                  for _ in range(letters)]
+        one, times = NCPoly.one(AB, field), NCPoly.__mul__
+        letter, lower, fold = images.__getitem__, lambda x: x, times
+    else:
+        n = data.draw(st.integers(1, 2), label="n")
+        images = [[[data.draw(scalar) for _ in range(n)] for _ in range(n)]
+                  for _ in range(letters)]
+        one, times = field.lift(oracles.identity(field, n)), linalg.lifted_mul
+        letter = lambda k: field.lift(images[k])
+        lower = lambda m: field.lower(*m)
+        fold = lambda a, b: oracles.naive_mat_mul(field, a, b)
+    calls = {"mul": 0, "letter": 0}
+
+    def counted_mul(a, b):
+        calls["mul"] += 1
+        return times(a, b)
+
+    def counted_letter(k):
+        calls["letter"] += 1
+        return letter(k)
+
+    memo = {(): one}
+    product = word_products(counted_letter, counted_mul, memo)
+    word = st.lists(st.integers(0, letters - 1), max_size=6).map(tuple)
+    for w in data.draw(st.lists(word, max_size=8), label="words"):
+        new_prefixes = sum(w[:end] not in memo for end in range(2, len(w) + 1))
+        new_letters = len({(k,) for k in w} - set(memo))
+        before = dict(calls)
+        got = product(w)
+        assert calls["mul"] - before["mul"] == new_prefixes
+        assert calls["letter"] - before["letter"] == new_letters
+        assert all(w[:end] in memo for end in range(len(w) + 1))
+        assert lower(got) == reduce(fold, [images[k] for k in w], lower(one))
+        after = dict(calls)
+        assert product(w) is got and calls == after  # a memo hit multiplies nothing
 
 
 def test_render_generators():

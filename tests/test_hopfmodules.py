@@ -1,5 +1,6 @@
 import copy
 import functools
+import gc
 import random
 from fractions import Fraction
 from itertools import product
@@ -114,6 +115,18 @@ def test_act_word_memo_is_lifted_and_results_are_fresh(field):
     assert HM.act_poly(poly, data, memo) == want
     HM.act_poly(poly, data, memo)[1][1] = field.one
     assert HM.act_word(w, data, memo) == want
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
+def test_act_word_on_a_long_word_is_the_repeated_product(field):
+    # 3,000 letters: more prefixes than the interpreter's recursion limit
+    rng = random.Random(57)
+    data = HM.module_from_R(T.random_tensorop(2, field, rng))
+    w = tuple(rng.randrange(4) for _ in range(3000))
+    want = oracles.identity(field, 2)
+    for k in w:
+        want = oracles.naive_mat_mul(field, want, data.action[divmod(k, 2)])
+    assert HM.act_word(w, data) == want
 
 
 def test_act_poly_with_memo_matches_term_by_term():
@@ -332,6 +345,26 @@ def test_morphism_to_own_quotient():
     data = HM.module_from_R(R)
     bm, assignment = HM.quotient_hopf_module(pres, rs, quo, data)
     assert HM.verify_morphism(pres, quo, bm, assignment, source_data=data)
+
+
+def test_morphism_check_leaves_no_reference_cycle():
+    # clause (a) memoises the word images in a loop, not in a closure that
+    # calls itself, so nothing waits for the cyclic collector
+    R = build_fixture("takesaki_c3", QQ)
+    pres = frt.frt_presentation(R)
+    rs = RW.complete(pres.relations, 8, pres.alphabet, pres.field)
+    quo = RW.quotient_bialgebra(pres, rs)
+    data = HM.module_from_R(R)
+    bm, assignment = HM.quotient_hopf_module(pres, rs, quo, data)
+    gc.collect()
+    gc.disable()
+    try:
+        holds = HM.verify_morphism(pres, quo, bm, assignment, source_data=data)
+        cyclic = gc.collect()
+    finally:
+        gc.enable()
+    assert holds
+    assert cyclic == 0
 
 
 def test_morphism_takesaki_to_group_algebra():
