@@ -55,15 +55,19 @@ def word_products(letter, mul, memo):
     # a loop, not recursion: a closure that calls itself is a reference
     # cycle, and long words would exhaust the stack
     def product(word):
-        value = memo.get(word)
-        if value is not None:
-            return value
-        for end in range(1, len(word) + 1):
-            prefix, last = word[:end], word[end - 1:end]
-            if last not in memo:
-                memo[last] = letter(last[0])
-            if prefix not in memo:
-                memo[prefix] = mul(memo[prefix[:-1]], memo[last])
+        image = memo.get(word)
+        if image is not None:
+            return image
+        for end in range(1, len(word) + 1):  # image: the product of word[:end - 1]
+            prefix = word[:end]
+            known = memo.get(prefix)
+            if known is None:
+                last = word[end - 1:end]
+                right = memo.get(last)
+                if right is None:
+                    right = memo[last] = letter(last[0])
+                known = memo[prefix] = mul(image, right) if end > 1 else right
+            image = known
         return memo[word]
 
     return product
