@@ -26,7 +26,11 @@ entries' denominators; over F_p the entries are already ints and ``d`` is 1.
 A matrix chain (``linalg.lifted_mul``/``lifted_sub``: the legs of an
 equation, the letters of a word acting on V) is a lifted chain: it stays in
 this form between products and is lowered once, where its scalar matrix
-leaves the chain.
+leaves the chain. The other lifted users sum ints per key and lower only to
+test for zero or to hand out a result: the coideal check of a quotient
+(``rewriting``), the coideal and counit identities of chi (``frt``), and
+the one fraction-free elimination behind ``linalg.rank``, ``is_invertible``
+and ``inverse``, which tests each pivot through ``from_int``.
 """
 
 from __future__ import annotations

@@ -170,25 +170,51 @@ def frt_commutative(R: TensorOp, force=False) -> Presentation:
 
 
 def eps_chi_zero(R: TensorOp) -> bool:
-    """eps(chi(i,j,k,l)) = 0 for every index, any R."""
-    return not any(p.eps() for p in chi(R).values())
+    """eps(chi(i,j,k,l)) = 0 for every index, any R. eps(c_jk) = delta_jk,
+    so eps(chi) is the sum of the coefficients of its diagonal words. Those
+    coefficients of all n^4 chi are lifted by one ``Field.lift``, summed as
+    ints per chi, and the n^4 sums are lowered once."""
+    diagonal_letters = frozenset(range(0, R.n ** 2, R.n + 1))  # c_11, c_22, ...
+    diagonal = [[c for w, c in p.terms.items() if diagonal_letters.issuperset(w)]
+                for p in chi(R).values()]
+    ints, d = R.field.lift(diagonal)
+    return linalg.lifted_is_zero(R.field, ([[sum(row) for row in ints]], d))
 
 
 def verify_delta_chi(R: TensorOp) -> bool:
     """Coideal identity: Delta(chi(i,j,k,l)) = sum_{a,b} chi(i,j,a,b) (x)
     c_ak c_bl + sum_p c_ip (x) chi(p,j,k,l); holds for every R. Its
-    companion eps(chi) = 0 is ``eps_chi_zero``, checked on its own."""
-    n = R.n
+    companion eps(chi) = 0 is ``eps_chi_zero``, checked on its own.
+
+    The coefficients of all n^4 chi are lifted by one ``Field.lift``. Delta
+    of each distinct word is expanded once per call, by ``NCPoly.delta`` of
+    the one-word polynomial. lhs - rhs of each (i,j,k,l) is summed into one
+    dict of ints and tested by ``linalg.lifted_is_zero``."""
+    n, field = R.n, R.field
     indexed = chi(R)
+    ints, d = field.lift([list(p.terms.values()) for p in indexed.values()])
+    lifted = {idx: list(zip(p.terms, row)) for (idx, p), row in zip(indexed.items(), ints)}
+    alphabet, one = comatrix_alphabet(n), field.one
+    expanded = {}  # word -> the (word, word) keys of its Delta, each with coefficient 1
+    for poly in indexed.values():
+        for w in poly.terms:
+            if w not in expanded:
+                expanded[w] = list(NCPoly._from_terms(alphabet, field, {w: one}).delta().terms)
     for i, j, k, l in product(range(n), repeat=4):
-        lhs = indexed[(i, j, k, l)].delta()
-        # the right-hand side summed into one dict of (word, word) -> scalar
-        rhs = R.field.combine(
-            [((w, (a * n + k, b * n + l)), c) for a, b in product(range(n), repeat=2)
-             for w, c in indexed[(i, j, a, b)].terms.items()]
-            + [(((i * n + p,), w), c) for p in range(n)
-               for w, c in indexed[(p, j, k, l)].terms.items()])
-        if lhs.terms != rhs:
+        # the keys of Delta(w) determine w, so the lhs terms are assigned
+        acc = {}
+        for w, c in lifted[(i, j, k, l)]:
+            acc.update(dict.fromkeys(expanded[w], c))
+        get = acc.get
+        for a, b in product(range(n), repeat=2):
+            right = (a * n + k, b * n + l)
+            for w, c in lifted[(i, j, a, b)]:
+                acc[w, right] = get((w, right), 0) - c
+        for p in range(n):
+            left = (i * n + p,)
+            for w, c in lifted[(p, j, k, l)]:
+                acc[left, w] = get((left, w), 0) - c
+        if not linalg.lifted_is_zero(field, ([list(acc.values())], d)):
             return False
     return True
 

@@ -13,6 +13,10 @@ letters of one word. Products skip zero entries, so the permutation-like
 operators this package produces (Takesaki/Galois maps, graded solutions)
 stay cheap even at dimension n^3 on V (x) V (x) V. Zero tests are by
 truthiness (see ``fields``).
+
+Elimination is fraction-free on lifted ints: ``rank``, ``is_invertible``
+and ``inverse`` share one Gauss-Jordan elimination after Bareiss (Math.
+Comp. 22, 1968), and only its pivots are tested for zero in the field.
 """
 
 from __future__ import annotations
@@ -97,43 +101,55 @@ def kron(field, a, b):
     return out
 
 
-def row_echelon(field, a):
-    """In-place-free reduced row echelon; returns (echelon, rank, pivot cols)."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
+def _eliminate(field, rows, cols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the int rows, in
+    place, over their first cols columns; returns (rank, last pivot).
+
+    Each step divides by the previous pivot, exactly by Sylvester's identity,
+    whichever pivots were picked. A pivot is nonzero in the field
+    (``from_int``: over F_p a nonzero multiple of p is zero). At the end the
+    rows are the last pivot times the reduced row echelon form."""
+    r, last = 0, 1
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        pivot = next((i for i in range(r, len(rows)) if field.from_int(rows[i][c])), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // last for x, y in zip(row, prow)]
+        r, last = r + 1, p
+        if r == len(rows):
             break
-    return m, r, pivots
+    return r, last
 
 
 def rank(field, a):
-    return row_echelon(field, a)[1]
+    ints, _ = field.lift(a)  # over F_p these are a's own rows: eliminate a copy
+    return _eliminate(field, list(ints), len(a[0]) if a else 0)[0]
+
+
+def _is_square(a):
+    return all(len(row) == len(a) for row in a)
 
 
 def inverse(field, a):
+    """The inverse of a square matrix, by one elimination of [ints | d I]
+    (a = ints / d): the right block ends as the last pivot times a^-1 and is
+    lowered once, over that pivot. The 0 x 0 matrix is its own inverse."""
     n = len(a)
-    aug = [row[:] + ident_row for row, ident_row in zip(a, identity(field, n))]
-    ech, rk, _ = row_echelon(field, aug)
-    if rk < n or any(ech[i][i] != field.one for i in range(n)):
+    if not _is_square(a):
         raise SingularMatrixError("matrix is not invertible")
-    return [row[n:] for row in ech]
+    ints, d = field.lift(a)
+    aug = [row + [d if j == i else 0 for j in range(n)] for i, row in enumerate(ints)]
+    rk, last = _eliminate(field, aug, n)
+    if rk < n:
+        raise SingularMatrixError("matrix is not invertible")
+    return field.lower([row[n:] for row in aug], last)
 
 
 def is_invertible(field, a):
-    return len(a) == len(a[0]) and rank(field, a) == len(a)
+    """Whether a is square of full rank; the 0 x 0 matrix is invertible."""
+    return _is_square(a) and rank(field, a) == len(a)

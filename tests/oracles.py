@@ -1,6 +1,7 @@
 """Independent oracles used to freeze expected values: dense triple-loop
 matrix arithmetic, the scalar form of the Hopf equation, direct expansions
-of the obstruction formula, brute-force enumeration of solutions over F_p,
+of the obstruction formula, the coideal and counit identities of chi in
+scalars, brute-force enumeration of solutions over F_p,
 normal forms by a scan of the whole rule list, completion that pairs every
 two rules, irreducible words by listing them, the coideal check relation by
 relation, Hopf compatibility over a presented quotient side by side, the
@@ -115,6 +116,32 @@ def obstruction_terms(R, i, j, k, l):
         if x[k][l][j][a] != field.zero:
             bump((i * n + a,), field.neg(x[k][l][j][a]))
     return terms
+
+
+def delta_chi_identity(indexed, n):
+    """The coideal identity on a chi dict keyed (i,j,k,l), in scalars:
+    Delta(chi(i,j,k,l)) by NCPoly.delta against the TensorPoly sum
+    sum_{a,b} chi(i,j,a,b) (x) c_ak c_bl + sum_p c_ip (x) chi(p,j,k,l)."""
+    from hopfeq.freealgebra import NCPoly, TensorPoly, comatrix_alphabet
+
+    some = next(iter(indexed.values()))
+    alphabet, field = comatrix_alphabet(n), some.field
+    for i, j, k, l in product(range(n), repeat=4):
+        rhs = TensorPoly.zero(alphabet, field)
+        for a, b in product(range(n), repeat=2):
+            word = NCPoly.word(alphabet, field, (a * n + k, b * n + l))
+            rhs = rhs + TensorPoly.of(indexed[(i, j, a, b)], word)
+        for p in range(n):
+            letter = NCPoly.letter(alphabet, field, i * n + p)
+            rhs = rhs + TensorPoly.of(letter, indexed[(p, j, k, l)])
+        if indexed[(i, j, k, l)].delta() != rhs:
+            return False
+    return True
+
+
+def eps_chi_identity(indexed):
+    """eps(chi) = 0 for every chi of the dict, by NCPoly.eps in scalars."""
+    return not any(p.eps() for p in indexed.values())
 
 
 def hopf_scalar_system_holds(x, n, p):

@@ -361,6 +361,107 @@ def test_commutator_identity_notices_one_wrong_action_entry(monkeypatch, field, 
         assert frt.verify_commutator_identity(R)
 
 
+# -- the lifted coideal and counit checks against the scalar oracles -------------
+
+# the (field, n) cells of acceptance criterion 05
+CRITERION_05_CELLS = [(F2, 2), (F2, 3), (F3, 2), (F3, 3), (F5, 2), (F5, 3), (QQ, 2), (QQ, 3)]
+
+
+def _nonzero_scalar(field):
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+    return st.integers(1, field.p - 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lifted_chi_identities_match_scalar_oracles(data):
+    # random R in the criterion-05 cells, with one term added to one chi in
+    # about half of the draws: the lifted checks agree with the scalar ones
+    field, n = data.draw(st.sampled_from(CRITERION_05_CELLS), label="cell")
+    R = T.random_tensorop(n, field, random.Random(data.draw(st.integers(0, 2**32))))
+    indexed = frt.chi(R)
+    if data.draw(st.booleans(), label="perturb"):
+        idx = data.draw(st.sampled_from(sorted(indexed)), label="idx")
+        word = tuple(data.draw(st.lists(st.integers(0, n * n - 1), max_size=2), label="word"))
+        c = data.draw(_nonzero_scalar(field), label="c")
+        indexed[idx] = indexed[idx] + NCPoly(comatrix_alphabet(n), field, {word: c})
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(frt, "chi", lambda _: indexed)
+        got = frt.verify_delta_chi(R), frt.eps_chi_zero(R)
+    assert got == (oracles.delta_chi_identity(indexed, n), oracles.eps_chi_identity(indexed))
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F3], ids=["Q3", "F5-3", "F3-3"])
+def test_eps_chi_zero_notices_one_perturbed_diagonal_coefficient(monkeypatch, field):
+    n = 3
+    rng = random.Random(48)
+    diagonal = [k * (n + 1) for k in range(n)]  # the letters c_11, c_22, c_33
+    for _ in range(3):
+        R = T.random_tensorop(n, field, rng)
+        i, j, k, l = idx = tuple(rng.randrange(n) for _ in range(4))
+        # chi(i,j,k,l) holds the diagonal words c_kk c_ll and c_ii
+        word = rng.choice([(diagonal[k], diagonal[l]), (diagonal[i],)])
+        indexed = frt.chi(R)
+        indexed[idx] = indexed[idx] + NCPoly.word(comatrix_alphabet(n), field, word)
+        with monkeypatch.context() as m:
+            m.setattr(frt, "chi", lambda _: indexed)
+            assert not frt.eps_chi_zero(R)
+        assert not oracles.eps_chi_identity(indexed)
+        assert frt.eps_chi_zero(R)
+
+
+def _recording_lifted_is_zero(seen):
+    lifted_is_zero = linalg.lifted_is_zero
+
+    def record(field, a):
+        seen.extend(x for row in a[0] for x in row)
+        return lifted_is_zero(field, a)
+
+    return record
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+def test_lifted_sums_that_are_multiples_of_p_read_as_zero(monkeypatch, field):
+    # over F_p the lifted coefficients are residues in [0, p), so a term
+    # and its negative sum to p, not 0: both checks must lower their int
+    # sums before testing them
+    p, n = field.p, 3
+    R = T.random_tensorop(n, field, random.Random(49))
+    for check in (frt.verify_delta_chi, frt.eps_chi_zero):
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "lifted_is_zero", _recording_lifted_is_zero(seen))
+            assert check(R)
+        assert any(seen) and all(x % p == 0 for x in seen)
+    # one chi whose diagonal coefficients are 1 and p - 1
+    alphabet = comatrix_alphabet(n)
+    poly = NCPoly(alphabet, field, {(0,): 1, (0, 4): p - 1})
+    monkeypatch.setattr(frt, "chi", lambda _: {(0, 0, 0, 0): poly})
+    assert frt.eps_chi_zero(R)
+
+
+def test_lifted_sums_over_q_cancel_over_one_denominator(monkeypatch):
+    # chi with different denominators: a coefficient shared by two chi is
+    # one int only if every chi is lifted over one common denominator
+    n = 2
+    R = T.TensorOp(n, QQ, [[Fraction(1, (2, 3, 5, 7)[r]) if r == c else QQ.zero
+                            for c in range(4)] for r in range(4)])
+    indexed = frt.chi(R)
+    denominators = {QQ.lift([list(p.terms.values())])[1] for p in indexed.values()}
+    assert len(denominators) > 1
+    assert frt.verify_delta_chi(R) and frt.eps_chi_zero(R)
+    # one chi whose diagonal coefficients 1/3, 1/6 and -1/2 cancel only
+    # over their common denominator (the numerators sum to 1)
+    alphabet = comatrix_alphabet(n)
+    poly = NCPoly(alphabet, QQ, {(0,): Fraction(1, 3), (3,): Fraction(1, 6),
+                                 (0, 3): Fraction(-1, 2)})
+    monkeypatch.setattr(frt, "chi", lambda _: {(0, 0, 0, 0): poly})
+    assert frt.eps_chi_zero(R)
+    poly.terms[(0, 3)] = Fraction(-1, 3)
+    assert not frt.eps_chi_zero(R)
+
+
 # -- coideal ----------------------------------------------------------------------
 
 def test_frt_presentations_pass_coideal():

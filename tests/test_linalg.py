@@ -182,3 +182,94 @@ def test_lifted_is_zero_lowers_nonzero_ints():
     half = QQ.lift([[Fraction(1, 2)]])
     assert linalg.lifted_is_zero(QQ, linalg.lifted_sub(half, half))
     assert not linalg.lifted_is_zero(QQ, half)
+
+
+# -- the one elimination against the oracles, property-based ---------------------
+
+def _row_combination(field, rows, coeffs):
+    out = [field.zero] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [field.add(x, field.mul(c, y)) for x, y in zip(out, row)]
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F31], ids=["Q", "F2", "F3", "F31"])
+@pytest.mark.parametrize("shape", ["square", "dependent_row", "singular_mod_p",
+                                   "zero_line", "rectangular"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_elimination_matches_oracles(field, shape, data):
+    k = data.draw(st.integers(1, 6), label="k")
+    rows = cols = k
+    if shape == "rectangular":
+        cols = data.draw(st.integers(1, 6).filter(lambda c: c != k), label="cols")
+    m = _matrix(data, field, rows, cols, False)
+    if shape == "dependent_row" and k > 1:
+        # the last row is a combination of the others in the field
+        coeffs = [data.draw(_entries(field)) for _ in range(k - 1)]
+        m[-1] = _row_combination(field, m[:-1], coeffs)
+    elif shape == "singular_mod_p" and k > 1:
+        # residues whose last row is a combination of the others mod p
+        # (p = 3 over Q), reduced mod p: as ints the rows are independent
+        # unless the draw makes them dependent over Q too, so the
+        # elimination meets a pivot that is a nonzero multiple of p
+        p = 3 if field is QQ else field.p
+        ints = [[data.draw(st.integers(0, p - 1)) for _ in range(k)] for _ in range(k - 1)]
+        coeffs = [data.draw(st.integers(0, p - 1)) for _ in range(k - 1)]
+        ints.append([sum(c * row[j] for c, row in zip(coeffs, ints)) % p for j in range(k)])
+        m = [[field.from_int(x) for x in row] for row in ints]
+    elif shape == "zero_line":
+        if data.draw(st.booleans()):
+            m[data.draw(st.integers(0, rows - 1))] = [field.zero] * cols
+        if data.draw(st.booleans()):
+            c = data.draw(st.integers(0, cols - 1))
+            for row in m:
+                row[c] = field.zero
+    before = [row[:] for row in m]
+    want = oracles.rank(field, m)
+    assert linalg.rank(field, m) == want
+    invertible = rows == cols and want == k
+    assert linalg.is_invertible(field, m) == invertible
+    if invertible:
+        inv = linalg.inverse(field, m)
+        ident = linalg.identity(field, k)
+        assert linalg.mat_mul(field, m, inv) == ident
+        assert linalg.mat_mul(field, inv, m) == ident
+        flat = [x for row in inv for x in row]
+        if field is QQ:
+            assert all(type(x) is Fraction for x in flat)
+        else:
+            assert all(type(x) is int and 0 <= x < field.p for x in flat)
+    else:
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.inverse(field, m)
+    assert m == before  # nothing is eliminated in place
+
+
+def test_elimination_over_f_p_tests_pivots_mod_p():
+    # invertible over Q (determinant -3) but singular over F_3: the int
+    # pivot 3 is zero in F_3
+    rows = [[1, 1], [1, 4]]
+    assert linalg.rank(F3, [[x % 3 for x in row] for row in rows]) == 1
+    m = [[F3.from_int(x) for x in row] for row in rows]
+    assert not linalg.is_invertible(F3, m)
+    q = [[Fraction(x) for x in row] for row in rows]
+    assert linalg.is_invertible(QQ, q)
+    assert linalg.inverse(QQ, q) == [[Fraction(4, 3), Fraction(-1, 3)],
+                                     [Fraction(-1, 3), Fraction(1, 3)]]
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "F2"])
+def test_empty_matrix_is_invertible(field):
+    # the 0 x 0 matrix is the identity of the zero space
+    assert linalg.rank(field, []) == 0
+    assert linalg.is_invertible(field, [])
+    assert linalg.inverse(field, []) == []
+
+
+def test_non_square_matrix_is_not_invertible():
+    m = [[QQ.one, QQ.zero, QQ.zero], [QQ.zero, QQ.one, QQ.zero]]
+    assert linalg.rank(QQ, m) == 2
+    assert not linalg.is_invertible(QQ, m)
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.inverse(QQ, m)
