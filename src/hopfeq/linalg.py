@@ -117,8 +117,8 @@ def _eliminate(field, rows, cols):
         rows[r], rows[pivot] = rows[pivot], rows[r]
         prow, p = rows[r], rows[r][c]
         for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
+            f = row[c]
+            if i != r and (f or p != last):  # else the step leaves the row as it is
                 rows[i] = [(p * x - f * y) // last for x, y in zip(row, prow)]
         r, last = r + 1, p
         if r == len(rows):
