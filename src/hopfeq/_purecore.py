@@ -1,10 +1,12 @@
-"""The equation table, the leg index map and the exact search for every
-solution of an equation over F_p. No matrix products: every equation over
-every field is decided by ``tensorops`` on one lifted chain of
-``linalg.lifted_mul``.
+"""The equation table, the leg index map, and the exact search for every
+solution of an equation over F_p with its membership test. No matrix
+products: over a general field, ``tensorops`` decides every equation on one
+lifted chain of ``linalg.lifted_mul``.
 
-It imports nothing from the package. The search runs on plain ints, with
-operators as flat row-major entry vectors.
+It imports nothing from the package. The search and ``holds_mod`` run on
+plain ints, with operators as flat row-major entry vectors. Both run the
+same checks: each entry of lhs - rhs, an integer polynomial mod p, compiled
+once per call into a straight-line function.
 """
 
 from __future__ import annotations
@@ -107,52 +109,75 @@ def _checks_by_level(polys, order):
     return levels
 
 
+def _compile_check(parts, p):
+    """A function check(x, allowed) for one polynomial split as by
+    ``_checks_by_level``: the values t in ``allowed`` at which
+    sum_e a_e t^e vanishes mod p, where a_e = sum c * x[v]... over the terms
+    of power e. Straight-line code, built from ints only."""
+    lines = ["def check(x, allowed):"]
+    powers = []
+    for e, terms in parts:
+        monomials = ("*".join([str(c)] * (c != 1) + [f"x[{v}]" for v in others]) or "1"
+                     for c, others in terms)
+        lines.append(f"    a{e} = {' + '.join(monomials)}")
+        powers.append("*".join([f"a{e}"] + ["t"] * e))
+    lines.append(f"    return [t for t in allowed if not ({' + '.join(powers)}) % {p}]")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace.pop("check")  # no cycle through its own globals
+
+
+def _compiled_checks(n, p, which):
+    """The search order of the variables, and per level the compiled checks
+    of the nonzero distinct defect polynomials that fall due there."""
+    distinct = {frozenset(poly.items()): poly for poly in _defect_polynomials(n, p, which)}
+    polys = [poly for poly in distinct.values() if poly]
+    order = _search_order([{v for mono in poly for v in mono} for poly in polys], n ** 4)
+    levels = [[_compile_check(parts, p) for parts in level]
+              for level in _checks_by_level(polys, order)]
+    return order, levels
+
+
+def holds_mod(n, p, which):
+    """A predicate on flat n^2 x n^2 entry vectors over F_p: whether the
+    named equation of EQUATIONS holds. It runs the search's compiled checks,
+    each on the one value its variable has."""
+    order, levels = _compiled_checks(n, p, which)
+    checks = [(k, check) for k, level in zip(order, levels) for check in level]
+    return lambda x: all(check(x, (x[k],)) for k, check in checks)
+
+
 def solutions_mod(n, p, which):
     """Every flat n^2 x n^2 operator over F_p solving the named equation of
     EQUATIONS, in lexicographic order of the entry vector.
 
     Exact backtracking over the entries. Each scalar equation of lhs - rhs
-    is checked as soon as the last of its entries is fixed, and a prefix
-    that breaks one is never extended. The entries are fixed in the order of
-    ``_search_order``, and the solutions sorted at the end.
+    is compiled to a check (``_compile_check``) that runs as soon as the
+    last of its entries is fixed, and a prefix that breaks one is never
+    extended. The entries are fixed in the order of ``_search_order``, and
+    the solutions sorted at the end.
     """
-    size = n ** 4
-    distinct = {frozenset(poly.items()): poly for poly in _defect_polynomials(n, p, which)}
-    polys = [poly for poly in distinct.values() if poly]
-    order = _search_order([{v for mono in poly for v in mono} for poly in polys], size)
-    levels = _checks_by_level(polys, order)
+    order, levels = _compiled_checks(n, p, which)
+    size = len(order)
     values = range(p)
     x = [0] * size
     found = []
-
-    def admissible(level):
-        """The values of the variable fixed at ``level`` that pass its checks."""
-        allowed = list(values)
-        for poly in levels[level]:
-            coeffs = []
-            for e, terms in poly:
-                acc = 0
-                for c, others in terms:
-                    for v in others:
-                        c *= x[v]
-                        if not c:
-                            break
-                    acc += c
-                coeffs.append((e, acc))
-            allowed = [t for t in allowed if not sum(c * t ** e for e, c in coeffs) % p]
-            if not allowed:
-                break
-        return allowed
 
     def extend(level):
         if level == size:
             found.append(tuple(x))
             return
+        allowed = values
+        for check in levels[level]:
+            allowed = check(x, allowed)
+            if not allowed:
+                return
         k = order[level]
-        for t in admissible(level):
+        for t in allowed:
             x[k] = t
             extend(level + 1)
 
     extend(0)
+    del extend  # it refers to itself: free the compiled checks now, not at a collection
     found.sort()
     return found

@@ -15,7 +15,7 @@ import json
 import random
 import sys
 
-from . import bialgebras, frt, hopfmodules, rewriting, tensorops
+from . import bialgebras, frt, hopfmodules, kernels, rewriting, tensorops
 from .fields import FieldError, parse_field
 from .fixtures import FIXTURE_NAMES, FixtureError, build_fixture
 from .freealgebra import render_word
@@ -215,11 +215,12 @@ def cmd_enumerate(args):
         raise CliInputError(f"--cap must be >= 1, got {args.cap}")
     field = parse_field(args.field)
     solutions = tensorops.enumerate_solutions(args.n, field, which=args.eq, cap=args.cap)
+    holds = [kernels.holds_mod(args.n, field.p, name)
+             for name in ("commutative", "cocommutative")]
     table = {}
     for R in solutions:
-        product = tensorops.leg_products(R)  # the two equations share R^13
-        key = (*(tensorops._equation_holds(R, name, product)
-                 for name in ("commutative", "cocommutative")), tensorops.is_bijective(R))
+        flat = R.flat()
+        key = (*(h(flat) for h in holds), tensorops.is_bijective(R))
         table[key] = table.get(key, 0) + 1
     if args.json:
         doc = {

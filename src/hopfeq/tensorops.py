@@ -241,10 +241,12 @@ def enumerate_solutions(n, field, which="hopf", cap=2**24):
     if which not in kernels.EQUATIONS:
         raise ValueError(f"unknown equation {which!r}")
     p = field.p
-    total = p ** (n ** 4)
-    if total > cap:
+    fits = 0  # the largest k with p^k <= cap; p^(n^4) is never built
+    while p ** (fits + 1) <= cap:
+        fits += 1
+    if n ** 4 > fits:
         raise CapExceededError(
-            f"{total} candidates exceed the cap {cap}; raise it explicitly to proceed"
+            f"{p}^{n ** 4} candidates exceed the cap {cap}; raise it explicitly to proceed"
         )
     d2 = n * n
     return [

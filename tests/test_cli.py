@@ -97,11 +97,14 @@ PINNED_OUTPUTS = [
      "ae9379a85f468bacf99dd99389057dc8a803ab4dd372feb46eea9b6bbba43405"),
     (("enumerate", "--n", "2", "--field", "fp:2", "--eq", "hopf", "--dump", "--json"),
      "4d311637b274af3ee12494633f9ca2e63fffe14fffdcec8a6e0cd0e998285319"),
+    (("enumerate", "--n", "2", "--field", "fp:2", "--eq", "qybe", "--json"),
+     "3db55fca7bacd0b26cfa77803daeaee0a2f8892716c1697cbaa999c7e799bf15"),
 ]
 
 
 @pytest.mark.parametrize("argv,want", PINNED_OUTPUTS,
-                         ids=["verify", "check", "frt-crossed", "frt-tables", "enumerate"])
+                         ids=["verify", "check", "frt-crossed", "frt-tables", "enumerate",
+                              "enumerate-qybe"])
 def test_outputs_pinned(capsys, argv, want):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -263,6 +266,12 @@ def test_enumerate_cap_exit_5(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "2", "--field", "fp:7",
                        "--eq", "hopf")
     assert code == 5 and "cap" in err.lower()
+
+
+def test_enumerate_cap_exit_5_without_building_the_candidate_count(capsys):
+    # 2^14641 has more digits than int-to-str conversion allows by default
+    code, out, err = run(capsys, "enumerate", "--n", "11", "--field", "fp:2")
+    assert code == 5 and "cap" in err and "2^14641" in err and not out
 
 
 def test_enumerate_n_below_one_exits_2(capsys):

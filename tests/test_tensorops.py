@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import cache, reduce
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,6 +316,18 @@ def test_enumerate_n1_f5_all_pass_and_ordered():
 def test_enumerate_cap_exceeded():
     with pytest.raises(T.CapExceededError):
         T.enumerate_solutions(2, parse_field("fp:7"), "hopf")
+
+
+def test_enumerate_cap_is_checked_on_the_exponent():
+    # p^(n^4) for n = 10^6 would have 10^24 bits: the cap must refuse it
+    # from the exponent, at once
+    start = time.perf_counter()
+    with pytest.raises(T.CapExceededError, match=r"2\^1000000000000000000000000 candidates"):
+        T.enumerate_solutions(10**6, F2)
+    assert time.perf_counter() - start < 1
+    assert len(T.enumerate_solutions(1, F2, cap=2)) == 2
+    with pytest.raises(T.CapExceededError):
+        T.enumerate_solutions(1, F2, cap=1)
 
 
 def test_enumerate_rejects_rationals():
