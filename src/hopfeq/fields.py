@@ -36,38 +36,17 @@ and ``inverse``, which tests each pivot through ``from_int``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 
 class FieldError(ValueError):
     """Malformed field descriptor or non-prime modulus."""
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def is_prime(p: int) -> bool:
-    # deterministic Miller-Rabin; the witness set is exact far beyond 2^31
-    if p < 2:
-        return False
-    for q in _MR_WITNESSES:
-        if p % q == 0:
-            return p == q
-    d, r = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
+    # trial division up to isqrt(p): at most 46,340 divisions below 2^31,
+    # the bound PrimeField checks first
+    return p > 1 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
 class Field:
@@ -162,10 +141,10 @@ class Rationals(Field):
 
 class PrimeField(Field):
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= 2**31:
+            raise FieldError(f"modulus {p} too large (need p < 2^31)")
         if not isinstance(p, int) or not is_prime(p):
             raise FieldError(f"modulus {p!r} is not prime")
-        if p >= 2**31:
-            raise FieldError(f"modulus {p} too large (need p < 2^31)")
         self.p = p
         self.characteristic = p
         self.descriptor = f"fp:{p}"

@@ -132,6 +132,15 @@ def commutator_relations(n, field):
     return out
 
 
+def _chi_presentation(R: TensorOp, commutative: bool) -> Presentation:
+    """The chi relations, with the generator commutators when commutative."""
+    extra = commutator_relations(R.n, R.field) if commutative else ()
+    relations, origin = chi_relations(R, extra)
+    provenance = "chi presentation + commutators" if commutative else "chi presentation"
+    return Presentation(comatrix_alphabet(R.n), R.field, relations,
+                        commutative_closure=commutative, provenance=provenance, chi_origin=origin)
+
+
 def frt_presentation(R: TensorOp, force=False) -> Presentation:
     """The presentation of B(R) = T(C)/(all chi).
 
@@ -140,15 +149,7 @@ def frt_presentation(R: TensorOp, force=False) -> Presentation:
     """
     if not force and not check_hopf(R):
         raise NotHopfSolutionError("R does not solve the Hopf equation (use force to override)")
-    relations, origin = chi_relations(R)
-    return Presentation(
-        alphabet=comatrix_alphabet(R.n),
-        field=R.field,
-        relations=relations,
-        commutative_closure=False,
-        provenance="chi presentation",
-        chi_origin=origin,
-    )
+    return _chi_presentation(R, commutative=False)
 
 
 def frt_commutative(R: TensorOp, force=False) -> Presentation:
@@ -158,15 +159,7 @@ def frt_commutative(R: TensorOp, force=False) -> Presentation:
             raise NotHopfSolutionError("R does not solve the Hopf equation")
         if not check_commutative(R):
             raise NotCommutativeSolutionError("R is not a commutative solution")
-    relations, origin = chi_relations(R, commutator_relations(R.n, R.field))
-    return Presentation(
-        alphabet=comatrix_alphabet(R.n),
-        field=R.field,
-        relations=relations,
-        commutative_closure=True,
-        provenance="chi presentation + commutators",
-        chi_origin=origin,
-    )
+    return _chi_presentation(R, commutative=True)
 
 
 def eps_chi_zero(R: TensorOp) -> bool:

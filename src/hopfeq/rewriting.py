@@ -305,15 +305,13 @@ def complete(relations, max_degree=8, alphabet=None, field=None):
             # constant relation: unit ideal; single rule 1 -> 0
             rules = [RewriteRule((), NCPoly.zero(alphabet, field))]
             break
-        kept = []
-        for r in rules:
-            if _has_factor(r.lhs, new.lhs):
+        retired = [r for r in rules if _has_factor(r.lhs, new.lhs)]
+        if retired:  # nearly always none: rebuild the list only then
+            rules[:] = [r for r in rules if not _has_factor(r.lhs, new.lhs)]
+            for r in retired:
                 queue.append(r.poly())
                 index.remove(r)
-            else:
-                kept.append(r)
-        kept.append(new)
-        rules[:] = kept
+        rules.append(new)
         index.add(new)
         # every tail was irreducible before new came in, and the tail of new
         # is smaller than its lhs: only tails with the lhs as a factor change

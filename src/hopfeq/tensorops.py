@@ -36,14 +36,6 @@ class TensorOp:
         if len(self.entries) != d2 or any(len(row) != d2 for row in self.entries):
             raise ValueError(f"entries must be {d2}x{d2}")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorOp)
-            and self.n == other.n
-            and self.field == other.field
-            and self.entries == other.entries
-        )
-
     def copy(self):
         return TensorOp(self.n, self.field, [row[:] for row in self.entries])
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfeq import fields
 from hopfeq.fields import QQ, FieldError, PrimeField, is_prime, parse_field
 
 
@@ -39,6 +40,30 @@ def test_is_prime_spot_checks():
     composites = [1, 4, 9, 91, 561, 1105, 2147483649]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 1)
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(sieve[q * q::q])
+    assert [is_prime(k) for k in range(limit + 1)] == sieve
+
+
+@pytest.mark.parametrize("k", [-1, -2, -3, -7, -2147483647, True, False])
+def test_is_prime_false_for_negatives_and_bools(k):
+    assert is_prime(k) is False
+
+
+def test_size_bound_checked_before_primality(monkeypatch):
+    # a primality test on 2^61 - 1 is never needed: the size bound refuses it
+    def fail(p):
+        raise AssertionError(f"is_prime({p}) called")
+
+    monkeypatch.setattr(fields, "is_prime", fail)
+    with pytest.raises(FieldError, match=r"too large \(need p < 2\^31\)"):
+        PrimeField(2**61 - 1)
 
 
 def test_inverse_examples():

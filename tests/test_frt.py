@@ -171,6 +171,31 @@ def test_frt_commutative_refuses_noncommutative_solution():
         frt.frt_commutative(R)
 
 
+def test_frt_commutative_n1_keeps_the_flag_without_commutators():
+    # one generator has no commutator, yet the variant is still the commutative one
+    R = T.identity_op(1, QQ)
+    assert frt.commutator_relations(1, QQ) == []
+    pres, plain = frt.frt_commutative(R), frt.frt_presentation(R)
+    assert pres.commutative_closure and pres.to_json()["commutative_closure"] is True
+    assert pres.provenance == "chi presentation + commutators"
+    assert pres.relations == plain.relations and pres.chi_origin == plain.chi_origin
+    assert not plain.commutative_closure and plain.provenance == "chi presentation"
+
+
+def test_presentation_refusal_messages():
+    R = B.classical_yb(Fraction(2), QQ)
+    with pytest.raises(frt.NotHopfSolutionError) as plain:
+        frt.frt_presentation(R)
+    with pytest.raises(frt.NotHopfSolutionError) as comm:
+        frt.frt_commutative(R)
+    assert str(plain.value) == "R does not solve the Hopf equation (use force to override)"
+    assert str(comm.value) == "R does not solve the Hopf equation"
+    S = next(S for S in T.enumerate_solutions(2, F2, "hopf") if not T.check_commutative(S))
+    with pytest.raises(frt.NotCommutativeSolutionError) as noncomm:
+        frt.frt_commutative(S)
+    assert str(noncomm.value) == "R is not a commutative solution"
+
+
 def test_commutator_count_n2():
     # unordered pairs of distinct generators: C(4, 2)
     comms = frt.commutator_relations(2, QQ)

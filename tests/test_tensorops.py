@@ -461,6 +461,20 @@ def test_tensorop_json_round_trip_property(data):
     assert T.TensorOp.from_json(json.loads(json.dumps(R.to_json()))) == R
 
 
+def test_tensorop_equality_needs_n_field_and_entries():
+    R = T.identity_op(2, F2)
+    assert R == R.copy() and not R != R.copy()
+    other = R.copy()
+    other.entries[3][1] = 1
+    assert R != other
+    # Fraction(1) == 1: the entries compare equal, the fields do not
+    assert T.identity_op(2, QQ).entries == R.entries and T.identity_op(2, QQ) != R
+    assert T.identity_op(1, F2) != R
+    assert R != T.EndoV(4, F2, [row[:] for row in R.entries])
+    with pytest.raises(TypeError):
+        hash(R)
+
+
 def test_tensorop_shape_validation():
     with pytest.raises(ValueError):
         T.TensorOp(2, QQ, [[QQ.zero] * 3 for _ in range(4)])
