@@ -15,6 +15,8 @@ from . import bialgebras, linalg, tensorops
 from .bialgebras import GradedModuleSpec, cyclic_group, symmetric_group_3
 from .fields import Field
 
+MAX_FIXTURE_N = 12  # legs grow as n^6: `check` on takesaki_c12 over Q peaks at 295 MB
+
 
 class FixtureError(ValueError):
     pass
@@ -54,10 +56,12 @@ def _parse_param(raw, field):
 
 def build_fixture(fixture_id: str, field: Field) -> tensorops.TensorOp:
     name, _, raw = fixture_id.partition(":")
+    group = re.fullmatch(r"(takesaki|galois)_c(\d+)", name)
+    if name == "identity" or group:  # V has dimension n: bound it before building
+        n = int(group.group(2) if group else raw or 2)
+        if not 1 <= n <= MAX_FIXTURE_N:
+            raise FixtureError(f"fixture {fixture_id!r} needs a dimension in 1..{MAX_FIXTURE_N}")
     if name == "identity":
-        n = int(raw) if raw else 2
-        if n < 1:
-            raise FixtureError("identity:<n> needs n >= 1")
         return tensorops.identity_op(n, field)
     if name == "r_q":
         return bialgebras.r_q(_parse_param(raw or "0", field), field)
@@ -75,13 +79,9 @@ def build_fixture(fixture_id: str, field: Field) -> tensorops.TensorOp:
         return graded_c2_solution(field)
     if name == "crossed_s3":
         return crossed_s3_solution(field)
-    m = re.fullmatch(r"(takesaki|galois)_c(\d+)", name)
-    if m:
-        kind, order = m.group(1), int(m.group(2))
-        if order < 1:
-            raise FixtureError("group order must be >= 1")
-        H = bialgebras.group_algebra(order, field)
-        return bialgebras.takesaki(H) if kind == "takesaki" else bialgebras.galois_beta(H)
+    if group:
+        H = bialgebras.group_algebra(n, field)
+        return bialgebras.takesaki(H) if group.group(1) == "takesaki" else bialgebras.galois_beta(H)
     raise FixtureError(f"unknown fixture {fixture_id!r}")
 
 

@@ -20,7 +20,7 @@ from itertools import product
 from . import linalg
 from .fields import parse_field
 from .freealgebra import Alphabet, NCPoly, comatrix_alphabet
-from .hopfmodules import act_poly, module_from_R, obstructions
+from .hopfmodules import _short_word_rows, module_from_R, obstructions
 from .tensorops import TensorOp, check_commutative, check_hopf, equation_defect
 
 
@@ -212,38 +212,47 @@ def verify_delta_chi(R: TensorOp) -> bool:
     return True
 
 
-def _matches_defect(R: TensorOp, equation, M):
+def _matches_defect(R: TensorOp, equation, M, d):
     """defect(z (x) m_k (x) m_j) = sum_{r,s} M[r,s,j,k].z (x) m_r (x) m_s for
-    every basis z, k, j, where defect is the lowered lhs - rhs of the equation
-    and M holds n x n matrices keyed (r, s, j, k)."""
-    n = R.n
-    defect = R.field.lower(*equation_defect(R, equation))
-    for t, k, j in product(range(n), repeat=3):
-        col = (t * n + k) * n + j
-        for r, s in product(range(n), repeat=2):
-            mat = M[(r, s, j, k)]
-            for i in range(n):
-                if defect[(i * n + r) * n + s][col] != mat[i][t]:
-                    return False
-    return True
+    every basis z, k, j. defect is the lifted lhs - rhs of the equation; each
+    M[r,s,j,k] is flattened by rows, in ints over d, and its entry (i, t) goes
+    to row (i*n+r)*n+s, column (t*n+k)*n+j: one ``lifted_sub`` compares them."""
+    V = range(R.n)
+    target = [[M[(r, s, j, k)][i * R.n + t] for t, k, j in product(V, repeat=3)]
+              for i, r, s in product(V, repeat=3)]
+    return linalg.lifted_is_zero(R.field, linalg.lifted_sub(equation_defect(R, equation),
+                                                            (target, d)))
+
+
+def _chi_actions(data):
+    """Every chi's action on V, flattened by rows in ints over one denominator:
+    its lifted coefficients weight the words of one block product, freed on return."""
+    words, d = _short_word_rows(data)
+    indexed = obstructions(data)
+    ints, dc = data.field.lift([list(p.terms.values()) for p in indexed.values()])
+    actions = {}
+    for (idx, p), coeffs in zip(indexed.items(), ints):
+        acc = [0] * data.n ** 2
+        for w, c in zip(p.terms, coeffs):
+            acc = [x + c * y for x, y in zip(acc, words[w])]
+        actions[idx] = acc
+    return actions, dc * d
 
 
 def verify_defect_identity(R: TensorOp) -> bool:
     """(R^23 R^13 R^12 - R^12 R^23)(z (x) m_k (x) m_j) =
     sum_{r,s} chi(r,s,j,k).z (x) m_r (x) m_s for every basis z, k, j; any R."""
-    data = module_from_R(R)
-    memo = {}  # word matrices, shared by the n^4 chi polynomials
-    return _matches_defect(R, "hopf", {idx: act_poly(poly, data, memo)
-                                       for idx, poly in obstructions(data).items()})
+    return _matches_defect(R, "hopf", *_chi_actions(module_from_R(R)))
 
 
 def verify_commutator_identity(R: TensorOp) -> bool:
     """(R^12 R^13 - R^13 R^12)(z (x) m_k (x) m_j) =
-    sum_{r,s} (c_rk c_sj - c_sj c_rk).z (x) m_r (x) m_s for every z, k, j."""
-    field = R.field
-    act = {key: field.lift(mat) for key, mat in module_from_R(R).action.items()}
-    mm, sub = linalg.lifted_mul, linalg.lifted_sub
-    return _matches_defect(R, "commutative", {
-        (r, s, j, k): field.lower(*sub(mm(act[(r, k)], act[(s, j)]), mm(act[(s, j)], act[(r, k)])))
-        for r, s, j, k in product(range(R.n), repeat=4)
-    })
+    sum_{r,s} (c_rk c_sj - c_sj c_rk).z (x) m_r (x) m_s for every z, k, j,
+    with [c_rk, c_sj] block (rk, sj) minus block (sj, rk) of one block product."""
+    n = R.n
+    words, d = _short_word_rows(module_from_R(R))
+    M = {(r, s, j, k): [x - y for x, y in zip(words[(r * n + k, s * n + j)],
+                                              words[(s * n + j, r * n + k)])]
+         for r, s, j, k in product(range(n), repeat=4)}
+    del words  # gone before the legs are built
+    return _matches_defect(R, "commutative", M, d)

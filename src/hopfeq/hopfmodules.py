@@ -108,6 +108,19 @@ def _word_matrices(data, memo):
                          linalg.lifted_mul, memo)
 
 
+def _short_word_rows(data):
+    """Each word of one or two letters as its matrix flattened by rows, in ints over one
+    denominator: the letters stacked (n^3 x n) times them side by side has A_a A_b at (a, b)."""
+    n, N, L = data.n, range(data.n), range(data.n ** 2)
+    stacked, d = data.field.lift([row for a in L for row in data.action[divmod(a, n)]])
+    side = [[x for a in L for x in stacked[a * n + i]] for i in N]
+    blocks, _ = linalg.lifted_mul((stacked, d), (side, d))
+    rows = {(a,): [x * d for i in N for x in stacked[a * n + i]] for a in L}
+    rows.update(((a, b), [x for i in N for x in blocks[a * n + i][b * n:b * n + n]])
+                for a in L for b in L)
+    return rows, d * d
+
+
 def _combine(field, n, coeffs, mats):
     """sum_t coeffs[t] M_t over the lifted n x n matrices mats, lowered once:
     the lifted coefficient row times the matrix whose row t is M_t flattened

@@ -290,6 +290,7 @@ def complete(relations, max_degree=8, alphabet=None, field=None):
     index = work.index
     capped = False
     steps = 0
+    top = (0, ())  # at or above every live lhs: the highest lhs admitted
     while queue:
         steps += 1
         if steps > COMPLETION_STEP_LIMIT:
@@ -305,7 +306,9 @@ def complete(relations, max_degree=8, alphabet=None, field=None):
             # constant relation: unit ideal; single rule 1 -> 0
             rules = [RewriteRule((), NCPoly.zero(alphabet, field))]
             break
-        retired = [r for r in rules if _has_factor(r.lhs, new.lhs)]
+        # a matched lhs, or one above a matched tail word, lies above new.lhs
+        scan, top = word_key(new.lhs) < top, max(top, word_key(new.lhs))
+        retired = [r for r in rules if _has_factor(r.lhs, new.lhs)] if scan else ()
         if retired:  # nearly always none: rebuild the list only then
             rules[:] = [r for r in rules if not _has_factor(r.lhs, new.lhs)]
             for r in retired:
@@ -315,7 +318,7 @@ def complete(relations, max_degree=8, alphabet=None, field=None):
         index.add(new)
         # every tail was irreducible before new came in, and the tail of new
         # is smaller than its lhs: only tails with the lhs as a factor change
-        for r in rules:
+        for r in rules if scan else ():
             if any(_has_factor(t, new.lhs) for t in r.tail.terms):
                 r.tail = normal_form(r.tail, work)
         # only rules that overlap new can form an ambiguity with it; rank

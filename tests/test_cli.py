@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from hopfeq import rewriting
+from hopfeq import fixtures, rewriting
 from hopfeq.cli import main
+from hopfeq.fields import QQ
 
 
 def run(capsys, *argv):
@@ -73,6 +75,30 @@ def test_check_bad_field_exits_3(capsys):
 def test_check_unknown_fixture_exits_2(capsys):
     code, _, err = run(capsys, "check", "--fixture", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("fixture", ["takesaki_c1000", "identity:100000", "galois_c13"])
+@pytest.mark.parametrize("command", ["check", "frt", "verify"])
+def test_oversized_fixture_exits_2_before_building(capsys, monkeypatch, command, fixture):
+    def refuse(*_):
+        raise AssertionError("an oversized fixture was built")
+
+    monkeypatch.setattr(fixtures.bialgebras, "group_algebra", refuse)
+    monkeypatch.setattr(fixtures.tensorops, "identity_op", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--fixture", fixture, "--field", "q")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert err == f"input error: fixture {fixture!r} needs a dimension in 1..12\n"
+
+
+def test_fixture_dimension_bound_is_inclusive():
+    assert fixtures.MAX_FIXTURE_N == 12
+    for fid in ("identity:12", "takesaki_c12", "galois_c12"):
+        assert fixtures.build_fixture(fid, QQ).n == 12
+    for fid in ("identity:13", "takesaki_c13", "identity:0", "galois_c0"):
+        with pytest.raises(fixtures.FixtureError):
+            fixtures.build_fixture(fid, QQ)
 
 
 @pytest.mark.parametrize("command", ["check", "verify"])

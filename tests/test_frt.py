@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from hopfeq import bialgebras as B, frt, linalg, rewriting as RW, tensorops as T
+from hopfeq import bialgebras as B, frt, hopfmodules as HM, linalg, rewriting as RW, tensorops as T
 from hopfeq.fields import QQ, parse_field
 from hopfeq.fixtures import build_fixture
 from hopfeq.freealgebra import NCPoly, TensorPoly, comatrix_alphabet
-from hopfeq.hopfmodules import act_poly, module_from_R
+from hopfeq.hopfmodules import act_poly, act_word, module_from_R, obstructions
 
 F2 = parse_field("fp:2")
 F3 = parse_field("fp:3")
@@ -323,18 +323,22 @@ def _perturb_nth_call(fn, nth, change):
 
 @pytest.mark.parametrize("field,n", [(QQ, 2), (F5, 2), (F3, 3)], ids=["Q2", "F5-2", "F3-3"])
 def test_defect_identity_notices_one_wrong_entry_of_act_poly(monkeypatch, field, n):
+    # the fault is one wrong entry in one chi's action on V, injected where
+    # the batched actions of every chi replace one act_poly per chi
     rng = random.Random(45)
+    chi_actions = frt._chi_actions
     for _ in range(3):
         R = T.random_tensorop(n, field, rng)
         i, j, nth = rng.randrange(n), rng.randrange(n), rng.randrange(n ** 4)
 
-        def change(mat):
-            mat = [row[:] for row in mat]
-            mat[i][j] = field.add(mat[i][j], field.one)
-            return mat
+        def broken(data):
+            # entry (i, j) of the nth chi's action, in ints over d, gains one
+            actions, d = chi_actions(data)
+            actions[list(actions)[nth]][i * n + j] += d
+            return actions, d
 
         with monkeypatch.context() as m:
-            m.setattr(frt, "act_poly", _perturb_nth_call(act_poly, nth, change))
+            m.setattr(frt, "_chi_actions", broken)
             assert not frt.verify_defect_identity(R)
         assert frt.verify_defect_identity(R)
 
@@ -375,6 +379,50 @@ def test_commutator_identity_notices_one_wrong_action_entry(monkeypatch, field, 
             m.setattr(frt, "module_from_R", broken)
             assert not frt.verify_commutator_identity(R)
         assert frt.verify_commutator_identity(R)
+
+
+# -- the block product of the letter matrices against act_word and act_poly -------
+
+def _unflatten(field, n, flat, d):
+    row = field.lower([flat], d)[0]
+    return [row[i * n:(i + 1) * n] for i in range(n)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_block_product_and_batched_chi_actions_match_act_word_and_act_poly(data):
+    field = data.draw(st.sampled_from([QQ, F2, F3, F5]), label="field")
+    n = data.draw(st.integers(1, 3), label="n")
+    R = T.random_tensorop(n, field, random.Random(data.draw(st.integers(0, 2**32))))
+    module = module_from_R(R)
+    words, d = HM._short_word_rows(module)
+    letters = range(n * n)
+    assert set(words) == {(a,) for a in letters} | set(product(letters, repeat=2))
+    for w, flat in words.items():
+        assert _unflatten(field, n, flat, d) == act_word(w, module)
+    actions, d = frt._chi_actions(module)
+    indexed = obstructions(module)
+    assert list(actions) == list(indexed)
+    for idx, poly in indexed.items():
+        assert _unflatten(field, n, actions[idx], d) == act_poly(poly, module)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("check,products", [
+    (frt.verify_defect_identity, 4),  # the block product, then 3 for the Hopf legs
+    (frt.verify_commutator_identity, 3),  # the block product, then R^12 R^13 and R^13 R^12
+], ids=["defect", "commutator"])
+def test_identities_make_a_constant_number_of_lifted_products(monkeypatch, n, check, products):
+    calls = []
+    lifted_mul = linalg.lifted_mul
+
+    def counting(a, b):
+        calls.append(None)
+        return lifted_mul(a, b)
+
+    monkeypatch.setattr(linalg, "lifted_mul", counting)
+    assert check(T.random_tensorop(n, QQ, random.Random(50)))
+    assert len(calls) == products
 
 
 # -- the lifted coideal and counit checks against the scalar oracles -------------

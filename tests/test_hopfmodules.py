@@ -79,7 +79,7 @@ def test_act_word_homomorphism():
 def test_memoised_act_word_matches_left_to_right_product(field, n):
     rng = random.Random(51)
     data = HM.module_from_R(T.random_tensorop(n, field, rng))
-    memo = {}  # shared by every word, as in verify_defect_identity
+    memo = {}  # shared by every word, as in check_annihilation
     for _ in range(60):
         w = tuple(rng.randrange(n * n) for _ in range(rng.randrange(6)))
         want = oracles.identity(field, n)

@@ -328,6 +328,44 @@ def test_completion_and_dimension_match_oracles_over_f3_hopf_solutions(f3_hopf_s
     assert len(statuses) == 463 and statuses.count("capped") == 24
 
 
+def _counting(monkeypatch, owner, name):
+    """Count the calls of owner.name, which keeps working."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_completion_scans_only_below_a_live_lhs(monkeypatch, f3_hopf_solutions):
+    # both rule scans run only when the new lhs lies below some live lhs:
+    # never on the takesaki ladder, whose lhs come in increasing order
+    scans = _counting(monkeypatch, RW, "_has_factor")
+    for m in (3, 4, 5):
+        pres = frt.frt_presentation(build_fixture(f"takesaki_c{m}", QQ))
+        assert len(RW.complete(pres.relations, 8, pres.alphabet, pres.field).rules) == m ** 4
+    assert not scans
+    # where rules do retire, the result is the all-pairs oracle's
+    retired = _counting(monkeypatch, RW._RuleIndex, "remove")
+    solutions = T.enumerate_solutions(2, F2, which="hopf") + [
+        T.TensorOp(2, F3, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)])
+        for flat in f3_hopf_solutions]
+    retiring = 0
+    for R in solutions:
+        pres = frt.frt_presentation(R)
+        before = len(retired)
+        rs = RW.complete(pres.relations, 8, pres.alphabet, pres.field)
+        if len(retired) > before:
+            retiring += 1
+            want = oracles.all_pairs_complete(pres.relations, 8, pres.alphabet, pres.field)
+            assert rs.to_json() == want.to_json()
+    assert retiring == 32 + 118 and len(retired) == 97 + 368 and scans
+
+
 # -- properties on random small relation sets --------------------------------------
 
 AB = free_alphabet("a", "b")
