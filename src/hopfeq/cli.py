@@ -17,7 +17,7 @@ import sys
 
 from . import bialgebras, frt, hopfmodules, kernels, rewriting, tensorops
 from .fields import FieldError, parse_field
-from .fixtures import FIXTURE_NAMES, FixtureError, build_fixture
+from .fixtures import FIXTURE_NAMES, MAX_FIXTURE_N, FixtureError, build_fixture
 from .freealgebra import render_word
 from .frt import NotCommutativeSolutionError, NotHopfSolutionError
 from .rewriting import CompletionError, NotFiniteDimensionalError
@@ -185,6 +185,8 @@ def cmd_verify(args):
         raise CliInputError(f"--random must be >= 1, got {args.random}")
     if args.n < 1:
         raise CliInputError(f"--n must be >= 1, got {args.n}")
+    if args.n > MAX_FIXTURE_N:
+        raise CliInputError(f"--n must be <= {MAX_FIXTURE_N}, got {args.n}")
     if args.random:
         field = parse_field(args.field)
         rng = random.Random(args.seed)

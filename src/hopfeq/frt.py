@@ -176,40 +176,38 @@ def eps_chi_zero(R: TensorOp) -> bool:
 
 def verify_delta_chi(R: TensorOp) -> bool:
     """Coideal identity: Delta(chi(i,j,k,l)) = sum_{a,b} chi(i,j,a,b) (x)
-    c_ak c_bl + sum_p c_ip (x) chi(p,j,k,l); holds for every R. Its
-    companion eps(chi) = 0 is ``eps_chi_zero``, checked on its own.
+    c_ak c_bl + sum_p c_ip (x) chi(p,j,k,l), for every R; eps(chi) = 0 is
+    ``eps_chi_zero``. With c_xy the letter x*n+y, Delta(c_xy) = sum_p c_xp
+    (x) c_py, and it holds for all (i,j,k,l) iff: (1) every word of every
+    chi has 1 or 2 letters; (2) those of chi(i,j,k,l) are c_uk c_vl or c_iw;
+    (3) the coefficient X(i,j,u,v) of c_uk c_vl is the same for every (k,l),
+    and Y(j,k,l,w) of c_iw for every i (absent words count 0); (4)
+    Y(j,a,b,q) + X(q,j,a,b) = 0. Proof: distinct words have disjoint
+    Delta-supports; sort the terms of lhs - rhs by their leg lengths. The
+    (2,2) terms vanish iff (2) and (3) hold for X, the (1,1) terms iff they
+    hold for Y, the (1,2) terms c_iq (x) c_ak c_bl iff (4); a word of m
+    letters, m not 1 or 2, leaves a lone (m,m) term on the lhs.
 
-    The coefficients of all n^4 chi are lifted by one ``Field.lift``. Delta
-    of each distinct word is expanded once per call, by ``NCPoly.delta`` of
-    the one-word polynomial. lhs - rhs of each (i,j,k,l) is summed into one
-    dict of ints and tested by ``linalg.lifted_is_zero``."""
+    One ``Field.lift`` of every coefficient, each read once. A word that
+    breaks (1) or (2) returns False; (3), as differences from the first
+    (k,l) or i, and (4) fill one row for one ``linalg.lifted_is_zero``."""
     n, field = R.n, R.field
     indexed = chi(R)
     ints, d = field.lift([list(p.terms.values()) for p in indexed.values()])
-    lifted = {idx: list(zip(p.terms, row)) for (idx, p), row in zip(indexed.items(), ints)}
-    alphabet, one = comatrix_alphabet(n), field.one
-    expanded = {}  # word -> the (word, word) keys of its Delta, each with coefficient 1
-    for poly in indexed.values():
-        for w in poly.terms:
-            if w not in expanded:
-                expanded[w] = list(NCPoly._from_terms(alphabet, field, {w: one}).delta().terms)
-    for i, j, k, l in product(range(n), repeat=4):
-        # the keys of Delta(w) determine w, so the lhs terms are assigned
-        acc = {}
-        for w, c in lifted[(i, j, k, l)]:
-            acc.update(dict.fromkeys(expanded[w], c))
-        get = acc.get
-        for a, b in product(range(n), repeat=2):
-            right = (a * n + k, b * n + l)
-            for w, c in lifted[(i, j, a, b)]:
-                acc[w, right] = get((w, right), 0) - c
-        for p in range(n):
-            left = (i * n + p,)
-            for w, c in lifted[(p, j, k, l)]:
-                acc[left, w] = get((left, w), 0) - c
-        if not linalg.lifted_is_zero(field, ([list(acc.values())], d)):
-            return False
-    return True
+    keys = list(product(range(n), repeat=4))
+    X = {key: [0] * n ** 2 for key in keys}  # (i,j,u,v) -> by (k,l)
+    Y = {key: [0] * n for key in keys}  # (j,k,l,w) -> by i
+    for ((i, j, k, l), poly), row in zip(indexed.items(), ints):
+        for w, c in zip(poly.terms, row):
+            if len(w) == 2 and (w[0] % n, w[1] % n) == (k, l):
+                X[i, j, w[0] // n, w[1] // n][k * n + l] = c
+            elif len(w) == 1 and w[0] // n == i:
+                Y[j, k, l, w[0] % n][i] = c
+            else:
+                return False
+    sums = [c - cs[0] for cs in (*X.values(), *Y.values()) for c in cs[1:]]
+    sums += [Y[j, a, b, q][0] + X[q, j, a, b][0] for j, a, b, q in keys]
+    return linalg.lifted_is_zero(field, ([sums], d))
 
 
 def _matches_defect(R: TensorOp, equation, M, d):

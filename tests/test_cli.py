@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfeq import fixtures, rewriting
+from hopfeq import fixtures, rewriting, tensorops
 from hopfeq.cli import main
 from hopfeq.fields import QQ
 
@@ -270,6 +270,32 @@ def test_verify_n_below_one_exits_2(capsys, n):
     code, out, err = run(capsys, "verify", "--random", "2", "--n", n,
                          "--field", "fp:2")
     assert code == 2 and "--n" in err and not out
+
+
+@pytest.mark.parametrize("n", ["13", "1000000"])
+def test_verify_n_above_the_fixture_bound_exits_2_before_building(capsys, monkeypatch, n):
+    def refuse(*_):
+        raise AssertionError("an oversized operator was built")
+
+    monkeypatch.setattr(tensorops, "random_tensorop", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--random", "1", "--n", n, "--field", "q")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert err == f"input error: --n must be <= {fixtures.MAX_FIXTURE_N}, got {n}\n"
+
+
+def test_verify_n_at_the_fixture_bound_is_accepted(capsys, monkeypatch):
+    # the bound is inclusive: n = 12 reaches random_tensorop
+    class Reached(Exception):
+        pass
+
+    def stop(n, *_):
+        raise Reached(n)
+
+    monkeypatch.setattr(tensorops, "random_tensorop", stop)
+    with pytest.raises(Reached, match="12"):
+        run(capsys, "verify", "--random", "1", "--n", "12", "--field", "q")
 
 
 def test_verify_corrupted_file(capsys, tmp_path):

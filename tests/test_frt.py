@@ -343,13 +343,48 @@ def test_defect_identity_notices_one_wrong_entry_of_act_poly(monkeypatch, field,
         assert frt.verify_defect_identity(R)
 
 
+def _plus(indexed, field, n, idx, word, c):
+    indexed[idx] = indexed[idx] + NCPoly(comatrix_alphabet(n), field, {word: c})
+
+
+def _shift(indexed, field, n, kind, at, c):
+    """indexed with c added to a whole family of coefficients, at = (i,j,u,v)
+    for "x" and "xy", (j,k,l,w) for "y": "x" adds c c_uk c_vl to
+    chi(i,j,k,l) for every (k,l), so X(i,j,u,v) moves and (4) breaks; "y"
+    adds c c_iw to chi(i,j,k,l) for every i, so Y(j,k,l,w) moves and (4)
+    breaks; "xy" is "x" plus -c c_pi in chi(p,j,u,v) for every p, the
+    matching Y(j,u,v,i) shift, which keeps the coideal identity true."""
+    V = range(n)
+    if kind == "y":
+        j, k, l, w = at
+        for i in V:
+            _plus(indexed, field, n, (i, j, k, l), (i * n + w,), c)
+        return
+    i, j, u, v = at
+    for k, l in product(V, repeat=2):
+        _plus(indexed, field, n, (i, j, k, l), (u * n + k, v * n + l), c)
+    if kind == "xy":
+        for p in V:
+            _plus(indexed, field, n, (p, j, u, v), (p * n + i,), field.neg(c))
+
+
+def _delta_chi_on(R, indexed):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(frt, "chi", lambda _: indexed)
+        return frt.verify_delta_chi(R)
+
+
 @pytest.mark.parametrize("field,n", [(QQ, 2), (F5, 2), (F3, 3)], ids=["Q2", "F5-2", "F3-3"])
 def test_delta_chi_notices_one_dropped_term_of_delta(monkeypatch, field, n):
+    # one dropped term of NCPoly.delta, which the oracle expands per chi;
+    # verify_delta_chi reads coefficients, so it gets one negative control
+    # per condition of its docstring instead
     rng = random.Random(46)
     delta = NCPoly.delta
     for _ in range(3):
         R = T.random_tensorop(n, field, rng)
         nth = rng.randrange(n ** 4)
+        indexed = frt.chi(R)
 
         def change(tp):
             tp.terms.pop(next(iter(tp.terms)))
@@ -357,8 +392,30 @@ def test_delta_chi_notices_one_dropped_term_of_delta(monkeypatch, field, n):
 
         with monkeypatch.context() as m:
             m.setattr(NCPoly, "delta", _perturb_nth_call(delta, nth, change))
-            assert not frt.verify_delta_chi(R)
+            assert not oracles.delta_chi_identity(indexed, n)
+        assert oracles.delta_chi_identity(indexed, n)
         assert frt.verify_delta_chi(R)
+        i, j, k, l, u, v = (rng.randrange(n) for _ in range(6))
+        c = field.one
+        controls = {
+            "two letters off column k": ((i, j, k, l), (u * n + (k + 1) % n, v * n + l)),
+            "one letter off row i": ((i, j, k, l), ((i + 1) % n * n + u,)),
+            "no letter": ((i, j, k, l), ()),
+            "three letters": ((i, j, k, l), (u * n + k, v * n + l, i * n + u)),
+            # at the last (k,l), or the last i, only the equalities of (3) see it
+            "shift at one (k,l)": ((i, j, n - 1, n - 1), (u * n + n - 1, v * n + n - 1)),
+            "shift at one i": ((n - 1, j, k, l), ((n - 1) * n + u,)),
+        }
+        for name, (idx, word) in controls.items():
+            bad = frt.chi(R)
+            _plus(bad, field, n, idx, word, c)
+            assert not _delta_chi_on(R, bad), name
+            assert not oracles.delta_chi_identity(bad, n), name
+        for kind, holds in (("x", False), ("y", False), ("xy", True)):
+            shifted = frt.chi(R)
+            _shift(shifted, field, n, kind, (i, j, u, v), c)
+            assert _delta_chi_on(R, shifted) is holds, kind
+            assert oracles.delta_chi_identity(shifted, n) is holds, kind
 
 
 @pytest.mark.parametrize("field,n", [(QQ, 2), (F5, 2), (F3, 3)], ids=["Q2", "F5-2", "F3-3"])
@@ -425,6 +482,27 @@ def test_identities_make_a_constant_number_of_lifted_products(monkeypatch, n, ch
     assert len(calls) == products
 
 
+@pytest.mark.parametrize("field", [QQ, F3], ids=["Q3", "F3-3"])
+def test_delta_chi_lifts_once_tests_once_and_expands_no_delta(monkeypatch, field):
+    R = T.random_tensorop(3, field, random.Random(51))
+    calls = {"delta": 0, "lift": 0, "lifted_is_zero": 0}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(NCPoly, "delta")
+    counting(type(field), "lift")
+    counting(linalg, "lifted_is_zero")
+    assert frt.verify_delta_chi(R)
+    assert calls == {"delta": 0, "lift": 1, "lifted_is_zero": 1}
+
+
 # -- the lifted coideal and counit checks against the scalar oracles -------------
 
 # the (field, n) cells of acceptance criterion 05
@@ -440,20 +518,27 @@ def _nonzero_scalar(field):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_lifted_chi_identities_match_scalar_oracles(data):
-    # random R in the criterion-05 cells, with one term added to one chi in
-    # about half of the draws: the lifted checks agree with the scalar ones
+    # random R in the criterion-05 cells, with one term of 0 to 3 letters
+    # added to one chi, or one of the structured shifts of _shift, in most
+    # draws: the lifted checks agree with the scalar ones
     field, n = data.draw(st.sampled_from(CRITERION_05_CELLS), label="cell")
     R = T.random_tensorop(n, field, random.Random(data.draw(st.integers(0, 2**32))))
     indexed = frt.chi(R)
-    if data.draw(st.booleans(), label="perturb"):
+    kind = data.draw(st.sampled_from([None, "word", "x", "y", "xy"]), label="perturb")
+    if kind:
         idx = data.draw(st.sampled_from(sorted(indexed)), label="idx")
-        word = tuple(data.draw(st.lists(st.integers(0, n * n - 1), max_size=2), label="word"))
         c = data.draw(_nonzero_scalar(field), label="c")
-        indexed[idx] = indexed[idx] + NCPoly(comatrix_alphabet(n), field, {word: c})
+        if kind == "word":
+            word = tuple(data.draw(st.lists(st.integers(0, n * n - 1), max_size=3), label="word"))
+            _plus(indexed, field, n, idx, word, c)
+        else:
+            _shift(indexed, field, n, kind, idx, c)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(frt, "chi", lambda _: indexed)
         got = frt.verify_delta_chi(R), frt.eps_chi_zero(R)
     assert got == (oracles.delta_chi_identity(indexed, n), oracles.eps_chi_identity(indexed))
+    # (eps (x) id) of the coideal identity: sum_{a,b} eps(chi(i,j,a,b)) c_ak c_bl = 0
+    assert not got[0] or oracles.eps_chi_identity(indexed)
 
 
 @pytest.mark.parametrize("field", [QQ, F5, F3], ids=["Q3", "F5-3", "F3-3"])
