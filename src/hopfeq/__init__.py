@@ -61,7 +61,6 @@ from .hopfmodules import (
     HopfModuleData,
     act_poly,
     act_word,
-    check_annihilation,
     check_hopf_compat,
     induced_R,
     module_from_R,

@@ -35,8 +35,13 @@ and ``inverse``, which tests each pivot through ``from_int``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt, lcm
+
+# the documented scalar texts, ASCII digits only: a/b over Q, an int over F_p
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 
 
 class FieldError(ValueError):
@@ -127,8 +132,10 @@ class Rationals(Field):
             raise FieldError(f"not a rational: {text!r}")
         if isinstance(text, int):
             return Fraction(text)
+        if not isinstance(text, str) or not _RATIONAL_TEXT.fullmatch(text):
+            raise FieldError(f"not a rational: {text!r}")
         try:
-            return Fraction(str(text))
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"not a rational: {text!r}") from exc
 
@@ -183,8 +190,10 @@ class PrimeField(Field):
             raise FieldError(f"not an integer residue: {text!r}")
         if isinstance(text, int):
             return text % self.p
+        if not isinstance(text, str) or not _INTEGER_TEXT.fullmatch(text):
+            raise FieldError(f"not an integer residue: {text!r}")
         try:
-            return int(str(text), 10) % self.p
+            return int(text) % self.p
         except ValueError as exc:
             raise FieldError(f"not an integer residue: {text!r}") from exc
 

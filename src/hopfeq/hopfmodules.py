@@ -2,8 +2,7 @@
 bialgebra: the multiplicative action extension, the comatrix coaction, the
 obstructions chi read off the action, the Hopf compatibility check (every
 chi reduces to zero), the induced operator
-R(m (x) n) = sum n_<1>.m (x) n_<0>, annihilation checks and the universal
-property of B(R).
+R(m (x) n) = sum n_<1>.m (x) n_<0> and the universal property of B(R).
 
 Both module kinds give V as a T(C)-module, ``action``: (j, u) -> the
 matrix of c_{j+1,u+1}; over a structure bialgebra H, c_ju acts as the
@@ -148,13 +147,6 @@ def induced_R(data) -> TensorOp:
     action = data.action
     return TensorOp(n, data.field, [[action[(j, u)][i][v] for v in range(n) for u in range(n)]
                                     for i in range(n) for j in range(n)])
-
-
-def check_annihilation(pres, data: HopfModuleData) -> bool:
-    """I . V = 0: every relation acts as the zero matrix."""
-    zero_mat = linalg.zeros(data.field, data.n, data.n)
-    memo = {}
-    return all(act_poly(r, data, memo) == zero_mat for r in pres.relations)
 
 
 def check_hopf_compat(data: HopfModuleData, rs) -> bool:

@@ -9,7 +9,7 @@ rule set inter-reduced and processes overlap obligations FIFO, so the result
 is deterministic for a given relation list.
 
 Reduction looks rules up in a hash index of their left-hand sides (lhs word
--> rule, plus the distinct lhs lengths) instead of scanning the rule list:
+-> rule, plus every lhs length it has held) instead of scanning the rule list:
 at each position of a word it tries one slice per lhs length. Because the
 rule set is inter-reduced, no lhs is a factor of another and at most one lhs
 matches at any position, so the leftmost match picks the rule a scan would.
@@ -20,12 +20,14 @@ rule, and after admitting one re-reduces only the tails in which the new lhs
 occurs. quotient_bialgebra reduces each word once per call: one memo serves
 its coideal check, its mult table and its comult table.
 
-Completion pairs a new rule only with the rules whose lhs overlaps its lhs
-(Bergman's ambiguities): the same index maps every proper prefix and proper
-suffix of an lhs to its rules, so the new lhs looks up each of its own
-suffixes among the prefixes and each of its prefixes among the suffixes.
-The rules found are visited in list order, so the queue receives the same
-S-polynomials in the same order as a pass over every rule would give it.
+Completion takes the overlap ambiguities of a new rule (Bergman's) from
+the same index, which maps every proper prefix and proper suffix of an lhs
+to its rules: the new lhs looks up each of its own suffixes among the
+prefixes and each of its prefixes among the suffixes, and each hit is one
+ambiguity with its overlap length, so no pair of rules is searched again.
+They come per rule in list order, so the queue receives the same
+S-polynomials in the same order as a pass over every rule would give it,
+and one whose ambiguity word exceeds the degree bound is never built.
 
 Dimension counts irreducible words instead of listing them, on the
 Ufnarovski graph: whether an irreducible word stays irreducible after one
@@ -113,7 +115,7 @@ def _orient(poly):
 
 class _RuleIndex:
     """Hash index of rule left-hand sides: lhs -> (rank, rule), with rank the
-    rule's place in list order, plus the sorted distinct lhs lengths, plus
+    rule's place in list order, plus the sorted lhs lengths ever added, plus
     every proper prefix and every proper suffix of an lhs -> {rank: rule}.
 
     At each position of a word the index tries every lhs length; the leftmost
@@ -147,9 +149,9 @@ class _RuleIndex:
             self.suffixes.setdefault(w[-L:], {})[rank] = rule
 
     def remove(self, rule):
+        # a length left with no lhs costs find one dict miss per position
         w = rule.lhs
         rank, _ = self.by_lhs.pop(w)
-        self.lengths = sorted({len(u) for u in self.by_lhs})
         for L in range(1, len(w)):
             del self.prefixes[w[:L]][rank]
             del self.suffixes[w[-L:]][rank]
@@ -173,15 +175,21 @@ class _RuleIndex:
                 return pos, best[1]
         return None
 
-    def overlapping(self, w):
-        """The indexed rules whose lhs overlaps w properly on either side (a
-        proper suffix of w is a prefix of it, or a proper suffix of it is a
-        prefix of w), in rank order."""
-        found = {}
+    def overlaps(self, new):
+        """The ambiguities of the indexed rule new with the indexed rules, as
+        (r1, r2, L): the last L letters of r1.lhs are the first L of r2.lhs,
+        both proper. Per rule in rank order, those with new on the left come
+        first, then those with new on the right, each by increasing L; a
+        self-overlap of new comes once per L."""
+        w = new.lhs
+        found = {}  # rank -> (new on the left, new on the right)
         for L in range(1, len(w)):
-            found.update(self.prefixes.get(w[-L:], ()))
-            found.update(self.suffixes.get(w[:L], ()))
-        return [found[rank] for rank in sorted(found)]
+            for rank, r in self.prefixes.get(w[-L:], {}).items():
+                found.setdefault(rank, ([], []))[0].append((new, r, L))
+            for rank, r in self.suffixes.get(w[:L], {}).items():
+                if r is not new:
+                    found.setdefault(rank, ([], []))[1].append((r, new, L))
+        return [amb for rank in sorted(found) for group in found[rank] for amb in group]
 
 
 def _has_factor(w, f):
@@ -247,23 +255,15 @@ def _word_images(rs):
     return nf, cache(reduce_delta)
 
 
-def _proper_overlaps(r1, r2):
-    """Suffix-of-r1 = prefix-of-r2 ambiguities; S-polynomial per ambiguity.
-
-    With w1 = a t and w2 = t b, the S-polynomial is tail1 b - a tail2."""
-    w1, w2 = r1.lhs, r2.lhs
+def _s_polynomial(r1, r2, L):
+    """The S-polynomial tail1 b - a tail2 of the ambiguity a t b, where
+    r1.lhs = a t and r2.lhs = t b with |t| = L."""
     tail1, tail2 = r1.tail, r2.tail
+    a, b = r1.lhs[:len(r1.lhs) - L], r2.lhs[L:]
     neg = tail1.field.neg
-    out = []
-    for L in range(1, min(len(w1), len(w2))):
-        if w1[len(w1) - L:] != w2[:L]:
-            continue
-        a = w1[:len(w1) - L]
-        b = w2[L:]
-        out.append((w1 + b, tail1._with(tail1.field.combine(
-            [(t + b, c) for t, c in tail1.terms.items()]
-            + [(a + t, neg(c)) for t, c in tail2.terms.items()]))))
-    return out
+    return tail1._with(tail1.field.combine(
+        [(t + b, c) for t, c in tail1.terms.items()]
+        + [(a + t, neg(c)) for t, c in tail2.terms.items()]))
 
 
 def complete(relations, max_degree=8, alphabet=None, field=None):
@@ -321,16 +321,14 @@ def complete(relations, max_degree=8, alphabet=None, field=None):
         for r in rules if scan else ():
             if any(_has_factor(t, new.lhs) for t in r.tail.terms):
                 r.tail = normal_form(r.tail, work)
-        # only rules that overlap new can form an ambiguity with it; rank
-        # order keeps the queue in the order of a pass over the rule list,
-        # and a self-overlap of new is one pair, not two
-        for r in index.overlapping(new.lhs):
-            for pair in ((new, r), (r, new)) if r is not new else ((new, new),):
-                for amb, spoly in _proper_overlaps(*pair):
-                    if len(amb) > max_degree:
-                        capped = True
-                    else:
-                        queue.append(spoly)
+        # the index lists every ambiguity of new with a live rule, itself
+        # included, in the order of a pass over the rule list; one whose word
+        # exceeds the bound caps the run and is never built
+        for r1, r2, L in index.overlaps(new):
+            if len(r1.lhs) + len(r2.lhs) - L > max_degree:
+                capped = True
+            else:
+                queue.append(_s_polynomial(r1, r2, L))
     rules.sort(key=lambda r: word_key(r.lhs))
     return RewriteSystem(alphabet, field, rules, "capped" if capped else "complete", max_degree)
 

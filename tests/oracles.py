@@ -3,10 +3,12 @@ matrix arithmetic, the scalar form of the Hopf equation, direct expansions
 of the obstruction formula, the coideal and counit identities of chi in
 scalars, brute-force enumeration of solutions over F_p,
 normal forms by a scan of the whole rule list, completion that pairs every
-two rules, irreducible words by listing them, the coideal check relation by
-relation, Hopf compatibility over a presented quotient side by side, the
-bialgebra and Hopf module checks on dense vectors, and the Takesaki and
-Galois maps by loops over the dense tables.
+two rules, the diamond lemma's test of a finished rewriting system,
+irreducible words by listing them, the coideal check relation by
+relation, the action of every relation on V, Hopf compatibility over a
+presented quotient side by side, the bialgebra and Hopf module checks on
+dense vectors, and the Takesaki and Galois maps by loops over the dense
+tables.
 Deliberately written without the package's production shortcuts."""
 
 from itertools import product
@@ -548,6 +550,61 @@ def all_pairs_complete(relations, max_degree=8, alphabet=None, field=None):
                         queue.append(spoly)
     rules.sort(key=lambda r: word_key(r.lhs))
     return RewriteSystem(alphabet, field, rules, "capped" if capped else "complete", max_degree)
+
+
+def check_complete(rs, relations):
+    """Bergman's diamond lemma on a finished system, with no completion
+    queue and no rule index: every tail word lies deglex below its lhs, no
+    lhs is a factor of another lhs or of a tail word (so there are no
+    inclusion ambiguities), every overlap ambiguity w1 = a t, w2 = t b
+    resolves (tail1 b - a tail2, built by polynomial products, has normal
+    form zero) and every relation has normal form zero. Then the irreducible
+    words are a basis of T/(rules) and the relations lie in (rules). That
+    each rule lies in the ideal of the relations is not checked here:
+    complete builds every rule from them."""
+    from hopfeq.freealgebra import NCPoly, word_key
+    from hopfeq.rewriting import normal_form
+
+    alphabet, field = rs.alphabet, rs.field
+    lhs = {r.lhs for r in rs.rules}
+    if len(lhs) < len(rs.rules):
+        return False
+    longest = max((len(w) for w in lhs), default=0)
+
+    def factors(w):  # every factor of w up to the longest lhs, () included
+        return {w[i:i + k] for k in range(min(len(w), longest) + 1)
+                for i in range(len(w) - k + 1)}
+
+    for r in rs.rules:
+        if (factors(r.lhs) - {r.lhs}) & lhs:
+            return False
+        for t in r.tail.terms:
+            if word_key(t) >= word_key(r.lhs) or factors(t) & lhs:
+                return False
+    starting = {}  # proper prefix -> the rules whose lhs starts with it
+    for r in rs.rules:
+        for L in range(1, len(r.lhs)):
+            starting.setdefault(r.lhs[:L], []).append(r)
+    for r1 in rs.rules:
+        w1 = r1.lhs
+        for L in range(1, len(w1)):
+            for r2 in starting.get(w1[len(w1) - L:], ()):
+                a, b = w1[:len(w1) - L], r2.lhs[L:]
+                spoly = (r1.tail * NCPoly.word(alphabet, field, b)
+                         - NCPoly.word(alphabet, field, a) * r2.tail)
+                if not normal_form(spoly, rs).is_zero():
+                    return False
+    return all(normal_form(r, rs).is_zero() for r in relations)
+
+
+def check_annihilation(pres, data) -> bool:
+    """I . V = 0: every relation acts as the zero matrix."""
+    from hopfeq import linalg
+    from hopfeq.hopfmodules import act_poly
+
+    zero_mat = linalg.zeros(data.field, data.n, data.n)
+    memo = {}
+    return all(act_poly(r, data, memo) == zero_mat for r in pres.relations)
 
 
 def per_relation_coideal(pres, rs):

@@ -250,7 +250,7 @@ def test_criterion_06_round_trip_and_hopf_module_structure():
         rs = RW.complete(pres.relations, 4)
         data = HM.module_from_R(R)
         assert HM.check_hopf_compat(data, rs), fid
-        assert HM.check_annihilation(pres, data), fid
+        assert oracles.check_annihilation(pres, data), fid
     report(6, "induced_R(module_from_R(R)) = R on all fixtures and 200 random "
               "operators; Hopf compatibility and annihilation hold on every B(R)")
 

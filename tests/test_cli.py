@@ -101,6 +101,24 @@ def test_fixture_dimension_bound_is_inclusive():
             fixtures.build_fixture(fid, QQ)
 
 
+@pytest.mark.parametrize("field,entry", [
+    ("q", "0.5"), ("q", "1_000"), ("q", " 1"), ("q", "\u0663"), ("q", "1e1000000"),
+    ("fp:5", "1_000"), ("fp:5", " 1"), ("fp:5", "\u0663"),
+])
+def test_scalar_outside_the_documented_grammar_exits_3(capsys, tmp_path, field, entry):
+    # a/b over Q and an int over F_p, in ASCII digits: "1e1000000" made check
+    # on n=2 work with a million-digit numerator
+    matrix = [["0"] * 4 for _ in range(4)]
+    matrix[1][2] = entry
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"field": field, "n": 2, "matrix": matrix}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and not out
+    assert err.count("\n") == 1 and err.startswith("field error: ") and repr(entry) in err
+
+
 @pytest.mark.parametrize("command", ["check", "verify"])
 def test_bool_dimension_exits_2(capsys, tmp_path, command):
     # JSON true is a Python bool, and bool is a subclass of int

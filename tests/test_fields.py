@@ -139,6 +139,19 @@ def test_scalar_json_round_trip():
         f7.parse_scalar("2/3x")
 
 
+def test_scalar_grammar_is_the_documented_one():
+    f7 = parse_field("fp:7")
+    assert [QQ.parse_scalar(s) for s in ("+4/6", "-3", "007/2", 5)] == \
+        [Fraction(2, 3), -3, Fraction(7, 2), 5]
+    assert [f7.parse_scalar(s) for s in ("+9", "-1", "010", 12)] == [2, 6, 3, 5]
+    for field, texts in ((QQ, ("1.5", "1e3", "1_000", " 1", "1 ", "1\n", "\u0663", "1/-2",
+                               "", "/2", "inf", 1.5, None)),
+                         (f7, ("1/2", "1.0", "1_000", " 1", "\u0663", "", 2.0))):
+        for text in texts:
+            with pytest.raises(FieldError):
+                field.parse_scalar(text)
+
+
 _COMBINE_SCALARS = {
     "q": st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
     "fp:2": st.integers(0, 1),

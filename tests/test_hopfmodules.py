@@ -79,7 +79,7 @@ def test_act_word_homomorphism():
 def test_memoised_act_word_matches_left_to_right_product(field, n):
     rng = random.Random(51)
     data = HM.module_from_R(T.random_tensorop(n, field, rng))
-    memo = {}  # shared by every word, as in check_annihilation
+    memo = {}  # shared by every word, as in oracles.check_annihilation
     for _ in range(60):
         w = tuple(rng.randrange(n * n) for _ in range(rng.randrange(6)))
         want = oracles.identity(field, n)
@@ -272,14 +272,30 @@ def test_annihilation_claims():
     for fid, field in HOPF_FIXTURES:
         R = build_fixture(fid, field)
         pres = frt.frt_presentation(R)
-        assert HM.check_annihilation(pres, HM.module_from_R(R)), fid
+        assert oracles.check_annihilation(pres, HM.module_from_R(R)), fid
     # non-solution under the override: annihilation fails
     Y = build_fixture("classical_yb:2", QQ)
     presY = frt.frt_presentation(Y, force=True)
-    assert not HM.check_annihilation(presY, HM.module_from_R(Y))
+    assert not oracles.check_annihilation(presY, HM.module_from_R(Y))
     # empty presentation annihilates trivially
     empty = frt.Presentation(alphabet=A2, field=QQ, relations=[])
-    assert HM.check_annihilation(empty, HM.module_from_R(build_fixture("identity:2", QQ)))
+    assert oracles.check_annihilation(empty, HM.module_from_R(build_fixture("identity:2", QQ)))
+
+
+@pytest.mark.parametrize("field,n", [(F2, 2), (F3, 2), (QQ, 2), (F2, 3), (F3, 3), (QQ, 3)],
+                         ids=["F2-2", "F3-2", "Q2", "F2-3", "F3-3", "Q3"])
+def test_annihilation_of_a_non_solution_is_its_hopf_verdict(field, n):
+    # frt --force writes annihilates_module from check_hopf alone: by the
+    # defect identity the chi act on V as the Hopf defect of R
+    rng = random.Random(80 + n)
+    for _ in range(3):
+        R = T.random_tensorop(n, field, rng)
+        while T.check_hopf(R):
+            R = T.random_tensorop(n, field, rng)
+        assert frt.verify_defect_identity(R)
+        data = HM.module_from_R(R)
+        for make in (frt.frt_presentation, frt.frt_commutative):
+            assert oracles.check_annihilation(make(R, force=True), data) == T.check_hopf(R)
 
 
 def test_compat_implies_induced_solves_hopf():

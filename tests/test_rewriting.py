@@ -186,16 +186,28 @@ def test_indexed_normal_form_matches_linear_scan(k):
             oracles.linear_scan_normal_form(field, p.terms, rules), name
 
 
-def proper_overlap(u, v):
-    """A proper suffix of u is a proper prefix of v."""
-    return any(u[len(u) - L:] == v[:L] for L in range(1, min(len(u), len(v))))
+def pairwise_ambiguities(new, live):
+    """(r1, r2, L) for every proper overlap of new with a live rule, by a
+    scan of the rule list: per rule, new on the left, then new on the right,
+    each by increasing L; new with itself once."""
+    out = []
+    for r in live:
+        for r1, r2 in ((new, r), (r, new)) if r is not new else ((new, new),):
+            u, v = r1.lhs, r2.lhs
+            out += [(r1, r2, L) for L in range(1, min(len(u), len(v)))
+                    if u[len(u) - L:] == v[:L]]
+    return out
+
+
+def by_identity(ambiguities):
+    return [(id(r1), id(r2), L) for r1, r2, L in ambiguities]
 
 
 @pytest.mark.parametrize("k", range(4))
 def test_overlap_index_matches_pairwise_scan(k):
-    # completion pairs a new rule only with the rules the index returns, and
-    # queues their S-polynomials in that order: it must be every rule a scan
-    # of the live rule list pairs with, in list order, after retirements too
+    # completion queues the S-polynomials of the ambiguities the index lists,
+    # in that order: they must be those a scan of the live rule list finds,
+    # in list order, after retirements too
     name, rs = index_cases()[k]
     index = RW._RuleIndex(rs.rules)
     rng = random.Random(70 + k)
@@ -207,29 +219,59 @@ def test_overlap_index_matches_pairwise_scan(k):
         else:
             live.append(r)
     letters = len(rs.alphabet)
-    words = [r.lhs for r in rs.rules] + [
-        tuple(rng.randrange(letters) for _ in range(rng.randint(1, 6))) for _ in range(40)]
-    for w in words:
-        want = [r for r in live if proper_overlap(w, r.lhs) or proper_overlap(r.lhs, w)]
-        assert index.overlapping(w) == want, name
+    # indexed rules find themselves; retired rules and fresh words do not
+    news = rs.rules + [
+        RW.RewriteRule(tuple(rng.randrange(letters) for _ in range(rng.randint(1, 6))), None)
+        for _ in range(40)]
+    for new in news:
+        assert by_identity(index.overlaps(new)) == \
+            by_identity(pairwise_ambiguities(new, live)), name
 
 
 def test_completion_pairs_each_self_overlap_once(monkeypatch):
     # a new rule is in the index when its overlaps are looked up, so it finds
-    # itself; (new, new) must go to _proper_overlaps once, not once per order
-    self_pairs = []  # the rules themselves, kept alive so their ids stay apart
-    proper_overlaps = RW._proper_overlaps
+    # itself; (new, new, L) must be built once per self-overlap length L
+    self_pairs = {}  # id -> (rule, lengths), the rule kept so ids stay apart
+    s_polynomial = RW._s_polynomial
 
-    def recording(r1, r2):
+    def recording(r1, r2, L):
         if r1 is r2:
-            self_pairs.append(r1)
-        return proper_overlaps(r1, r2)
+            self_pairs.setdefault(id(r1), (r1, []))[1].append(L)
+        return s_polynomial(r1, r2, L)
 
-    monkeypatch.setattr(RW, "_proper_overlaps", recording)
+    monkeypatch.setattr(RW, "_s_polynomial", recording)
     rels, _ = frt.chi_relations(B.char2_matrix(F2))
     RW.complete(rels, 8)
     assert self_pairs
-    assert len({id(r) for r in self_pairs}) == len(self_pairs)
+    for r, lengths in self_pairs.values():
+        w = r.lhs
+        assert lengths == [L for L in range(1, len(w))
+                           if w[len(w) - L:] == w[:L] and 2 * len(w) - L <= 8]
+
+
+def test_completion_builds_one_s_polynomial_per_ambiguity_within_the_bound(monkeypatch):
+    built = []
+    s_polynomial = RW._s_polynomial
+
+    def recording(r1, r2, L):
+        built.append(len(r1.lhs) + len(r2.lhs) - L)
+        return s_polynomial(r1, r2, L)
+
+    monkeypatch.setattr(RW, "_s_polynomial", recording)
+    # the 625 lhs of takesaki_c5 are all the words of two of its 25 letters,
+    # so its ambiguities are the 25^3 words of three, one overlap each (the
+    # pair search that the index replaced ran 30,625 times)
+    pres = frt.frt_presentation(build_fixture("takesaki_c5", QQ))
+    rs = RW.complete(pres.relations, 8, pres.alphabet, pres.field)
+    assert rs.is_complete() and len(rs.rules) == 625 and len(built) == 25 ** 3
+    # capped at 3, r_q:1 lists ambiguities over the bound too, and builds
+    # only those within it
+    listed = _counting(monkeypatch, RW._RuleIndex, "overlaps", keep=True)
+    built.clear()
+    pres = frt.frt_presentation(build_fixture("r_q:1", QQ))
+    assert not RW.complete(pres.relations, 3).is_complete()
+    words = [len(r1.lhs) + len(r2.lhs) - L for found in listed for r1, r2, L in found]
+    assert built == [d for d in words if d <= 3] and len(built) < len(words)
 
 
 def pipeline_doc(R):
@@ -292,6 +334,7 @@ def assert_matches_oracles(pres):
     rs = RW.complete(*args)
     want = oracles.all_pairs_complete(*args)
     assert rs.to_json() == want.to_json()
+    assert not rs.is_complete() or oracles.check_complete(rs, pres.relations)
     levels = oracles.irreducible_levels(want, max(ORACLE_LENGTHS))
     for max_len in ORACLE_LENGTHS:
         assert RW.dimension(rs, max_len) == oracles.listing_dimension(want, max_len, levels)
@@ -328,14 +371,63 @@ def test_completion_and_dimension_match_oracles_over_f3_hopf_solutions(f3_hopf_s
     assert len(statuses) == 463 and statuses.count("capped") == 24
 
 
-def _counting(monkeypatch, owner, name):
-    """Count the calls of owner.name, which keeps working."""
+def test_completion_pinned_over_f3_hopf_solutions(f3_hopf_solutions):
+    # digest recorded before the index listed ambiguities itself
+    docs = []
+    for flat in f3_hopf_solutions:
+        pres = frt.frt_presentation(
+            T.TensorOp(2, F3, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)]))
+        docs.append(RW.complete(pres.relations, 8, pres.alphabet, pres.field).to_json())
+    assert len(docs) == 463
+    assert digest(docs) == "3633dd9889fdb38fc346315f01275887eec7643b812cd3f3f5ad52eddd8eeebd"
+
+
+@pytest.mark.parametrize("fid,force", [
+    ("takesaki_c5", False), ("crossed_s3", True), ("dense_q", False)])
+def test_diamond_lemma_check_on_large_completions(fid, force):
+    # too large for all-pairs completion: the finished system is checked on
+    # its own, and each broken copy of it must be refused
+    R = dense_conjugate(*DENSE_CONJUGATES[0]) if fid == "dense_q" else build_fixture(fid, QQ)
+    pres = frt.frt_presentation(R, force=force)
+    rels = pres.relations
+    rs = RW.complete(rels, 8, pres.alphabet, pres.field)
+    assert rs.is_complete() and oracles.check_complete(rs, rels)
+    A, F, rules = rs.alphabet, rs.field, rs.rules
+    k = len(rules) // 2
+    r = rules[k]
+
+    def replaced(*new):
+        return RW.RewriteSystem(A, F, rules[:k] + list(new) + rules[k + 1:], "complete", 8)
+
+    unit = NCPoly.word(A, F, ())
+    letter = next(p for p in (NCPoly.letter(A, F, g) for g in range(len(A)))
+                  if not RW.normal_form(p, rs).is_zero())
+    longer = RW.RewriteRule(r.lhs + (0,), RW.normal_form(r.tail * NCPoly.letter(A, F, 0), rs))
+    kept = rules[:k] + rules[k + 1:]
+    for broken, relations in [
+        (replaced(), rels),  # one rule dropped
+        (replaced(RW.RewriteRule(r.lhs, r.tail + unit)), rels),  # one tail perturbed
+        (rs, rels + [letter]),  # a relation that does not reduce to zero
+        # under the next three every word keeps its normal form under rs
+        (replaced(r, RW.RewriteRule(r.lhs, r.tail + unit)), rels),  # two rules on one lhs
+        (replaced(r, longer), rels),  # an lhs inside another lhs
+        (replaced(RW.RewriteRule(r.lhs, r.tail + rules[0].poly())), rels),  # a reducible tail
+        # one rule dropped from the rules and from the relations alike
+        (RW.RewriteSystem(A, F, kept, "complete", 8), [q.poly() for q in kept]),
+    ]:
+        assert not oracles.check_complete(broken, relations)
+
+
+def _counting(monkeypatch, owner, name, keep=False):
+    """Count the calls of owner.name, which keeps working; with keep, the
+    list holds what each call returned."""
     calls = []
     fn = getattr(owner, name)
 
     def counted(*args):
-        calls.append(None)
-        return fn(*args)
+        out = fn(*args)
+        calls.append(out if keep else None)
+        return out
 
     monkeypatch.setattr(owner, name, counted)
     return calls
