@@ -1,8 +1,8 @@
 """Finite-dimensional bialgebras as structure tables, their axiom checks, and
 constructors for every operator example in scope: projections f_q and the
-R_q family, graded and crossed module solutions, Takesaki and Galois maps on
-group algebras, the characteristic-two matrix and the classical Yang-Baxter
-operator.
+R_q family built from them, graded and crossed module solutions, Takesaki
+and Galois maps on group algebras, the characteristic-two matrix and the
+classical Yang-Baxter operator.
 
 Table conventions: mult[i][j] is the coefficient vector of m_i * m_j,
 comult[i][u][v] the coefficient of m_u (x) m_v in Delta(m_i), antipode[i] the
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .fields import Field, parse_field
-from .tensorops import EndoV, TensorOp
+from .tensorops import EndoV, TensorOp, pair_tensor
 
 
 class MissingAntipodeError(ValueError):
@@ -211,27 +211,24 @@ def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
 
 
 def group_algebra(m: int, field: Field) -> StructureBialgebra:
-    """k[C_m] with grouplike basis, Delta(g) = g (x) g, S(g) = g^-1."""
+    """k[C_m] with grouplike basis, Delta(g) = g (x) g, S(g) = g^-1; products
+    and inverses are read off ``cyclic_group(m)``."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    G = cyclic_group(m)
     zero, one = field.zero, field.one
-    dim = m
 
     def vec(i):
-        v = [zero] * dim
+        v = [zero] * m
         v[i] = one
         return v
 
     labels = ["1"] + [f"g^{i}" if i > 1 else "g" for i in range(1, m)]
-    mult = [[vec((i + j) % m) for j in range(m)] for i in range(m)]
-    comult = []
-    for i in range(m):
-        mat = [[zero] * dim for _ in range(dim)]
-        mat[i][i] = one
-        comult.append(mat)
-    counit = [one] * m
-    antipode = [vec((-i) % m) for i in range(m)]
-    return StructureBialgebra(field, dim, labels, vec(0), mult, comult, counit, antipode)
+    mult = [[vec(g) for g in row] for row in G.table]
+    comult = [[vec(i) if u == i else [zero] * m for u in range(m)] for i in range(m)]
+    antipode = [vec(g) for g in G.inverse]
+    return StructureBialgebra(field, m, labels, vec(G.identity), mult, comult, [one] * m,
+                              antipode)
 
 
 def _tensor_op(f, dim, entries):
@@ -372,6 +369,9 @@ def graded_solution(spec: GradedModuleSpec, mode="graded") -> TensorOp:
 
 
 # -- the printed operator matrices ---------------------------------------
+# The R_q family is built from its definition as f_q (x) g, for g = I - f_q,
+# I and f_q; the characteristic-two and classical Yang-Baxter matrices are
+# written out as printed.
 
 def projection_fq(q, field: Field) -> EndoV:
     """f_q = [[1, q], [0, 0]]; an idempotent for every scalar q."""
@@ -386,35 +386,20 @@ def _op4(field, rows):
 
 def r_q(q, field: Field) -> TensorOp:
     """R_q = f_q (x) (I - f_q)."""
-    mq = field.neg(q)
-    mq2 = field.neg(field.mul(q, q))
-    return _op4(field, [
-        [0, mq, 0, mq2],
-        [0, 1, 0, q],
-        [0, 0, 0, 0],
-        [0, 0, 0, 0],
-    ])
+    f = projection_fq(q, field)
+    g = linalg.mat_sub(field, linalg.identity(field, 2), f.entries)
+    return pair_tensor(f, EndoV(2, field, g))
 
 
 def r_q_prime(q, field: Field) -> TensorOp:
     """R'_q = f_q (x) I."""
-    return _op4(field, [
-        [1, 0, q, 0],
-        [0, 1, 0, q],
-        [0, 0, 0, 0],
-        [0, 0, 0, 0],
-    ])
+    return pair_tensor(projection_fq(q, field), EndoV(2, field, linalg.identity(field, 2)))
 
 
 def r_q_dblprime(q, field: Field) -> TensorOp:
     """R''_q = f_q (x) f_q."""
-    q2 = field.mul(q, q)
-    return _op4(field, [
-        [1, q, q, q2],
-        [0, 0, 0, 0],
-        [0, 0, 0, 0],
-        [0, 0, 0, 0],
-    ])
+    f = projection_fq(q, field)
+    return pair_tensor(f, f)
 
 
 def char2_matrix(field: Field) -> TensorOp:

@@ -48,6 +48,9 @@ def _load_operator(args) -> TensorOp:
             raise CliInputError(f"cannot read {args.matrix}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CliInputError(f"not valid JSON: {exc}") from exc
+        n = doc.get("n") if isinstance(doc, dict) else None
+        if isinstance(n, int) and n > MAX_FIXTURE_N:  # bounded before any entry is read
+            raise CliInputError(f"matrix document n must be <= {MAX_FIXTURE_N}, got {n}")
         try:
             return TensorOp.from_json(doc)
         except FieldError:
@@ -291,9 +294,7 @@ def build_parser():
     p = sub.add_parser("enumerate", help="all solutions over F_p, by exact pruned search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", required=True)
-    p.add_argument("--eq", default="hopf",
-                   choices=sorted(["hopf", "pentagon", "qybe", "commutative",
-                                   "cocommutative"]))
+    p.add_argument("--eq", default="hopf", choices=sorted(kernels.EQUATIONS))
     p.add_argument("--cap", type=int, default=2**24)
     p.add_argument("--dump", action="store_true")
     p.add_argument("--json", action="store_true")

@@ -3,17 +3,19 @@ projections, graded/crossed module solutions, Takesaki and Galois maps on
 cyclic group algebras, the characteristic-two matrix and the classical
 Yang-Baxter operator.
 
-Fixture ids: identity:<n>, r_q:<q>, r_q_prime:<q>, r_q_dblprime:<q>, char2,
-classical_yb:<q>, graded_c2, crossed_s3, takesaki_c<m>, galois_c<m>.
+``FIXTURE_NAMES`` lists the fixture ids, each with its parameter if it takes
+one: ``<n>`` and ``<m>`` are dimensions in 1..``MAX_FIXTURE_N``, written in
+the integer grammar of ``fields``, and ``<q>`` is a scalar of the field,
+written in its scalar grammar. A parameter follows a colon, except that
+``<m>`` ends the name. A parameter outside its grammar or range, or given to
+a fixture that takes none, raises ``FixtureError`` before anything is built.
 """
 
 from __future__ import annotations
 
-import re
-
 from . import bialgebras, linalg, tensorops
 from .bialgebras import GradedModuleSpec, cyclic_group, symmetric_group_3
-from .fields import Field
+from .fields import _INTEGER_TEXT, Field
 
 MAX_FIXTURE_N = 12  # legs grow as n^6: `check` on takesaki_c12 over Q peaks at 295 MB
 
@@ -47,6 +49,25 @@ def crossed_s3_solution(field: Field) -> tensorops.TensorOp:
     return bialgebras.graded_solution(spec, mode="crossed")
 
 
+# fixture id -> (the parameter's default, or None when it has to be given;
+# the builder). The builders look up their constructors when called.
+_CATALOGUE = {
+    "identity:<n>": ("2", lambda n, field: tensorops.identity_op(n, field)),
+    "r_q:<q>": ("0", lambda q, field: bialgebras.r_q(q, field)),
+    "r_q_prime:<q>": ("0", lambda q, field: bialgebras.r_q_prime(q, field)),
+    "r_q_dblprime:<q>": ("0", lambda q, field: bialgebras.r_q_dblprime(q, field)),
+    "char2": (None, lambda field: bialgebras.char2_matrix(field)),
+    "classical_yb:<q>": (None, lambda q, field: bialgebras.classical_yb(q, field)),
+    "graded_c2": (None, lambda field: graded_c2_solution(field)),
+    "crossed_s3": (None, lambda field: crossed_s3_solution(field)),
+    "takesaki_c<m>": (None, lambda m, field: bialgebras.takesaki(
+        bialgebras.group_algebra(m, field))),
+    "galois_c<m>": (None, lambda m, field: bialgebras.galois_beta(
+        bialgebras.group_algebra(m, field))),
+}
+FIXTURE_NAMES = list(_CATALOGUE)
+
+
 def _parse_param(raw, field):
     try:
         return field.parse_scalar(raw)
@@ -54,46 +75,35 @@ def _parse_param(raw, field):
         raise FixtureError(f"bad fixture parameter {raw!r}") from exc
 
 
+def _dimension(fixture_id, raw):
+    # V has dimension n: bound it before building
+    try:
+        n = int(raw) if _INTEGER_TEXT.fullmatch(raw) else 0
+    except ValueError:  # more digits than int() converts
+        n = 0
+    if not 1 <= n <= MAX_FIXTURE_N:
+        raise FixtureError(f"fixture {fixture_id!r} needs a dimension in 1..{MAX_FIXTURE_N}")
+    return n
+
+
 def build_fixture(fixture_id: str, field: Field) -> tensorops.TensorOp:
     name, _, raw = fixture_id.partition(":")
-    group = re.fullmatch(r"(takesaki|galois)_c(\d+)", name)
-    if name == "identity" or group:  # V has dimension n: bound it before building
-        n = int(group.group(2) if group else raw or 2)
-        if not 1 <= n <= MAX_FIXTURE_N:
-            raise FixtureError(f"fixture {fixture_id!r} needs a dimension in 1..{MAX_FIXTURE_N}")
-    if name == "identity":
-        return tensorops.identity_op(n, field)
-    if name == "r_q":
-        return bialgebras.r_q(_parse_param(raw or "0", field), field)
-    if name == "r_q_prime":
-        return bialgebras.r_q_prime(_parse_param(raw or "0", field), field)
-    if name == "r_q_dblprime":
-        return bialgebras.r_q_dblprime(_parse_param(raw or "0", field), field)
-    if name == "char2":
-        return bialgebras.char2_matrix(field)
-    if name == "classical_yb":
-        if not raw:
-            raise FixtureError("classical_yb:<q> needs its parameter")
-        return bialgebras.classical_yb(_parse_param(raw, field), field)
-    if name == "graded_c2":
-        return graded_c2_solution(field)
-    if name == "crossed_s3":
-        return crossed_s3_solution(field)
-    if group:
-        H = bialgebras.group_algebra(n, field)
-        return bialgebras.takesaki(H) if group.group(1) == "takesaki" else bialgebras.galois_beta(H)
+    for key, (default, build) in _CATALOGUE.items():
+        head, _, param = key.partition("<")
+        if head.endswith(":") and name == head[:-1]:  # identity:<n>: after a colon
+            text, stray = raw or default, ""
+        elif param and not head.endswith(":") and name.startswith(head):  # takesaki_c<m>
+            text, stray = name[len(head):], raw
+        elif name == head:  # char2: no parameter
+            text, stray = None, raw
+        else:
+            continue
+        if stray:
+            raise FixtureError(f"fixture {fixture_id!r} has a stray parameter {stray!r}")
+        if not param:
+            return build(field)
+        if text is None:
+            raise FixtureError(f"{key} needs its parameter")
+        value = _parse_param(text, field) if key.endswith("<q>") else _dimension(fixture_id, text)
+        return build(value, field)
     raise FixtureError(f"unknown fixture {fixture_id!r}")
-
-
-FIXTURE_NAMES = [
-    "identity:<n>",
-    "r_q:<q>",
-    "r_q_prime:<q>",
-    "r_q_dblprime:<q>",
-    "char2",
-    "classical_yb:<q>",
-    "graded_c2",
-    "crossed_s3",
-    "takesaki_c<m>",
-    "galois_c<m>",
-]

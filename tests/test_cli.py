@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from hopfeq import fixtures, rewriting, tensorops
+from hopfeq import fixtures, kernels, rewriting, tensorops
 from hopfeq.cli import main
-from hopfeq.fields import QQ
+from hopfeq.fields import QQ, parse_field
 
 
 def run(capsys, *argv):
@@ -77,7 +77,11 @@ def test_check_unknown_fixture_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("fixture", ["takesaki_c1000", "identity:100000", "galois_c13"])
+@pytest.mark.parametrize("fixture", [
+    "takesaki_c1000", "identity:100000", "galois_c13",
+    # dimensions outside the integer grammar of fields: once read as 12 or 3
+    "identity:1_2", "identity: 3", "identity:\u0663", "takesaki_c\u0663",
+])
 @pytest.mark.parametrize("command", ["check", "frt", "verify"])
 def test_oversized_fixture_exits_2_before_building(capsys, monkeypatch, command, fixture):
     def refuse(*_):
@@ -96,9 +100,108 @@ def test_fixture_dimension_bound_is_inclusive():
     assert fixtures.MAX_FIXTURE_N == 12
     for fid in ("identity:12", "takesaki_c12", "galois_c12"):
         assert fixtures.build_fixture(fid, QQ).n == 12
-    for fid in ("identity:13", "takesaki_c13", "identity:0", "galois_c0"):
+    # 5000 digits are more than int() converts
+    for fid in ("identity:13", "takesaki_c13", "identity:0", "galois_c0",
+                "identity:" + "9" * 5000):
         with pytest.raises(fixtures.FixtureError):
             fixtures.build_fixture(fid, QQ)
+
+
+# every fixture id at sample parameters, each with its field descriptor
+_RQ = ("r_q", "r_q_prime", "r_q_dblprime")
+CATALOGUE_SAMPLES = (
+    [(f"identity:{n}", "q") for n in (1, 3, 12)]
+    + [(f"{name}:{q}", "q") for name in _RQ for q in ("0", "1", "2", "-1/2")]
+    + [(f"{name}:{q}", fd) for fd in ("fp:3", "fp:7") for name in _RQ
+       for q in ("0", "1", "2")]
+    + [("char2", fd) for fd in ("fp:2", "fp:3", "q")]
+    + [("classical_yb:2", "q"), ("classical_yb:1/3", "q"), ("graded_c2", "q"),
+       ("crossed_s3", "q")]
+    + [(f"{kind}_c{m}", "q") for kind in ("takesaki", "galois") for m in range(1, 7)]
+)
+
+
+def test_catalogue_pinned():
+    # digest recorded while the R_q family and the cyclic group law were
+    # still written out beside their definitions
+    docs = [[fid, fd, fixtures.build_fixture(fid, parse_field(fd)).to_json()]
+            for fid, fd in CATALOGUE_SAMPLES]
+    docs += [[m, fd, fixtures.bialgebras.group_algebra(m, parse_field(fd)).to_json()]
+             for fd in ("q", "fp:3") for m in range(1, 7)]
+    assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == \
+        "76fb21fb92c03a4e0fd62f684c5dbd4e8707be60a3a52a920ae72e9a77c7d5a1"
+
+
+def test_every_listed_fixture_builds_and_help_lists_them(capsys):
+    names = ["identity:<n>", "r_q:<q>", "r_q_prime:<q>", "r_q_dblprime:<q>", "char2",
+             "classical_yb:<q>", "graded_c2", "crossed_s3", "takesaki_c<m>", "galois_c<m>"]
+    assert fixtures.FIXTURE_NAMES == names
+    for name in names:
+        assert any(fid.startswith(name.partition("<")[0]) for fid, _ in CATALOGUE_SAMPLES)
+        fid = name.replace("<n>", "3").replace("<m>", "3").replace("<q>", "2")
+        assert fixtures.build_fixture(fid, QQ).n >= 1
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    listed = " ".join(capsys.readouterr().out.split()).partition(" fixtures: ")[2]
+    assert listed.split(", ") == names
+
+
+def test_enumerate_eq_choices_are_the_equation_table(capsys):
+    with pytest.raises(SystemExit):
+        main(["enumerate", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "{" + ",".join(sorted(kernels.EQUATIONS)) + "}" in out
+    assert sorted(kernels.EQUATIONS) == ["cocommutative", "commutative", "hopf", "pentagon",
+                                         "qybe"]
+
+
+@pytest.mark.parametrize("fixture", ["char2:x", "graded_c2:1", "crossed_s3:zz",
+                                     "takesaki_c3:9"])
+def test_stray_fixture_parameter_exits_2_before_building(capsys, monkeypatch, fixture):
+    # a parameter given to a fixture that takes none was once ignored
+    def refuse(*_):
+        raise AssertionError("a fixture with a stray parameter was built")
+
+    for name in ("char2_matrix", "group_algebra"):
+        monkeypatch.setattr(fixtures.bialgebras, name, refuse)
+    for name in ("graded_c2_solution", "crossed_s3_solution"):
+        monkeypatch.setattr(fixtures, name, refuse)
+    code, out, err = run(capsys, "check", "--fixture", fixture, "--field", "q")
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and err.startswith("input error: ")
+    assert repr(fixture) in err and "stray parameter" in err
+
+
+def _refuse_scalars(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("an entry was parsed")
+
+    monkeypatch.setattr(type(QQ), "parse_scalar", refuse)
+
+
+@pytest.mark.parametrize("command", ["check", "frt", "verify"])
+def test_matrix_document_above_the_bound_exits_2_before_parsing(capsys, monkeypatch,
+                                                               tmp_path, command):
+    n = fixtures.MAX_FIXTURE_N + 1
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"field": "q", "n": n, "matrix": [["0"] * n * n] * n * n}))
+    _refuse_scalars(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert err == f"input error: matrix document n must be <= 12, got {n}\n"
+
+
+def test_matrix_document_at_the_bound_is_parsed(capsys, monkeypatch, tmp_path):
+    # the bound is inclusive: n = 12 reaches the scalar parser
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"field": "q", "n": 12, "matrix": [["0"] * 144] * 144}))
+    _refuse_scalars(monkeypatch)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and not out
+    assert err == "input error: bad matrix document: an entry was parsed\n"
 
 
 @pytest.mark.parametrize("field,entry", [

@@ -167,9 +167,10 @@ def test_frt_presentation_refuses_non_solution():
     assert pres.relations  # builds anyway under the override
 
 
-def test_frt_commutative_refuses_noncommutative_solution():
+def test_frt_commutative_refuses_noncommutative_solution(f2_hopf_solutions):
     # hunt a noncommutative Hopf solution among the F2 brute-force results
-    sols = T.enumerate_solutions(2, F2, "hopf")
+    sols = [T.TensorOp(2, F2, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)])
+            for flat in f2_hopf_solutions]
     R = next(S for S in sols if not T.check_commutative(S))
     with pytest.raises(frt.NotCommutativeSolutionError) as refused:
         frt.frt_commutative(R)

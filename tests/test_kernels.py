@@ -110,14 +110,14 @@ def _operator(n, field, flat):
 
 
 @pytest.mark.parametrize("eq", EQUATIONS)
-def test_holds_mod_matches_equation_checks(eq):
+def test_holds_mod_matches_equation_checks(eq, f2_hopf_solutions):
     """kernels.holds_mod agrees with tensorops.check_* on every n=1 operator
     over F_2, F_3 and F_5, on the 147 Hopf solutions over F_2 and on 210
     seeded random n=2 operators; each verdict comes out both ways."""
     rng = random.Random(16)
     check = getattr(tensorops, f"check_{eq}")
     cases = [(1, field, (t,)) for field in (F2, F3, F5) for t in range(field.p)]
-    cases += [(2, F2, flat) for flat in kernels.solutions_mod(2, 2, "hopf")]
+    cases += [(2, F2, flat) for flat in f2_hopf_solutions]
     cases += [(2, field, tuple(random_flat(4, field.p, rng)))
               for field in (F2, F3, F5) for _ in range(70)]
     holds = {(n, field.p): kernels.holds_mod(n, field.p, eq)

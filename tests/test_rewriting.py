@@ -18,6 +18,11 @@ F5 = parse_field("fp:5")
 A2 = comatrix_alphabet(2)
 
 
+def f2_operator(flat):
+    """One of the session's flat F_2 Hopf solutions as an operator."""
+    return T.TensorOp(2, F2, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)])
+
+
 def gen(i, j, field=QQ, alphabet=A2):
     return NCPoly.generator(alphabet, field, i, j)
 
@@ -294,11 +299,11 @@ def digest(doc):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def test_b_of_r_outputs_pinned_over_f2_hopf_solutions():
+def test_b_of_r_outputs_pinned_over_f2_hopf_solutions(f2_hopf_solutions):
     # digest recorded with the linear-scan reduction, before the index, and
     # re-recorded once the zero matrix's B(R), the free algebra on 4 letters,
     # was counted on its own alphabet (its document alone changed)
-    docs = [pipeline_doc(R) for R in T.enumerate_solutions(2, F2, which="hopf")]
+    docs = [pipeline_doc(f2_operator(flat)) for flat in f2_hopf_solutions]
     assert len(docs) == 147
     assert sum(d["rs"]["status"] == "complete" for d in docs) == 143
     assert docs[0]["dim"] == ["lower_bound", 87381, [4 ** d for d in range(9)], 8]
@@ -357,9 +362,9 @@ def test_commutative_completion_matches_oracles():
         == "complete"
 
 
-def test_completion_and_dimension_match_oracles_over_f2_hopf_solutions():
-    statuses = [assert_matches_oracles(frt.frt_presentation(R))
-                for R in T.enumerate_solutions(2, F2, which="hopf")]
+def test_completion_and_dimension_match_oracles_over_f2_hopf_solutions(f2_hopf_solutions):
+    statuses = [assert_matches_oracles(frt.frt_presentation(f2_operator(flat)))
+                for flat in f2_hopf_solutions]
     assert len(statuses) == 147 and statuses.count("capped") == 4
 
 
@@ -433,7 +438,8 @@ def _counting(monkeypatch, owner, name, keep=False):
     return calls
 
 
-def test_completion_scans_only_below_a_live_lhs(monkeypatch, f3_hopf_solutions):
+def test_completion_scans_only_below_a_live_lhs(monkeypatch, f2_hopf_solutions,
+                                                f3_hopf_solutions):
     # both rule scans run only when the new lhs lies below some live lhs:
     # never on the takesaki ladder, whose lhs come in increasing order
     scans = _counting(monkeypatch, RW, "_has_factor")
@@ -443,7 +449,7 @@ def test_completion_scans_only_below_a_live_lhs(monkeypatch, f3_hopf_solutions):
     assert not scans
     # where rules do retire, the result is the all-pairs oracle's
     retired = _counting(monkeypatch, RW._RuleIndex, "remove")
-    solutions = T.enumerate_solutions(2, F2, which="hopf") + [
+    solutions = [f2_operator(flat) for flat in f2_hopf_solutions] + [
         T.TensorOp(2, F3, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)])
         for flat in f3_hopf_solutions]
     retiring = 0
@@ -719,9 +725,10 @@ def test_check_coideal_matches_oracle_on_commutative_presentations(fid, fd):
     assert coideal_verdict(pres, rs)
 
 
-def test_check_coideal_matches_oracle_over_f2_hopf_solutions():
+def test_check_coideal_matches_oracle_over_f2_hopf_solutions(f2_hopf_solutions):
     statuses = []
-    for R in T.enumerate_solutions(2, F2, which="hopf"):
+    for flat in f2_hopf_solutions:
+        R = f2_operator(flat)
         pres = frt.frt_presentation(R)
         rs = RW.complete(pres.relations, 8, pres.alphabet, pres.field)
         assert coideal_verdict(pres, rs)
@@ -745,13 +752,13 @@ def perturbed(pres, rng):
     return frt.Presentation(alphabet=alphabet, field=field, relations=rels)
 
 
-def test_check_coideal_matches_oracle_on_single_relation_perturbations():
+def test_check_coideal_matches_oracle_on_single_relation_perturbations(f2_hopf_solutions):
     # one relation among many is changed, the result completed (capped or
     # not) and decided: a verdict that is not decided relation by relation,
     # or that drops a term, shows up as a disagreement with the oracle
     rng = random.Random(9)
-    bases = [frt.frt_presentation(R) for R in rng.sample(
-        T.enumerate_solutions(2, F2, which="hopf"), 40)]
+    bases = [frt.frt_presentation(f2_operator(flat))
+             for flat in rng.sample(f2_hopf_solutions, 40)]
     bases += [frt.frt_presentation(build_fixture(fid, parse_field(fd)))
               for fid, fd in [("galois_c3", "fp:7"), ("takesaki_c3", "fp:7"),
                               ("takesaki_c3", "q"), ("r_q:0", "q")] for _ in range(12)]
