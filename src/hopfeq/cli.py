@@ -16,7 +16,7 @@ import random
 import sys
 
 from . import bialgebras, frt, kernels, rewriting, tensorops
-from .fields import FieldError, parse_field
+from .fields import FieldError, parse_field, parse_integer
 from .fixtures import FIXTURE_NAMES, MAX_FIXTURE_N, FixtureError, build_fixture
 from .freealgebra import render_word
 from .frt import NotCommutativeSolutionError, NotHopfSolutionError
@@ -277,7 +277,7 @@ def build_parser():
     p = sub.add_parser("frt", help="B(R) presentation, completion and dimension")
     _add_input_args(p)
     p.add_argument("--commutative", action="store_true", help="build the commutative variant")
-    p.add_argument("--max-deg", type=int, default=8)
+    p.add_argument("--max-deg", type=parse_integer, default=8)
     p.add_argument("--force", action="store_true", help="build even for non-solutions")
     p.add_argument("--tables", action="store_true", help="print quotient structure tables")
     p.add_argument("--json", action="store_true")
@@ -285,17 +285,17 @@ def build_parser():
 
     p = sub.add_parser("verify", help="the unconditional chi identities")
     _add_input_args(p)
-    p.add_argument("--random", type=int, metavar="N", help="run on N random operators")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--random", type=parse_integer, metavar="N", help="run on N random operators")
+    p.add_argument("--n", type=parse_integer, default=2)
+    p.add_argument("--seed", type=parse_integer, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="all solutions over F_p, by exact pruned search")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=parse_integer, required=True)
     p.add_argument("--field", required=True)
     p.add_argument("--eq", default="hopf", choices=sorted(kernels.EQUATIONS))
-    p.add_argument("--cap", type=int, default=2**24)
+    p.add_argument("--cap", type=parse_integer, default=2**24)
     p.add_argument("--dump", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)

@@ -31,6 +31,15 @@ test for zero or to hand out a result: the coideal check of a quotient
 (``rewriting``), the coideal and counit identities of chi (``frt``), and
 the one fraction-free elimination behind ``linalg.rank``, ``is_invertible``
 and ``inverse``, which tests each pivot through ``from_int``.
+
+Every number read from outside the package is read here, in ASCII digits
+only. ``parse_integer`` reads ``[+-]?[0-9]+``: a fixture dimension, a CLI
+count. ``Field.parse_scalar`` reads a matrix entry or fixture scalar: a
+JSON int, or a string in the field's grammar (``[+-]?[0-9]+(/[0-9]+)?``
+over Q, the integer grammar over F_p). ``parse_field`` reads the modulus of
+``fp:<p>`` as unsigned digits and refuses more than ten before converting.
+Each raises ``ValueError`` (``FieldError`` for the last two) on any other
+text, so no text is read by ``int()``'s wider grammar.
 """
 
 from __future__ import annotations
@@ -39,13 +48,21 @@ import re
 from fractions import Fraction
 from math import isqrt, lcm
 
-# the documented scalar texts, ASCII digits only: a/b over Q, an int over F_p
+# the grammars the README documents, in ASCII digits only
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
+_PRIME_DESCRIPTOR = re.compile(r"fp:0*([0-9]+)")
 
 
 class FieldError(ValueError):
     """Malformed field descriptor or non-prime modulus."""
+
+
+def parse_integer(text: str) -> int:
+    """Read an integer written ``[+-]?[0-9]+`` in ASCII; ValueError otherwise."""
+    if not isinstance(text, str) or not _INTEGER_TEXT.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)  # ValueError past int()'s digit limit
 
 
 def is_prime(p: int) -> bool:
@@ -75,6 +92,20 @@ class Field:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    def parse_scalar(self, x):
+        """A scalar from JSON: an int, or a string in the field's grammar.
+
+        Each field gives its grammar, the noun its errors use, and the
+        converter of a string that matches the grammar."""
+        if isinstance(x, int) and not isinstance(x, bool):
+            return self.from_int(x)
+        if not isinstance(x, str) or not self._grammar.fullmatch(x):
+            raise FieldError(f"not {self._noun}: {x!r}")
+        try:
+            return self._from_text(x)
+        except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, too many digits
+            raise FieldError(f"not {self._noun}: {x!r}") from exc
+
     def combine(self, pairs):
         """Sum (key, scalar) pairs into {key: sum} over the nonzero sums."""
         add = self.add
@@ -97,6 +128,8 @@ class Rationals(Field):
     descriptor = "q"
     zero = Fraction(0)
     one = Fraction(1)
+    # JSON carries rationals as "a/b" strings
+    _grammar, _noun, _from_text = _RATIONAL_TEXT, "a rational", Fraction
 
     def add(self, a, b):
         return a + b
@@ -126,19 +159,6 @@ class Rationals(Field):
         zero = self.zero
         return [[Fraction(v, d) if v else zero for v in row] for row in rows]
 
-    def parse_scalar(self, text):
-        # JSON carries rationals as "a/b" strings; bare ints are accepted too
-        if isinstance(text, bool):
-            raise FieldError(f"not a rational: {text!r}")
-        if isinstance(text, int):
-            return Fraction(text)
-        if not isinstance(text, str) or not _RATIONAL_TEXT.fullmatch(text):
-            raise FieldError(f"not a rational: {text!r}")
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FieldError(f"not a rational: {text!r}") from exc
-
     def scalar_to_json(self, a):
         return str(a)
 
@@ -147,6 +167,8 @@ class Rationals(Field):
 
 
 class PrimeField(Field):
+    _grammar, _noun = _INTEGER_TEXT, "an integer residue"
+
     def __init__(self, p: int):
         if isinstance(p, int) and p >= 2**31:
             raise FieldError(f"modulus {p} too large (need p < 2^31)")
@@ -175,6 +197,9 @@ class PrimeField(Field):
     def from_int(self, k: int):
         return k % self.p
 
+    def _from_text(self, text):
+        return parse_integer(text) % self.p
+
     def lift(self, rows):
         return rows, 1
 
@@ -184,18 +209,6 @@ class PrimeField(Field):
             scale = pow(d, -1, p)
             return [[v * scale % p for v in row] for row in rows]
         return [[v % p for v in row] for row in rows]
-
-    def parse_scalar(self, text):
-        if isinstance(text, bool):
-            raise FieldError(f"not an integer residue: {text!r}")
-        if isinstance(text, int):
-            return text % self.p
-        if not isinstance(text, str) or not _INTEGER_TEXT.fullmatch(text):
-            raise FieldError(f"not an integer residue: {text!r}")
-        try:
-            return int(text) % self.p
-        except ValueError as exc:
-            raise FieldError(f"not an integer residue: {text!r}") from exc
 
     def scalar_to_json(self, a):
         return a
@@ -207,13 +220,14 @@ class PrimeField(Field):
 QQ = Rationals()
 
 
-def parse_field(spec: str) -> Field:
-    """Parse a field descriptor: ``q`` for the rationals, ``fp:<p>`` for F_p."""
+def parse_field(spec) -> Field:
+    """Parse a field descriptor: ``q`` for the rationals, ``fp:<p>`` for F_p
+    with p in ASCII digits."""
     if spec == "q":
         return QQ
-    if spec.startswith("fp:"):
-        body = spec[3:]
-        if not body.isdigit():
-            raise FieldError(f"malformed field descriptor {spec!r}")
-        return PrimeField(int(body))
-    raise FieldError(f"malformed field descriptor {spec!r}")
+    match = isinstance(spec, str) and _PRIME_DESCRIPTOR.fullmatch(spec)
+    if not match:
+        raise FieldError(f"malformed field descriptor {spec!r}")
+    if len(digits := match[1]) > 10:  # p < 2^31 has at most 10 digits
+        raise FieldError(f"modulus of {len(digits)} digits too large (need p < 2^31)")
+    return PrimeField(int(digits))

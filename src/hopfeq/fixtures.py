@@ -5,8 +5,9 @@ Yang-Baxter operator.
 
 ``FIXTURE_NAMES`` lists the fixture ids, each with its parameter if it takes
 one: ``<n>`` and ``<m>`` are dimensions in 1..``MAX_FIXTURE_N``, written in
-the integer grammar of ``fields``, and ``<q>`` is a scalar of the field,
-written in its scalar grammar. A parameter follows a colon, except that
+the integer grammar of ``fields`` (read by ``fields.parse_integer``), and
+``<q>`` is a scalar of the field, written in its scalar grammar (read by
+``Field.parse_scalar``). A parameter follows a colon, except that
 ``<m>`` ends the name. A parameter outside its grammar or range, or given to
 a fixture that takes none, raises ``FixtureError`` before anything is built.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from . import bialgebras, linalg, tensorops
 from .bialgebras import GradedModuleSpec, cyclic_group, symmetric_group_3
-from .fields import _INTEGER_TEXT, Field
+from .fields import Field, parse_integer
 
 MAX_FIXTURE_N = 12  # legs grow as n^6: `check` on takesaki_c12 over Q peaks at 295 MB
 
@@ -78,8 +79,8 @@ def _parse_param(raw, field):
 def _dimension(fixture_id, raw):
     # V has dimension n: bound it before building
     try:
-        n = int(raw) if _INTEGER_TEXT.fullmatch(raw) else 0
-    except ValueError:  # more digits than int() converts
+        n = parse_integer(raw)
+    except ValueError:
         n = 0
     if not 1 <= n <= MAX_FIXTURE_N:
         raise FixtureError(f"fixture {fixture_id!r} needs a dimension in 1..{MAX_FIXTURE_N}")

@@ -25,6 +25,13 @@ class CapExceededError(RuntimeError):
     """Candidate space p^(n^4) larger than the configured cap."""
 
 
+def _check_square(rows, d):
+    """Refuse rows unless they are a list of d lists of d entries each."""
+    if not isinstance(rows, list) or len(rows) != d or any(
+            not isinstance(row, list) or len(row) != d for row in rows):
+        raise ValueError(f"entries must be {d}x{d}")
+
+
 @dataclass
 class TensorOp:
     n: int
@@ -32,9 +39,7 @@ class TensorOp:
     entries: list  # n^2 x n^2, row-major
 
     def __post_init__(self):
-        d2 = self.n * self.n
-        if len(self.entries) != d2 or any(len(row) != d2 for row in self.entries):
-            raise ValueError(f"entries must be {d2}x{d2}")
+        _check_square(self.entries, self.n * self.n)
 
     def copy(self):
         return TensorOp(self.n, self.field, [row[:] for row in self.entries])
@@ -56,8 +61,9 @@ class TensorOp:
         n = doc["n"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"bad dimension {n!r}")
-        entries = [[field.parse_scalar(x) for x in row] for row in doc["matrix"]]
-        return cls(n, field, entries)
+        rows = doc["matrix"]
+        _check_square(rows, n * n)  # no entry of a misshapen document is parsed
+        return cls(n, field, [[field.parse_scalar(x) for x in row] for row in rows])
 
 
 @dataclass
@@ -67,8 +73,7 @@ class EndoV:
     entries: list  # n x n
 
     def __post_init__(self):
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
-            raise ValueError(f"entries must be {self.n}x{self.n}")
+        _check_square(self.entries, self.n)
 
 
 def identity_op(n, field):

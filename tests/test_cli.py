@@ -1,14 +1,20 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfeq import fixtures, kernels, rewriting, tensorops
+from hopfeq import cli, fields, fixtures, kernels, rewriting, tensorops
 from hopfeq.cli import main
 from hopfeq.fields import QQ, parse_field
 
@@ -229,6 +235,175 @@ def test_bool_dimension_exits_2(capsys, tmp_path, command):
     path.write_text(json.dumps({"field": "q", "n": True, "matrix": [["1"]]}))
     code, out, err = run(capsys, command, str(path))
     assert code == 2 and "dimension" in err and not out
+
+
+# -- numbers read from outside ---------------------------------------------------------
+
+def run_or_exit(capsys, *argv):
+    """run(), with argparse's own refusals read as their exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as done:
+        code = done.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv,code", [
+    # a modulus outside ASCII digits or of thousands of digits: int() read
+    # "\u0663" and "\u0662" as 3 and 2, and refused the others with exit 2
+    (("check", "--fixture", "char2", "--field", "fp:\u00b2"), 3),
+    (("check", "--fixture", "char2", "--field", "fp:" + "7" * 5000), 3),
+    (("check", "--fixture", "char2", "--field", "fp:\u0663"), 3),
+    (("enumerate", "--n", "1", "--field", "fp:\u0662"), 3),
+    # integer options outside [+-]?[0-9]+: argparse's type=int took them
+    (("verify", "--random", "1", "--n", "\u0662", "--field", "q"), 2),
+    (("verify", "--random", "1", "--n", "1_2", "--field", "q"), 2),
+    (("frt", "--fixture", "r_q:0", "--max-deg", " 3"), 2),
+    (("verify", "--random", "1", "--seed", "\u0663", "--field", "q"), 2),
+    (("verify", "--random", "\u0661", "--field", "q"), 2),
+    (("enumerate", "--n", "1", "--field", "fp:2", "--cap", "6_5536"), 2),
+    (("enumerate", "--n", "1", "--field", "fp:2", "--cap", "9" * 5000), 2),
+])
+def test_number_outside_its_grammar_exits_at_once(capsys, monkeypatch, argv, code):
+    def refuse(*_):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(tensorops, "random_tensorop", refuse)
+    monkeypatch.setattr(fixtures.bialgebras, "char2_matrix", refuse)
+    monkeypatch.setattr(fixtures.bialgebras, "r_q", refuse)
+    start = time.perf_counter()
+    got, out, err = run_or_exit(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert got == code and not out and "Traceback" not in err
+    if code == 3:
+        assert err.count("\n") == 1 and err.startswith("field error: ")
+
+
+@pytest.mark.parametrize("written,plain", [
+    ("verify --random 2 --n +2 --field q --seed -07", "verify --random 2 --n 2 --field q --seed -7"),
+    ("verify --random 1 --field fp:5 --seed -1", "verify --random +1 --field fp:5 --seed -01"),
+    ("enumerate --n 1 --field fp:2 --cap 65536", "enumerate --n 01 --field fp:2 --cap 065536"),
+    ("check --fixture char2 --field fp:0003", "check --fixture char2 --field fp:3"),
+    ("check --fixture identity:+3 --json", "check --fixture identity:3 --json"),
+])
+def test_ascii_integers_are_still_read(capsys, written, plain):
+    # signs and leading zeros are in the grammar, and read as the plain integer
+    code, out, err = run(capsys, *written.split())
+    assert code == 0 and out and not err
+    assert run(capsys, *plain.split()) == (code, out, err)
+
+
+def test_every_integer_option_reads_the_integer_grammar():
+    # argparse's type=int reads "1_2", " 3" and non-ASCII digits
+    root = cli.build_parser()
+    subs = next(a for a in root._actions if isinstance(a, argparse._SubParsersAction))
+    found = set()
+    for name, parser in [("hopfeq", root), *subs.choices.items()]:
+        for action in parser._actions:
+            default = action.default
+            if action.type is not None or (isinstance(default, int)
+                                           and not isinstance(default, bool)):
+                assert action.type is fields.parse_integer, (name, action.dest)
+                found.add((name, action.dest))
+    assert found == {("frt", "max_deg"), ("verify", "random"), ("verify", "n"),
+                     ("verify", "seed"), ("enumerate", "n"), ("enumerate", "cap")}
+
+
+def count_parsed_entries():
+    """Patch Field.parse_scalar, the one scalar reader, to record each entry."""
+    calls = []
+    parse_scalar = fields.Field.parse_scalar
+
+    def counting(self, x):
+        calls.append(x)
+        return parse_scalar(self, x)
+
+    return calls, mock.patch.object(fields.Field, "parse_scalar", counting)
+
+
+def run_document(command, doc):
+    """Run one command on doc written to a file; (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("doc,code", [
+    ({"field": 7, "n": 2, "matrix": [["0"] * 4] * 4}, 3),
+    # a string or an object has a length too: it was read as rows or entries
+    ({"field": "q", "n": 2, "matrix": "abc"}, 2),
+    ({"field": "q", "n": 2, "matrix": "abcd"}, 2),
+    ({"field": "q", "n": 2, "matrix": [dict.fromkeys("abcd", "1")] * 4}, 2),
+    ({"field": "q", "n": 2, "matrix": ["1234"] * 4}, 2),
+    ({"field": "q", "n": 2, "matrix": 4}, 2),
+    ({"field": "q", "n": 2, "matrix": None}, 2),
+    # no entry of a misshapen matrix is parsed, whatever its size
+    ({"field": "q", "n": 2, "matrix": [["1/3"] * 60] * 60}, 2),
+])
+def test_document_refused_before_any_entry_is_parsed(doc, code):
+    calls, counter = count_parsed_entries()
+    start = time.perf_counter()
+    with counter:
+        got, out, err = run_document("check", doc)
+    assert time.perf_counter() - start < 1
+    assert (got, out, calls) == (code, "", [])
+    assert err == ("field error: malformed field descriptor 7\n" if code == 3 else
+                   "input error: bad matrix document: entries must be 4x4\n")
+
+
+_NOT_A_LIST = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=4),
+                        st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+_BAD_N = st.one_of(st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+                   st.text(max_size=3), st.none(), st.integers(-10**6, 0),
+                   st.integers(3, 10**9), st.lists(st.integers(1, 2), max_size=2))
+_BAD_FIELD = st.one_of(st.integers(), st.none(), st.booleans(),
+                       st.floats(allow_nan=False, allow_infinity=False),
+                       st.lists(st.sampled_from(["q", "fp:2"]), max_size=2))
+_BAD_ENTRY = st.sampled_from(["\u0663", "1_000", " 1", 0.5, None, True, False])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_malformed_matrix_document_exits_with_its_documented_code(data):
+    # README: a malformed document exits 2 and a field parse failure 3, each
+    # with one line on stderr; a misshapen document is refused before any
+    # entry is parsed
+    n = data.draw(st.integers(1, 2), label="n")
+    d2 = n * n
+    doc = {"field": data.draw(st.sampled_from(["q", "fp:5"])), "n": n,
+           "matrix": [["1"] * d2 for _ in range(d2)]}
+    fault = data.draw(st.sampled_from(
+        ["matrix", "row", "row count", "row length", "n", "field", "entry"]), label="fault")
+    row = data.draw(st.integers(0, d2 - 1), label="row")
+    if fault == "matrix":
+        doc["matrix"] = data.draw(_NOT_A_LIST)
+    elif fault == "row":
+        doc["matrix"][row] = data.draw(_NOT_A_LIST)
+    elif fault == "row count":
+        count = data.draw(st.integers(0, d2 + 2).filter(lambda k: k != d2))
+        doc["matrix"] = [["1"] * d2 for _ in range(count)]
+    elif fault == "row length":
+        doc["matrix"][row] = ["1"] * data.draw(st.integers(0, d2 + 2).filter(lambda k: k != d2))
+    elif fault == "n":
+        doc["n"] = data.draw(_BAD_N)
+    elif fault == "field":
+        doc["field"] = data.draw(_BAD_FIELD)
+    else:
+        doc["matrix"][row][data.draw(st.integers(0, d2 - 1))] = data.draw(_BAD_ENTRY)
+    calls, counter = count_parsed_entries()
+    with counter:
+        code, out, err = run_document(data.draw(st.sampled_from(["check", "frt", "verify"])),
+                                      doc)
+    want = 3 if fault in ("field", "entry") else 2
+    assert code == want and not out
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+    assert err.startswith("field error: " if want == 3 else "input error: ")
+    assert bool(calls) == (fault == "entry")
 
 
 # digests of the exact stdout bytes, recorded before integer-accumulated products

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfeq import fields
-from hopfeq.fields import QQ, FieldError, PrimeField, is_prime, parse_field
+from hopfeq.fields import QQ, FieldError, PrimeField, is_prime, parse_field, parse_integer
 
 
 def test_parse_field_descriptors():
@@ -23,10 +23,41 @@ def test_parse_field_rejects_nonprime(bad):
         parse_field(bad)
 
 
-@pytest.mark.parametrize("bad", ["", "Q", "fp:", "fp:x", "gf:5", "fp:-7", "rational"])
+@pytest.mark.parametrize("bad", [
+    "", "Q", "fp:", "fp:x", "gf:5", "fp:-7", "rational",
+    # "fp:\u00b2" passed str.isdigit and failed in int(), "fp:\u0663" was F_3,
+    # and a descriptor that is not a string raised AttributeError
+    "fp:\u00b2", "fp:\u0663", "fp:+7", "fp: 7", "fp:7 ", "fp:1_3", "fp:7\n", "q ",
+    7, None, True, ["q"], {"fp": 7},
+])
 def test_parse_field_rejects_malformed(bad):
-    with pytest.raises(FieldError):
+    with pytest.raises(FieldError, match="malformed field descriptor"):
         parse_field(bad)
+
+
+def test_modulus_digits_bounded_before_conversion():
+    assert parse_field("fp:0003") == parse_field("fp:" + "0" * 20 + "3") == PrimeField(3)
+    # past int()'s 4300-digit limit: refused on its length, not by int()
+    with pytest.raises(FieldError, match=r"^modulus of 5000 digits too large \(need p < 2\^31\)$"):
+        parse_field("fp:" + "7" * 5000)
+    with pytest.raises(FieldError, match="too large"):
+        parse_field("fp:21474836470")  # eleven digits
+    with pytest.raises(FieldError, match="too large"):
+        parse_field("fp:2147483648")  # ten digits, 2^31
+
+
+def test_parse_integer_reads_the_ascii_grammar():
+    assert [parse_integer(s) for s in ("0", "+3", "-12", "007", "-0")] == [0, 3, -12, 7, 0]
+    for text in ("", " 3", "3 ", "3\n", "1_2", "\u0662", "\u00b2", "+", "--3", "3.0", "0x10",
+                 "9" * 5000, 3, None):
+        with pytest.raises(ValueError):
+            parse_integer(text)
+
+
+def test_parse_scalar_is_defined_once():
+    # both fields read a JSON scalar through Field.parse_scalar
+    assert "parse_scalar" in fields.Field.__dict__
+    assert not any("parse_scalar" in cls.__dict__ for cls in (fields.Rationals, PrimeField))
 
 
 def test_modulus_size_limit():

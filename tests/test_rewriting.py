@@ -634,6 +634,23 @@ def test_quotient_refuses_infinite_dimension():
         RW.quotient_bialgebra(pres, rs)
 
 
+def test_quotient_refuses_an_ideal_that_is_not_a_coideal():
+    # c11 = c22 = 1 and every product of c12, c21 zero: complete, of finite
+    # dimension 3, but Delta(c11 - 1) reduces to c12 (x) c21
+    x, z, c21, y = gen(0, 0), gen(0, 1), gen(1, 0), gen(1, 1)
+    one = NCPoly.one(A2, QQ)
+    rels = [x - one, y - one, z * z, c21 * c21, z * c21, c21 * z]
+    pres = frt.Presentation(alphabet=A2, field=QQ, relations=[r.monic() for r in rels])
+    rs = RW.complete(pres.relations, 8)
+    report = RW.dimension(rs, 8)
+    assert rs.status == "complete" and report.is_finite() and report.count == 3
+    assert not RW.check_coideal(pres, rs)
+    assert not oracles.per_relation_coideal(pres, rs)
+    with pytest.raises(ValueError, match="relation ideal is not a coideal") as refused:
+        RW.quotient_bialgebra(pres, rs)
+    assert type(refused.value) is ValueError
+
+
 def test_quotient_passes_axioms_implies_dimension_finite():
     # dimension(finite d) then quotient passes all six axiom checks
     for builder, field in ((B.char2_matrix, F2),):
