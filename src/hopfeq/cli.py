@@ -34,6 +34,16 @@ class CliInputError(Exception):
     pass
 
 
+def _json_int(digits):
+    """A JSON int; past int()'s digit limit, its digits as text, which the
+    reader of the value refuses in its own terms: an entry as a scalar
+    (exit 3), n as a dimension (exit 2)."""
+    try:
+        return int(digits)
+    except ValueError:
+        return digits
+
+
 def _load_operator(args) -> TensorOp:
     if args.fixture and args.matrix:
         raise CliInputError("give either --fixture or a matrix file, not both")
@@ -43,11 +53,13 @@ def _load_operator(args) -> TensorOp:
     if args.matrix:
         try:
             with open(args.matrix) as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_int=_json_int)
         except OSError as exc:
             raise CliInputError(f"cannot read {args.matrix}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CliInputError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:  # the decoder recurses once per nested array
+            raise CliInputError("not valid JSON: nested too deeply") from exc
         n = doc.get("n") if isinstance(doc, dict) else None
         if isinstance(n, int) and n > MAX_FIXTURE_N:  # bounded before any entry is read
             raise CliInputError(f"matrix document n must be <= {MAX_FIXTURE_N}, got {n}")

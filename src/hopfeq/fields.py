@@ -39,7 +39,8 @@ JSON int, or a string in the field's grammar (``[+-]?[0-9]+(/[0-9]+)?``
 over Q, the integer grammar over F_p). ``parse_field`` reads the modulus of
 ``fp:<p>`` as unsigned digits and refuses more than ten before converting.
 Each raises ``ValueError`` (``FieldError`` for the last two) on any other
-text, so no text is read by ``int()``'s wider grammar.
+text, so no text is read by ``int()``'s wider grammar; the error quotes a
+long text by its start and its length.
 """
 
 from __future__ import annotations
@@ -58,10 +59,20 @@ class FieldError(ValueError):
     """Malformed field descriptor or non-prime modulus."""
 
 
+def _quote(x):
+    """repr(x) for an error message; a text of more than 40 characters as its
+    first 20 and its length, so that the message stays one short line."""
+    text = x if isinstance(x, str) else repr(x)
+    if len(text) <= 40:
+        return repr(x)
+    start = repr(text[:20]) if isinstance(x, str) else text[:20]
+    return f"{start}... ({len(text)} characters)"
+
+
 def parse_integer(text: str) -> int:
     """Read an integer written ``[+-]?[0-9]+`` in ASCII; ValueError otherwise."""
     if not isinstance(text, str) or not _INTEGER_TEXT.fullmatch(text):
-        raise ValueError(f"not an integer: {text!r}")
+        raise ValueError(f"not an integer: {_quote(text)}")
     return int(text)  # ValueError past int()'s digit limit
 
 
@@ -100,11 +111,11 @@ class Field:
         if isinstance(x, int) and not isinstance(x, bool):
             return self.from_int(x)
         if not isinstance(x, str) or not self._grammar.fullmatch(x):
-            raise FieldError(f"not {self._noun}: {x!r}")
+            raise FieldError(f"not {self._noun}: {_quote(x)}")
         try:
             return self._from_text(x)
         except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, too many digits
-            raise FieldError(f"not {self._noun}: {x!r}") from exc
+            raise FieldError(f"not {self._noun}: {_quote(x)}") from exc
 
     def combine(self, pairs):
         """Sum (key, scalar) pairs into {key: sum} over the nonzero sums."""
@@ -227,7 +238,7 @@ def parse_field(spec) -> Field:
         return QQ
     match = isinstance(spec, str) and _PRIME_DESCRIPTOR.fullmatch(spec)
     if not match:
-        raise FieldError(f"malformed field descriptor {spec!r}")
+        raise FieldError(f"malformed field descriptor {_quote(spec)}")
     if len(digits := match[1]) > 10:  # p < 2^31 has at most 10 digits
         raise FieldError(f"modulus of {len(digits)} digits too large (need p < 2^31)")
     return PrimeField(int(digits))

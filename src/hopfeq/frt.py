@@ -93,7 +93,8 @@ class Presentation:
 
 
 def chi(R: TensorOp):
-    """The n^4 obstructions of ``module_from_R(R)``, keyed by (i,j,k,l); zeros included."""
+    """The n^4 obstructions of ``module_from_R(R)``, keyed by (i,j,k,l); zeros
+    included. A new dict on each call, of polynomials built once per operator."""
     return obstructions(module_from_R(R))
 
 
@@ -224,7 +225,7 @@ def _matches_defect(R: TensorOp, equation, M, d):
 
 def _chi_actions(data):
     """Every chi's action on V, flattened by rows in ints over one denominator:
-    its lifted coefficients weight the words of one block product, freed on return."""
+    its lifted coefficients weight the words of the module's one block product."""
     words, d = _short_word_rows(data)
     indexed = obstructions(data)
     ints, dc = data.field.lift([list(p.terms.values()) for p in indexed.values()])
@@ -252,5 +253,4 @@ def verify_commutator_identity(R: TensorOp) -> bool:
     M = {(r, s, j, k): [x - y for x, y in zip(words[(r * n + k, s * n + j)],
                                               words[(s * n + j, r * n + k)])]
          for r, s, j, k in product(range(n), repeat=4)}
-    del words  # gone before the legs are built
     return _matches_defect(R, "commutative", M, d)

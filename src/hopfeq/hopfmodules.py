@@ -24,7 +24,7 @@ from . import linalg
 from .bialgebras import _sparse
 from .freealgebra import NCPoly, comatrix_alphabet, word_products
 from .rewriting import normal_form
-from .tensorops import TensorOp
+from .tensorops import TensorOp, _Slot
 
 
 @dataclass
@@ -61,10 +61,27 @@ def module_from_R(R: TensorOp) -> HopfModuleData:
     return HopfModuleData(n=n, field=R.field, action=action)
 
 
+_CHI = _Slot()  # obstructions of the last module
+_WORDS = _Slot()  # _short_word_rows of the last module
+
+
+def _action_scalars(data):
+    """The scalar objects of data.action, in sorted key order: a ``_Slot`` key."""
+    action = data.action
+    return [x for key in sorted(action) for row in action[key] for x in row]
+
+
 def obstructions(data: HopfModuleData) -> dict:
     """All n^4 obstruction polynomials of the module, keyed by (i,j,k,l) in
     lexicographic order, zeros included: chi(i,j,k,l) =
-    sum_{u,v} (c_ju . m_v)_i c_uk c_vl - sum_a (c_jk . m_l)_a c_ia."""
+    sum_{u,v} (c_ju . m_v)_i c_uk c_vl - sum_a (c_jk . m_l)_a c_ia.
+
+    They are built once per module (``tensorops._Slot`` on the action
+    entries) and shared; each call returns a new dict of them."""
+    return dict(_CHI.get(data.field, _action_scalars(data), lambda: _obstructions(data)))
+
+
+def _obstructions(data):
     n, field, V = data.n, data.field, range(data.n)
     alphabet, neg = comatrix_alphabet(n), field.neg
     mats = [[data.action[(j, u)] for u in V] for j in V]
@@ -109,7 +126,12 @@ def _word_matrices(data, memo):
 
 def _short_word_rows(data):
     """Each word of one or two letters as its matrix flattened by rows, in ints over one
-    denominator: the letters stacked (n^3 x n) times them side by side has A_a A_b at (a, b)."""
+    denominator: the letters stacked (n^3 x n) times them side by side has A_a A_b at (a, b).
+    Built once per module, as ``obstructions``, and shared: do not change the rows."""
+    return _WORDS.get(data.field, _action_scalars(data), lambda: _block_rows(data))
+
+
+def _block_rows(data):
     n, N, L = data.n, range(data.n), range(data.n ** 2)
     stacked, d = data.field.lift([row for a in L for row in data.action[divmod(a, n)]])
     side = [[x for a in L for x in stacked[a * n + i]] for i in N]

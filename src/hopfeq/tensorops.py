@@ -15,9 +15,10 @@ All comparisons are exact, entrywise; no tolerances anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 
 from . import kernels, linalg
-from .fields import Field, FieldError, PrimeField, parse_field
+from .fields import Field, FieldError, PrimeField, _quote, parse_field
 from .freealgebra import word_products
 
 
@@ -60,7 +61,7 @@ class TensorOp:
         field = parse_field(doc["field"])
         n = doc["n"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"bad dimension {n!r}")
+            raise ValueError(f"bad dimension {_quote(n)}")
         rows = doc["matrix"]
         _check_square(rows, n * n)  # no entry of a misshapen document is parsed
         return cls(n, field, [[field.parse_scalar(x) for x in row] for row in rows])
@@ -106,26 +107,66 @@ def leg(R: TensorOp, which: int):
     return kernels.leg_rows(R.entries, R.n, which, R.field.zero)
 
 
+class _Slot:
+    """A memo of one value: the last one built, with the field object and
+    the list of scalar objects it was built from. ``get`` returns it while
+    the field and every scalar are the very same objects (``is``; the slot
+    holds them, so no id is reused while it lives), and builds afresh
+    otherwise. So an entry changed in place, an equal operator made of other
+    scalar objects and the same ints over another field all miss, and a slot
+    keeps one operator's data at a time."""
+
+    __slots__ = ("field", "scalars", "value")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.field = self.scalars = self.value = None
+
+    def get(self, field, scalars, build):
+        if not (field is self.field and len(scalars) == len(self.scalars)
+                and all(map(is_, scalars, self.scalars))):
+            self.clear()  # the last operator's data goes before the next is built
+            self.value = build()
+            self.field, self.scalars = field, scalars
+        return self.value
+
+
+_PRODUCTS = _Slot()  # leg_products of the last operator
+_DEFECTS = _Slot()  # equation name -> lifted defect, of the last operator
+
+
 def leg_products(R: TensorOp):
     """A function from a tuple of legs, e.g. (23, 13, 12), to their product
     R^23 R^13 R^12 as a lifted matrix (ints, d) (see ``linalg``), associated
     from the left (``freealgebra.word_products``). It lifts each leg and
-    builds each prefix product once, so the sides of several equations share
+    builds each prefix product once, and the same function serves every call
+    on the same operator (``_Slot``), so every check and identity on R shares
     them; a product has at most three legs, which bounds the size of its
-    ints."""
+    ints. The products are shared: do not change them."""
+    # a copy: the legs are built later, from the entries R has now
+    return _PRODUCTS.get(R.field, R.flat(), lambda: _leg_products(R.copy()))
+
+
+def _leg_products(R: TensorOp):
     field = R.field
     return word_products(lambda which: field.lift(leg(R, which)), linalg.lifted_mul, {})
 
 
-def equation_defect(R: TensorOp, name: str, product=None):
+def equation_defect(R: TensorOp, name: str):
     """lhs - rhs of the named equation of ``kernels.EQUATIONS`` as a lifted
-    matrix; pass one ``leg_products(R)`` to share products."""
-    product = product or leg_products(R)
-    return linalg.lifted_sub(*(product(side) for side in kernels.EQUATIONS[name]))
+    matrix, from ``leg_products(R)``. Each is built once per operator and
+    shared by every check and identity on it: do not change it."""
+    defects = _DEFECTS.get(R.field, R.flat(), dict)
+    if name not in defects:
+        product = leg_products(R)
+        defects[name] = linalg.lifted_sub(*(product(side) for side in kernels.EQUATIONS[name]))
+    return defects[name]
 
 
-def _equation_holds(R: TensorOp, name: str, product=None) -> bool:
-    return linalg.lifted_is_zero(R.field, equation_defect(R, name, product))
+def _equation_holds(R: TensorOp, name: str) -> bool:
+    return linalg.lifted_is_zero(R.field, equation_defect(R, name))
 
 
 def check_hopf(R):
@@ -159,9 +200,11 @@ def is_bijective(R):
 
 def solution_report(R):
     """The five equation verdicts and bijectivity. The equations share the
-    legs and the leg products (8 products, not 14)."""
-    product = leg_products(R)
-    report = {name: _equation_holds(R, name, product) for name in kernels.EQUATIONS}
+    legs and their prefix products: on a fresh operator 3 legs and 8
+    products, not 14; after ``frt``'s Hopf and commutator identities on the
+    same R, which built the Hopf and commutative defects, no leg and 3
+    products."""
+    report = {name: _equation_holds(R, name) for name in kernels.EQUATIONS}
     report["bijective"] = is_bijective(R)
     return report
 

@@ -66,6 +66,14 @@ def test_check_malformed_file_exits_2(capsys, tmp_path):
     assert code == 2 and err
 
 
+def test_deeply_nested_document_exits_2_without_a_traceback(capsys, tmp_path):
+    # 1,100 nested arrays in 2.2 kB made the decoder raise RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"field": "q", "n": 1, "matrix": ' + "[" * 1100 + "]" * 1100 + "}")
+    assert run(capsys, "check", str(path)) == (2, "", "input error: not valid JSON: "
+                                                     "nested too deeply\n")
+
+
 def test_check_bad_shape_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"field": "q", "n": 2, "matrix": [[0, 1], [1, 0]]}))
@@ -226,6 +234,27 @@ def test_scalar_outside_the_documented_grammar_exits_3(capsys, tmp_path, field, 
     assert time.perf_counter() - start < 1
     assert code == 3 and not out
     assert err.count("\n") == 1 and err.startswith("field error: ") and repr(entry) in err
+
+
+@pytest.mark.parametrize("command", ["check", "frt", "verify"])
+@pytest.mark.parametrize("field,template,code,message", [
+    ("q", '"matrix": [[{}]]', 3, "field error: not a rational: "),
+    ("fp:5", '"matrix": [[{}]]', 3, "field error: not an integer residue: "),
+    ("q", '"matrix": [["{}"]]', 3, "field error: not a rational: "),
+    ("q", '"n": {}, "matrix": [[1]]', 2, "input error: bad matrix document: bad dimension "),
+])
+def test_json_int_past_the_digit_limit_exits_with_one_short_line(
+        capsys, tmp_path, command, field, template, code, message):
+    # 5000 digits, past int()'s limit of 4300: an entry is refused as a scalar,
+    # whether written as an int or as a string, and n as a dimension
+    body = template.format("7" * 5000)
+    if '"n"' not in body:
+        body = '"n": 1, ' + body
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"field": "{field}", {body}}}')
+    got, out, err = run(capsys, command, str(path))
+    assert (got, out) == (code, "")
+    assert err == f"{message}{'7' * 20!r}... (5000 characters)\n"
 
 
 @pytest.mark.parametrize("command", ["check", "verify"])

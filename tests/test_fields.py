@@ -225,3 +225,16 @@ def test_combine_adds_only_repeated_keys():
     assert CountingF7.adds == 2
     half = Fraction(1, 2)
     assert QQ.combine([("a", half)])["a"] is half
+
+
+@pytest.mark.parametrize("field,noun", [(QQ, "a rational"), (PrimeField(5), "an integer residue")])
+def test_a_long_entry_is_quoted_by_its_start_and_length(field, noun):
+    # past int()'s digit limit, and outside the grammar: either way one short line
+    for entry in ("7" * 5000, "7" * 4999 + "x"):
+        with pytest.raises(FieldError) as info:
+            field.parse_scalar(entry)
+        assert str(info.value) == f"not {noun}: {'7' * 20!r}... (5000 characters)"
+    with pytest.raises(FieldError, match=r"^not a rational: '1/0'$"):
+        QQ.parse_scalar("1/0")
+    with pytest.raises(FieldError, match=r"^malformed field descriptor 'q{20}'\.\.\. \(5000 "):
+        parse_field("q" * 5000)

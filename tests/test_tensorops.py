@@ -190,7 +190,7 @@ def test_equation_holds_matches_oracle_products(f2_hopf_solutions):
         product = T.leg_products(R)
         for name in T.kernels.EQUATIONS:
             lhs, rhs = oracles.naive_sides(R, name)
-            got = T._equation_holds(R, name, product)
+            got = T._equation_holds(R, name)
             assert got == (lhs == rhs)
             assert tuple(field.lower(*product(side))
                          for side in T.kernels.EQUATIONS[name]) == (lhs, rhs)
