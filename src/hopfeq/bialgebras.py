@@ -12,6 +12,7 @@ coefficient vector of S(m_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import linalg
 from .fields import Field, parse_field
@@ -60,15 +61,22 @@ class StructureBialgebra:
         return out
 
     def sparse(self):
-        """Sparse views of the tables: m[i][j] = {k: c} for m_i m_j, d[i] =
-        {(u, v): c} for Delta(m_i), the unit as {k: c}, and S[i] = {k: c} for
-        S(m_i), or S = None without an antipode table. Built anew per call,
-        so they follow changes to the tables."""
-        m = [[_sparse(vec) for vec in row] for row in self.mult]
-        d = [{(u, v): c for u, row in enumerate(mat) for v, c in enumerate(row) if c}
+        """The tables lifted to ints over one denominator D (``Field.lift``),
+        as sparse views: m[i][j] = {k: c} for m_i m_j, d[i] = {(u, v): c} for
+        Delta(m_i), the unit as {k: c}, the counit as the list of its values,
+        and S[i] = {k: c} for S(m_i), or S = None without an antipode table.
+        Returns (m, d, unit, eps, S, D): a product of k table entries stands
+        for its int over D^k. Built anew per call, so they follow changes to
+        the tables."""
+        ints, D = self.field.lift([*chain(*self.mult), *chain(*self.comult), self.unit,
+                                   self.counit, *(self.antipode or ())])
+        rows = iter(ints)
+        m = [[_sparse(next(rows)) for _ in row] for row in self.mult]
+        d = [{(u, v): c for u in range(len(mat)) for v, c in enumerate(next(rows)) if c}
              for mat in self.comult]
-        S = None if self.antipode is None else [_sparse(vec) for vec in self.antipode]
-        return m, d, _sparse(self.unit), S
+        unit, eps = _sparse(next(rows)), next(rows)
+        S = None if self.antipode is None else [_sparse(next(rows)) for _ in self.antipode]
+        return m, d, unit, eps, S, D
 
     def is_commutative(self):
         return all(
@@ -146,66 +154,85 @@ def _sparse(vec):
     return {k: c for k, c in enumerate(vec) if c}
 
 
+def _sums(pairs):
+    """Sum (key, int) pairs into {key: sum}; a zero sum may stay."""
+    out = {}
+    get = out.get
+    for key, v in pairs:
+        out[key] = get(key, 0) + v
+    return out
+
+
+def _same(field, a, b, sa=1, sb=1):
+    """Whether sa times the sums of the (key, int) pairs a and sb times those
+    of b agree in field, key by key: the difference is lowered
+    (``linalg.lifted_is_zero``), so over F_p a sum that is a multiple of p
+    reads as zero."""
+    a, b = _sums(a), _sums(b)
+    diff = [a.get(k, 0) * sa - b.get(k, 0) * sb for k in a.keys() | b.keys()]
+    return linalg.lifted_is_zero(field, ([diff], 1))
+
+
 def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
     """Decide every axiom exactly on the structure tables; a failing axiom is
     reported, never raised.
 
-    The dense tables are read once into the sparse views of
-    ``StructureBialgebra.sparse``. Each axiom then compares two contractions
-    of these views, keyed by their free basis indices and summed by
-    ``Field.combine``. ``antipode`` is None when B has no antipode table.
+    The dense tables are read once into the lifted sparse views of
+    ``StructureBialgebra.sparse``, ints over one denominator D. Each axiom
+    then compares two contractions of these views, keyed by their free basis
+    indices and summed in ints; a side that multiplies k table entries is
+    over D^k, so the side with fewer is scaled up before the two are
+    compared (``_same``). ``antipode`` is None when B has no antipode table.
     """
-    f = B.field
-    mul, one, total = f.mul, f.one, f.combine
-    n = range(B.dim)
-    eps = B.counit
-    m, d, unit, S = B.sparse()
-    ident = {(i, i): one for i in n}
+    f, n = B.field, range(B.dim)
+    m, d, unit, eps, S, D = B.sparse()
+    ident = [((i, i), D * D) for i in n]
 
     # (m_i m_j) m_k = m_i (m_j m_k), keyed by (j, k, l) for each i
     assoc = all(
-        total(((j, k, l), mul(a, c)) for j in n for t, a in m[i][j].items()
-              for k in n for l, c in m[t][k].items())
-        == total(((j, k, l), mul(a, c)) for j in n for k in n
-                 for t, a in m[j][k].items() for l, c in m[i][t].items())
+        _same(f, (((j, k, l), a * c) for j in n for t, a in m[i][j].items()
+                  for k in n for l, c in m[t][k].items()),
+              (((j, k, l), a * c) for j in n for k in n
+               for t, a in m[j][k].items() for l, c in m[i][t].items()))
         for i in n)
-    unit_ok = total(((i, k), mul(a, c)) for i in n for t, a in unit.items()
-                    for k, c in m[t][i].items()) == ident \
-        and total(((i, k), mul(a, c)) for i in n for t, a in unit.items()
-                  for k, c in m[i][t].items()) == ident
+    unit_ok = _same(f, (((i, k), a * c) for i in n for t, a in unit.items()
+                        for k, c in m[t][i].items()), ident) \
+        and _same(f, (((i, k), a * c) for i in n for t, a in unit.items()
+                      for k, c in m[i][t].items()), ident)
     # (Delta (x) 1) Delta(m_i) = (1 (x) Delta) Delta(m_i), keyed by (u, v, w)
     coassoc = all(
-        total(((u, v, w), mul(c, e)) for (t, w), c in d[i].items()
-              for (u, v), e in d[t].items())
-        == total(((u, v, w), mul(c, e)) for (u, t), c in d[i].items()
-                 for (v, w), e in d[t].items())
+        _same(f, (((u, v, w), c * e) for (t, w), c in d[i].items()
+                  for (u, v), e in d[t].items()),
+              (((u, v, w), c * e) for (u, t), c in d[i].items()
+               for (v, w), e in d[t].items()))
         for i in n)
-    counit = total(((i, v), mul(c, eps[u])) for i in n for (u, v), c in d[i].items()) \
-        == ident == total(((i, u), mul(c, eps[v])) for i in n for (u, v), c in d[i].items())
-    # Delta(m_i m_j) = Delta(m_i) Delta(m_j) in H (x) H, keyed by (j, u, v)
+    counit = _same(f, (((i, v), c * eps[u]) for i in n for (u, v), c in d[i].items()), ident) \
+        and _same(f, (((i, u), c * eps[v]) for i in n for (u, v), c in d[i].items()), ident)
+    # Delta(m_i m_j) = Delta(m_i) Delta(m_j) in H (x) H, keyed by (j, u, v):
+    # two entries on the left, four on the right
     delta_mult = all(
-        total(((j, u, v), mul(a, c)) for j in n for k, a in m[i][j].items()
-              for (u, v), c in d[k].items())
-        == total(((j, u, v), mul(mul(c, e), mul(x, y))) for (a, b), c in d[i].items()
-                 for j in n for (g, h), e in d[j].items()
-                 for u, x in m[a][g].items() for v, y in m[b][h].items())
+        _same(f, (((j, u, v), a * c) for j in n for k, a in m[i][j].items()
+                  for (u, v), c in d[k].items()),
+              (((j, u, v), c * e * x * y) for (a, b), c in d[i].items()
+               for j in n for (g, h), e in d[j].items()
+               for u, x in m[a][g].items() for v, y in m[b][h].items()), D * D)
         for i in n
-    ) and total(((u, v), mul(a, c)) for k, a in unit.items() for (u, v), c in d[k].items()) \
-        == total(((u, v), mul(a, b)) for u, a in unit.items() for v, b in unit.items())
-    eps_mult = total(((i, j), mul(a, eps[k])) for i in n for j in n
-                     for k, a in m[i][j].items()) \
-        == total(((i, j), mul(eps[i], eps[j])) for i in n for j in n) \
-        and total(((), mul(a, eps[k])) for k, a in unit.items()) == {(): one}
+    ) and _same(f, (((u, v), a * c) for k, a in unit.items() for (u, v), c in d[k].items()),
+                (((u, v), a * b) for u, a in unit.items() for v, b in unit.items()))
+    eps_mult = _same(f, (((i, j), a * eps[k]) for i in n for j in n
+                         for k, a in m[i][j].items()),
+                     (((i, j), eps[i] * eps[j]) for i in n for j in n)) \
+        and _same(f, (((), a * eps[k]) for k, a in unit.items()), [((), D * D)])
 
     antipode = None
     if S is not None:
-        # sum S(m_u) m_v = eps(m_i) 1 = sum m_u S(m_v) over Delta(m_i)
-        target = total(((i, k), mul(eps[i], a)) for i in n for k, a in unit.items())
-        antipode = total(((i, k), mul(mul(c, s), x)) for i in n for (u, v), c in d[i].items()
-                         for t, s in S[u].items() for k, x in m[t][v].items()) \
-            == target == total(((i, k), mul(mul(c, s), x)) for i in n
-                               for (u, v), c in d[i].items()
-                               for t, s in S[v].items() for k, x in m[u][t].items())
+        # sum S(m_u) m_v = eps(m_i) 1 = sum m_u S(m_v) over Delta(m_i): three
+        # entries on each side, two in eps(m_i) 1
+        target = [((i, k), eps[i] * a * D) for i in n for k, a in unit.items()]
+        antipode = _same(f, (((i, k), c * s * x) for i in n for (u, v), c in d[i].items()
+                             for t, s in S[u].items() for k, x in m[t][v].items()), target) \
+            and _same(f, (((i, k), c * s * x) for i in n for (u, v), c in d[i].items()
+                          for t, s in S[v].items() for k, x in m[u][t].items()), target)
 
     return AxiomReport(assoc, unit_ok, coassoc, counit, delta_mult, eps_mult, antipode)
 
@@ -231,23 +258,26 @@ def group_algebra(m: int, field: Field) -> StructureBialgebra:
                               antipode)
 
 
-def _tensor_op(f, dim, entries):
-    """The operator on H (x) H with the {(row, col): c} entries, zero elsewhere."""
+def _tensor_op(f, dim, pairs, d):
+    """The operator on H (x) H whose (row, col) entry is the sum of the ints
+    of the ((row, col), int) pairs over d, each entry lowered once; zero
+    elsewhere."""
     ent = linalg.zeros(f, dim * dim, dim * dim)
-    for (row, col), c in entries.items():
+    sums = _sums(pairs)
+    for (row, col), c in zip(sums, f.lower([list(sums.values())], d)[0]):
         ent[row][col] = c
     return TensorOp(dim, f, ent)
 
 
 def _comult_map(H: StructureBialgebra, h_first: bool) -> TensorOp:
     """g (x) h -> sum x h_(2), where x is h_(1) g if h_first, else g h_(1)."""
-    f, dim = H.field, H.dim
-    mul = f.mul
-    m, d, _, _ = H.sparse()
+    dim = H.dim
+    m, d, _, _, _, D = H.sparse()
     # m_a (x) m_b -> c x m_i (x) m_v over Delta(m_b) = sum c m_u (x) m_v
-    return _tensor_op(f, dim, f.combine(
-        ((i * dim + v, a * dim + b), mul(c, x)) for a in range(dim) for b in range(dim)
-        for (u, v), c in d[b].items() for i, x in (m[u][a] if h_first else m[a][u]).items()))
+    return _tensor_op(H.field, dim, (
+        ((i * dim + v, a * dim + b), c * x) for a in range(dim) for b in range(dim)
+        for (u, v), c in d[b].items() for i, x in (m[u][a] if h_first else m[a][u]).items()),
+        D * D)
 
 
 def takesaki(H: StructureBialgebra) -> TensorOp:
@@ -264,15 +294,14 @@ def galois_rprime(H: StructureBialgebra) -> TensorOp:
     """R'(g (x) h) = sum g_(1) (x) S(g_(2)) h; needs the antipode."""
     if H.antipode is None:
         raise MissingAntipodeError("R' needs an antipode")
-    f, dim = H.field, H.dim
-    mul = f.mul
-    m, d, _, S = H.sparse()
+    dim = H.dim
+    m, d, _, _, S, D = H.sparse()
     # m_a (x) m_b -> c s x m_u (x) m_j over Delta(m_a) = sum c m_u (x) m_v,
     # S(m_v) = sum s m_t and m_t m_b = sum x m_j
-    return _tensor_op(f, dim, f.combine(
-        ((u * dim + j, a * dim + b), mul(mul(c, s), x)) for a in range(dim)
+    return _tensor_op(H.field, dim, (
+        ((u * dim + j, a * dim + b), c * s * x) for a in range(dim)
         for (u, v), c in d[a].items() for t, s in S[v].items()
-        for b in range(dim) for j, x in m[t][b].items()))
+        for b in range(dim) for j, x in m[t][b].items()), D ** 3)
 
 
 @dataclass

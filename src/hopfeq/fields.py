@@ -27,10 +27,13 @@ A matrix chain (``linalg.lifted_mul``/``lifted_sub``: the legs of an
 equation, the letters of a word acting on V) is a lifted chain: it stays in
 this form between products and is lowered once, where its scalar matrix
 leaves the chain. The other lifted users sum ints per key and lower only to
-test for zero or to hand out a result: the coideal check of a quotient
-(``rewriting``), the coideal and counit identities of chi (``frt``), and
-the one fraction-free elimination behind ``linalg.rank``, ``is_invertible``
-and ``inverse``, which tests each pivot through ``from_int``.
+test for zero or to hand out a result: the coideal check and the coproduct
+table of a quotient (``rewriting``), the coideal and counit identities of
+chi (``frt``), the contractions on the tables of a structure bialgebra
+(``StructureBialgebra.sparse``: its axioms, Hopf modules over it, the
+universal property and the Takesaki and Galois maps), and the one
+fraction-free elimination behind ``linalg.rank``, ``is_invertible`` and
+``inverse``, which tests each pivot through ``from_int``.
 
 Every number read from outside the package is read here, in ASCII digits
 only. ``parse_integer`` reads ``[+-]?[0-9]+``: a fixture dimension, a CLI

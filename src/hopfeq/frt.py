@@ -40,6 +40,9 @@ class Presentation:
     commutative_closure: bool = False
     provenance: str = ""
     chi_origin: list = dc_field(default_factory=list)  # (i,j,k,l) per chi relation
+    # set by frt only, never in JSON: a copy of the operator R the relations
+    # were built from, and a copy of the relations as built
+    source: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for r in self.relations:
@@ -51,6 +54,15 @@ class Presentation:
     @property
     def n(self):
         return self.alphabet.comatrix_n
+
+    def coideal_certificate(self):
+        """``verify_delta_chi(R) and eps_chi_zero(R)`` for the operator R that
+        ``frt`` built the relations from, which decides whether they span a
+        coideal (see ``rewriting.quotient_bialgebra``); None when there is no
+        such R, or when the relations are no longer the ones built from it."""
+        R, built = self.source or (None, None)
+        if R is not None and self.relations == built:
+            return verify_delta_chi(R) and eps_chi_zero(R)
 
     def to_json(self):
         f = self.field
@@ -138,8 +150,10 @@ def _chi_presentation(R: TensorOp, commutative: bool) -> Presentation:
     extra = commutator_relations(R.n, R.field) if commutative else ()
     relations, origin = chi_relations(R, extra)
     provenance = "chi presentation + commutators" if commutative else "chi presentation"
+    built = [NCPoly(p.alphabet, p.field, p.terms) for p in relations]
     return Presentation(comatrix_alphabet(R.n), R.field, relations,
-                        commutative_closure=commutative, provenance=provenance, chi_origin=origin)
+                        commutative_closure=commutative, provenance=provenance, chi_origin=origin,
+                        source=(R.copy(), built))
 
 
 def frt_presentation(R: TensorOp, force=False) -> Presentation:

@@ -8,20 +8,21 @@ Both module kinds give V as a T(C)-module, ``action``: (j, u) -> the
 matrix of c_{j+1,u+1}; over a structure bialgebra H, c_ju acts as the
 coaction coefficient coelems[j][u]. The regular module of H induces
 R(g (x) h) = sum h_(2) g (x) h_(1), Takesaki's map only when H is
-cocommutative. Checks over H read the sparse views of
+cocommutative. Checks over H read the lifted sparse views of
 ``StructureBialgebra.sparse`` and compare two contractions keyed by their
-free basis indices and summed by ``Field.combine``, as
-``check_bialgebra_axioms`` does.
+free basis indices and summed in ints, each side scaled by its power of
+the denominators and the difference lowered, as ``check_bialgebra_axioms``
+does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import lcm
 
 from . import linalg
-from .bialgebras import _sparse
+from .bialgebras import _same, _sparse
 from .freealgebra import NCPoly, comatrix_alphabet, word_products
 from .rewriting import normal_form
 from .tensorops import TensorOp, _Slot
@@ -226,23 +227,25 @@ def regular_hopf_module(H) -> BialgebraHopfModule:
 def check_hopf_compat_bialgebra(bm: BialgebraHopfModule) -> bool:
     """The compatibility law rho(h.m) = sum h_(1).m_<0> (x) h_(2) m_<1> for
     every basis element h = m_t of H and basis vector m_l, as two
-    contractions keyed by (l, w, s), the coefficient of m_w (x) m_s."""
+    contractions keyed by (l, w, s), the coefficient of m_w (x) m_s. The
+    action and coaction are lifted over one denominator E, the tables of H
+    over D: the left side is over E^2, the right over D^2 E^2."""
     H = bm.bialgebra
-    f = bm.field
-    mul, total = f.mul, f.combine
     V = range(bm.n)
-    m, d, _, _ = H.sparse()
-    act = [{(i, v): c for i, row in enumerate(mat) for v, c in enumerate(row) if c}
-           for mat in bm.basis_action]
-    co = [[_sparse(vec) for vec in row] for row in bm.coelems]
+    m, d, _, _, _, D = H.sparse()
+    ints, _ = bm.field.lift([*chain(*bm.basis_action), *chain(*bm.coelems)])
+    rows = iter(ints)
+    act = [{(i, v): c for i in V for v, c in enumerate(next(rows)) if c}
+           for _ in bm.basis_action]
+    co = [[_sparse(next(rows)) for _ in V] for _ in V]
     # lhs: sum_i (m_t.m_l)_i rho(m_i); rhs: over Delta(m_t) = sum m_p (x) m_b,
     # (m_p.m_v)_w m_w (x) m_b coelems[v][l]
     return all(
-        total(((l, w, s), mul(a, c)) for (i, l), a in act[t].items()
-              for w in V for s, c in co[w][i].items())
-        == total(((l, w, s), mul(mul(c, a), mul(x, y))) for (p, b), c in d[t].items()
-                 for (w, v), a in act[p].items() for l in V
-                 for k, x in co[v][l].items() for s, y in m[b][k].items())
+        _same(bm.field, (((l, w, s), a * c) for (i, l), a in act[t].items()
+                         for w in V for s, c in co[w][i].items()),
+              (((l, w, s), c * a * x * y) for (p, b), c in d[t].items()
+               for (w, v), a in act[p].items() for l in V
+               for k, x in co[v][l].items() for s, y in m[b][k].items()), D * D)
         for t in range(H.dim))
 
 
@@ -268,17 +271,18 @@ def verify_morphism(source, target, target_data: BialgebraHopfModule, assignment
             return False
 
     # (b) Delta(f(c_jk)) = sum_u f(c_ju) (x) f(c_uk), keyed by (j, k, a, b),
-    # and eps(f(c_jk)) = delta_jk
-    _, d, _, _ = target.sparse()
-    g = [[_sparse(assignment[(j, k)]) for k in V] for j in V]
-    eps = target.counit
-    if total(((j, k, a, b), mul(x, c)) for j in V for k in V
-             for t, x in g[j][k].items() for (a, b), c in d[t].items()) \
-            != total(((j, k, a, b), mul(x, y)) for j in V for k in V for u in V
-                     for a, x in g[j][u].items() for b, y in g[u][k].items()):
+    # and eps(f(c_jk)) = delta_jk; the assignment is lifted over E, the
+    # tables of the target over D
+    _, d, _, eps, _, D = target.sparse()
+    ints, E = f.lift([assignment[(j, k)] for j in V for k in V])
+    g = [[_sparse(ints[j * n + k]) for k in V] for j in V]
+    if not _same(f, (((j, k, a, b), x * c) for j in V for k in V
+                     for t, x in g[j][k].items() for (a, b), c in d[t].items()),
+                 (((j, k, a, b), x * y) for j in V for k in V for u in V
+                  for a, x in g[j][u].items() for b, y in g[u][k].items()), E, D):
         return False
-    if total(((j, k), mul(x, eps[t])) for j in V for k in V
-             for t, x in g[j][k].items()) != {(j, j): f.one for j in V}:
+    if not _same(f, (((j, k), x * eps[t]) for j in V for k in V for t, x in g[j][k].items()),
+                 [((j, j), E * D) for j in V]):
         return False
 
     # (c) the assignment is the target coaction, so target_data.action is

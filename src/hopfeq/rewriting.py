@@ -18,7 +18,8 @@ still wins. Every RewriteSystem builds its index from its rules; complete()
 updates the index of its working system only when it admits or retires a
 rule, and after admitting one re-reduces only the tails in which the new lhs
 occurs. quotient_bialgebra reduces each word once per call: one memo serves
-its coideal check, its mult table and its comult table.
+its mult table, its comult table and, on relations that frt did not build,
+its coideal check (on those frt built, R's own identities decide it).
 
 Completion takes the overlap ambiguities of a new rule (Bergman's) from
 the same index, which maps every proper prefix and proper suffix of an lhs
@@ -227,32 +228,27 @@ def normal_form(poly, rs):
 
 
 def _word_images(rs):
-    """(nf, delta): nf(w) is the normal form of the word w under rs and
-    delta(w) its reduced coproduct (nf (x) nf)(Delta(w)), each worked out
-    once and kept as (ints, d), a map from words or word pairs to ints that
-    stand for ints / d, with one positive int d (Field.lift)."""
+    """(nf, delta): nf(w) is the normal form of the word w under rs, as its
+    terms {word: scalar}, and delta(w) its reduced coproduct
+    (nf (x) nf)(Delta(w)), kept as (ints, d), a map from word pairs to ints
+    that stand for ints / d, with one positive int d: the square of the one
+    denominator of its legs (Field.lift). Each is worked out once."""
     alphabet, field = rs.alphabet, rs.field
+    nf = cache(lambda w: normal_form(NCPoly.word(alphabet, field, w), rs).terms)
 
-    def reduce(w):
-        terms = normal_form(NCPoly.word(alphabet, field, w), rs).terms
-        (ints,), d = field.lift([list(terms.values())])
-        return dict(zip(terms, ints)), d
-
+    @cache
     def reduce_delta(w):
         # every key of Delta(w) has coefficient 1
-        legs = [(nf(w1), nf(w2)) for w1, w2 in NCPoly.word(alphabet, field, w).delta().terms]
-        den = lcm(*(d1 * d2 for (_, d1), (_, d2) in legs))
+        legs = [nf(u) for pair in NCPoly.word(alphabet, field, w).delta().terms for u in pair]
+        ints, d = field.lift([list(leg.values()) for leg in legs])
         acc = {}
-        for (left, d1), (right, d2) in legs:
-            s = den // (d1 * d2)
-            for u1, a in left.items():
-                a *= s
-                for u2, b in right.items():
+        for left, right, a_row, b_row in zip(legs[::2], legs[1::2], ints[::2], ints[1::2]):
+            for u1, a in zip(left, a_row):
+                for u2, b in zip(right, b_row):
                     acc[u1, u2] = acc.get((u1, u2), 0) + a * b
-        return acc, den
+        return acc, d * d
 
-    nf = cache(reduce)
-    return nf, cache(reduce_delta)
+    return nf, reduce_delta
 
 
 def _s_polynomial(r1, r2, L):
@@ -451,8 +447,22 @@ def check_coideal(pres, rs, images=None):
 def quotient_bialgebra(pres, rs, max_len=12):
     """Structure tables of T(C)/I on the irreducible-word basis.
 
-    Needs a complete system, a finite dimension and the coideal property
-    (otherwise the comultiplication would not descend).
+    Needs a complete system of the relations of pres, a finite dimension and
+    the coideal property (otherwise the comultiplication would not descend).
+
+    On relations that ``frt`` built from R and left as built, the coideal
+    verdict is ``pres.coideal_certificate()``: ``verify_delta_chi(R) and
+    eps_chi_zero(R)``, decided in O(n^6) from the chi coefficients. Proof:
+    the identity Delta(chi(i,j,k,l)) = sum_{a,b} chi(i,j,a,b) (x) c_ak c_bl
+    + sum_p c_ip (x) chi(p,j,k,l) puts Delta(I) in I (x) T + T (x) I, and
+    eps(chi) = 0 gives eps(I) = 0, for the ideal I of all chi, which the
+    monic, deduplicated chi relations also span. The commutators of
+    ``frt_commutative`` keep it a coideal: Delta(c_rk c_sj - c_sj c_rk) =
+    sum_{p,q} c_rp c_sq (x) [c_pk, c_qj] + [c_rp, c_sq] (x) c_qj c_pk, and
+    eps of a commutator is 0. So both variants, with or without force,
+    take the same verdict. Any other relations (a hand-built presentation,
+    one read by ``from_json``, one whose relations were replaced or changed
+    in place) are decided by ``check_coideal``, relation by relation.
     """
     from .bialgebras import StructureBialgebra  # deferred: bialgebras is a leaf
 
@@ -464,7 +474,8 @@ def quotient_bialgebra(pres, rs, max_len=12):
             f"no empty irreducible level up to length {max_len}; dimension undecided"
         )
     nf, images = _word_images(rs)
-    if not check_coideal(pres, rs, images):
+    verdict = getattr(pres, "coideal_certificate", lambda: None)()
+    if not (check_coideal(pres, rs, images) if verdict is None else verdict):
         raise ValueError("relation ideal is not a coideal; no quotient bialgebra")
     field, alphabet = rs.field, rs.alphabet
     words = graph.words(max_len)
@@ -472,13 +483,9 @@ def quotient_bialgebra(pres, rs, max_len=12):
     dim = len(words)
     zero = field.zero
 
-    def lowered(image):  # the (key, scalar) pairs of an (ints, d) image
-        ints, d = image
-        return zip(ints, field.lower([list(ints.values())], d)[0])
-
-    def to_vec(image):
+    def to_vec(terms):
         vec = [zero] * dim
-        for w, c in lowered(image):
+        for w, c in terms.items():
             vec[index[w]] = c
         return vec
 
@@ -487,7 +494,8 @@ def quotient_bialgebra(pres, rs, max_len=12):
     comult = []
     for w in words:
         mat = [[zero] * dim for _ in range(dim)]
-        for (w1, w2), c in lowered(images(w)):
+        ints, d = images(w)
+        for (w1, w2), c in zip(ints, field.lower([list(ints.values())], d)[0]):
             mat[index[w1]][index[w2]] = c
         comult.append(mat)
     counit = [NCPoly.word(alphabet, field, w).eps() for w in words]

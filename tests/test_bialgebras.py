@@ -1,5 +1,4 @@
 import copy
-import functools
 import itertools
 import json
 import random
@@ -11,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from bialgebra_examples import group_algebra_s3, sweedler_h4
-from hopfeq import bialgebras as B, frt, linalg, rewriting as RW, tensorops as T
+from hopfeq import bialgebras as B, frt, hopfmodules as HM, linalg, rewriting as RW
+from hopfeq import tensorops as T
 from hopfeq.fields import QQ, parse_field
 from hopfeq.fixtures import build_fixture, crossed_s3_solution, graded_c2_solution
+from hopfeq.freealgebra import comatrix_alphabet
 
 F2 = parse_field("fp:2")
 F3 = parse_field("fp:3")
@@ -68,13 +69,11 @@ def finite_quotient(R):
     return None
 
 
-@functools.cache
-def f2_quotients(f2_hopf_solutions):
+@pytest.fixture(scope="module")
+def f2_quotients(f2_hopf_systems):
     """The finite B(R) among the Hopf solutions over F_2 with n = 2."""
-    found = map(finite_quotient, (
-        T.TensorOp(2, F2, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)])
-        for flat in f2_hopf_solutions))
-    return [H for H in found if H is not None]
+    return [RW.quotient_bialgebra(pres, rs, 8) for _, pres, rs in f2_hopf_systems
+            if RW.dimension(rs, 8).is_finite()]
 
 
 def tk_bialgebra():
@@ -118,10 +117,9 @@ def test_axioms_match_oracle_on_fixture_quotients(fid, fd):
     assert_matches_oracle(H)
 
 
-def test_axioms_match_oracle_on_f2_quotients(f2_hopf_solutions):
-    quotients = f2_quotients(f2_hopf_solutions)
-    assert len(quotients) == 55
-    for H in quotients:
+def test_axioms_match_oracle_on_f2_quotients(f2_quotients):
+    assert len(f2_quotients) == 55
+    for H in f2_quotients:
         assert_matches_oracle(H)
 
 
@@ -169,11 +167,11 @@ def perturb(H, rng):
     return P
 
 
-def test_axioms_match_oracle_on_perturbed_tables(f2_hopf_solutions):
+def test_axioms_match_oracle_on_perturbed_tables(f2_quotients):
     rng = random.Random(66)
     pool = [B.group_algebra(m, parse_field(fd)) for m in (1, 2, 3, 4)
             for fd in ("q", "fp:2", "fp:3")]
-    pool += [tk_bialgebra(), sweedler_h4(QQ)] + f2_quotients(f2_hopf_solutions)
+    pool += [tk_bialgebra(), sweedler_h4(QQ)] + f2_quotients
     falses = dict.fromkeys(asdict(B.check_bialgebra_axioms(pool[0])), 0)
     for _ in range(400):
         P = perturb(rng.choice(pool), rng)
@@ -198,6 +196,99 @@ def test_one_entry_breaks_exactly_one_axiom(axiom, table, index, value):
     holder_of(H, table, index)[index[-1]] = QQ.from_int(value)
     report = asdict(B.check_bialgebra_axioms(H))
     assert report == {**dict.fromkeys(report, True), "antipode": None, axiom: False}
+
+
+# -- the lifted contractions against the dense oracles ------------------------------
+
+def rebased(H, P):
+    """H on the basis e'_i = sum_k P[k][i] e_k, for an invertible P: each
+    table entry becomes a sum of many products, so over F_p many sums of
+    residues in its contractions are nonzero multiples of p."""
+    f, dim = H.field, H.dim
+    Q = linalg.inverse(f, P)
+    times, delta, eps = oracles._dense_bialgebra_ops(H)
+    new = [[P[k][i] for k in range(dim)] for i in range(dim)]  # e'_i in the old basis
+
+    def coords(vec):
+        return linalg.mat_mul(f, [vec], [list(col) for col in zip(*Q)])[0]
+
+    def coords2(mat):  # Q mat Q^T
+        return linalg.mat_mul(f, linalg.mat_mul(f, Q, mat), [list(col) for col in zip(*Q)])
+
+    antipode = None if H.antipode is None else [
+        coords(linalg.mat_mul(f, [a], H.antipode)[0]) for a in new]
+    return B.StructureBialgebra(f, dim, list(H.basis_labels), coords(H.unit),
+                                [[coords(times(a, b)) for b in new] for a in new],
+                                [coords2(delta(a)) for a in new], [eps(a) for a in new],
+                                antipode)
+
+
+def random_tables(field, dim, rng, antipode):
+    """Tables of dimension dim with random entries, about half of them zero."""
+    def vec():
+        return [field.random(rng) if rng.random() < 0.5 else field.zero for _ in range(dim)]
+
+    return B.StructureBialgebra(field, dim, [str(i) for i in range(dim)], vec(),
+                                [[vec() for _ in range(dim)] for _ in range(dim)],
+                                [[vec() for _ in range(dim)] for _ in range(dim)], vec(),
+                                [vec() for _ in range(dim)] if antipode else None)
+
+
+def assert_lifted_checks_match_oracles(H):
+    """The axioms of H, and the Hopf compatibility of its regular module and
+    the universal property of T(C) -> H along its coaction (no relations:
+    its Delta and eps clause is the one read off ``sparse``), against the
+    dense oracles."""
+    assert_matches_oracle(H)
+    bm = HM.regular_hopf_module(H)
+    assert HM.check_hopf_compat_bialgebra(bm) is oracles.naive_hopf_compat_bialgebra(bm)
+    pres = frt.Presentation(comatrix_alphabet(H.dim), H.field, [])
+    data = HM.module_from_R(T.TensorOp(H.dim, H.field, oracles.naive_induced_R(bm)))
+    assignment = {(v, l): bm.coelems[v][l] for v in range(H.dim) for l in range(H.dim)}
+    clauses = oracles.naive_morphism_clauses(pres, H, bm, assignment, data)
+    assert HM.verify_morphism(pres, H, bm, assignment, source_data=data) \
+        is (False not in clauses.values())
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lifted_contractions_match_oracles(data):
+    # every AxiomReport field and the Hopf compatibility of the regular
+    # module, over Q and F_2, F_3, F_5: on random tables of dimension 1 to
+    # 4, and on k[C_m] and H4, in their own basis or another, with or
+    # without an antipode, each possibly with one entry changed
+    field = data.draw(st.sampled_from([QQ, F2, F3, F5]), label="field")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    kind = data.draw(st.sampled_from(["random", "group", "h4"]), label="kind")
+    if kind == "random":
+        H = random_tables(field, rng.randint(1, 4), rng, rng.random() < 0.5)
+    else:
+        H = sweedler_h4(field) if kind == "h4" and field is not F2 \
+            else B.group_algebra(rng.randint(1, 4), field)
+        if data.draw(st.booleans(), label="rebased"):
+            H = rebased(H, oracles.random_invertible(field, H.dim, rng))
+        if data.draw(st.booleans(), label="perturbed"):
+            H = perturb(H, rng)
+        if data.draw(st.booleans(), label="no antipode"):
+            H.antipode = None
+    assert_lifted_checks_match_oracles(H)
+
+
+# P = [[1, 1, 0], [0, 1, 1], [1, 0, 1]] has determinant 2, so it is invertible
+# over Q, F_3 and F_5; over F_2 [[1, 1, 0], [0, 1, 1], [0, 0, 1]] is used
+@pytest.mark.parametrize("fd,P", [
+    ("fp:2", ((1, 1, 0), (0, 1, 1), (0, 0, 1))), ("fp:3", ((1, 1, 0), (0, 1, 1), (1, 0, 1))),
+    ("fp:5", ((1, 1, 0), (0, 1, 1), (1, 0, 1))), ("q", ((1, 1, 0), (0, 1, 1), (1, 0, 1)))])
+def test_residue_sums_that_are_multiples_of_p_read_as_zero(fd, P, monkeypatch):
+    # k[C_3] in a basis that is not grouplike: every axiom holds, and over
+    # F_p it holds only once the int sums are lowered; over Q the ints are
+    # exact and no lowering is needed
+    field = parse_field(fd)
+    H = rebased(B.group_algebra(3, field), [[field.from_int(x) for x in row] for row in P])
+    assert B.check_bialgebra_axioms(H).all_ok
+    assert_lifted_checks_match_oracles(H)
+    monkeypatch.setattr(linalg, "lifted_is_zero", lambda f, a: not any(map(any, a[0])))
+    assert B.check_bialgebra_axioms(H).all_ok is (field is QQ)
 
 
 # -- takesaki and galois -------------------------------------------------------
@@ -286,12 +377,12 @@ def test_galois_rprime_needs_antipode():
         B.galois_rprime(H)
 
 
-def comult_map_examples(f2_hopf_solutions):
+def comult_map_examples(f2_quotients):
     """Bialgebras whose bases are not all grouplike, or whose product is
     noncommutative: H4 over Q and F_3, k[S3], T(k) (no antipode) and the
     finite B(R) over F_2."""
     return [sweedler_h4(QQ), sweedler_h4(F3), group_algebra_s3()[1],
-            group_algebra_s3(F5)[1], tk_bialgebra()] + f2_quotients(f2_hopf_solutions)
+            group_algebra_s3(F5)[1], tk_bialgebra()] + f2_quotients
 
 
 def assert_comult_maps_match_oracle(H):
@@ -301,14 +392,14 @@ def assert_comult_maps_match_oracle(H):
         assert B.galois_rprime(H).entries == oracles.naive_galois_rprime(H)
 
 
-def test_comult_maps_match_oracle_on_examples(f2_hopf_solutions):
-    for H in comult_map_examples(f2_hopf_solutions):
+def test_comult_maps_match_oracle_on_examples(f2_quotients):
+    for H in comult_map_examples(f2_quotients):
         assert_comult_maps_match_oracle(H)
 
 
-def test_comult_maps_match_oracle_on_perturbed_tables(f2_hopf_solutions):
+def test_comult_maps_match_oracle_on_perturbed_tables(f2_quotients):
     rng = random.Random(10)
-    pool = comult_map_examples(f2_hopf_solutions) + [B.group_algebra(3, F2)]
+    pool = comult_map_examples(f2_quotients) + [B.group_algebra(3, F2)]
     for _ in range(300):
         assert_comult_maps_match_oracle(perturb(rng.choice(pool), rng))
 

@@ -1,5 +1,4 @@
 import copy
-import functools
 import gc
 import random
 from fractions import Fraction
@@ -513,11 +512,13 @@ def test_sweedler_h4_regular_hopf_module(fd):
 
 # -- against the dense oracles ---------------------------------------------------
 
-def quotient_case(R):
+def quotient_case(R, pres=None, rs=None):
     """(source, target, module, assignment, source module) of the canonical
-    morphism B(R) -> B(R), or None when B(R) is not known finite."""
-    pres = frt.frt_presentation(R)
-    rs = RW.complete(pres.relations, 8)
+    morphism B(R) -> B(R), or None when B(R) is not known finite; pres and
+    rs, when given, are frt_presentation(R) and its completion."""
+    if pres is None:
+        pres = frt.frt_presentation(R)
+        rs = RW.complete(pres.relations, 8)
     if not RW.dimension(rs, 8).is_finite():
         return None
     quo = RW.quotient_bialgebra(pres, rs, 8)
@@ -535,12 +536,11 @@ def regular_case(H):
     return frt.frt_presentation(R), H, bm, assignment, HM.module_from_R(R)
 
 
-@functools.cache
-def oracle_cases(f2_hopf_solutions):
+@pytest.fixture(scope="module")
+def oracle_cases(f2_hopf_systems):
     F7 = parse_field("fp:7")
-    f2 = [case for case in map(quotient_case, (
-        T.TensorOp(2, F2, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)])
-        for flat in f2_hopf_solutions)) if case is not None]
+    f2 = [case for case in (quotient_case(*system) for system in f2_hopf_systems)
+          if case is not None]
     assert len(f2) == 55
     fixtures = [quotient_case(build_fixture(fid, parse_field(fd))) for fid, fd in (
         ("identity:2", "q"), ("char2", "fp:2"), ("graded_c2", "q"), ("takesaki_c2", "q"),
@@ -566,8 +566,8 @@ def assert_matches_oracles(case):
     return {"compat": compat, **clauses}
 
 
-def test_hopf_module_checks_match_oracles(f2_hopf_solutions):
-    for case in oracle_cases(f2_hopf_solutions):
+def test_hopf_module_checks_match_oracles(oracle_cases):
+    for case in oracle_cases:
         assert all(assert_matches_oracles(case).values())
 
 
@@ -617,9 +617,9 @@ def perturb(case, rng):
     return pres, target, bm, assignment, data
 
 
-def test_hopf_module_checks_match_oracles_on_perturbations(f2_hopf_solutions):
+def test_hopf_module_checks_match_oracles_on_perturbations(oracle_cases):
     rng = random.Random(81)
-    cases = oracle_cases(f2_hopf_solutions)
+    cases = oracle_cases
     falses = dict.fromkeys(["compat", "relations", "delta", "eps", "coaction", "action"], 0)
     for _ in range(300):
         verdicts = assert_matches_oracles(perturb(rng.choice(cases), rng))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -16,11 +17,6 @@ F2 = parse_field("fp:2")
 F3 = parse_field("fp:3")
 F5 = parse_field("fp:5")
 A2 = comatrix_alphabet(2)
-
-
-def f2_operator(flat):
-    """One of the session's flat F_2 Hopf solutions as an operator."""
-    return T.TensorOp(2, F2, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)])
 
 
 def gen(i, j, field=QQ, alphabet=A2):
@@ -279,10 +275,15 @@ def test_completion_builds_one_s_polynomial_per_ambiguity_within_the_bound(monke
     assert built == [d for d in words if d <= 3] and len(built) < len(words)
 
 
-def pipeline_doc(R):
-    """Rule list, status, dimension report and quotient tables of B(R)."""
+def presented(R):
+    """frt_presentation(R) and its completion at degree 8."""
     pres = frt.frt_presentation(R)
-    rs = RW.complete(pres.relations, 8, pres.alphabet, pres.field)
+    return pres, RW.complete(pres.relations, 8, pres.alphabet, pres.field)
+
+
+def pipeline_doc(pres, rs):
+    """Rule list, status, dimension report and quotient tables of B(R), from
+    its presentation and their completion at degree 8."""
     rep = RW.dimension(rs, 8)
     doc = {"rs": rs.to_json(),
            "dim": [rep.kind, rep.count, rep.hilbert_prefix, rep.word_length_cap]}
@@ -299,11 +300,11 @@ def digest(doc):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def test_b_of_r_outputs_pinned_over_f2_hopf_solutions(f2_hopf_solutions):
+def test_b_of_r_outputs_pinned_over_f2_hopf_solutions(f2_hopf_systems):
     # digest recorded with the linear-scan reduction, before the index, and
     # re-recorded once the zero matrix's B(R), the free algebra on 4 letters,
     # was counted on its own alphabet (its document alone changed)
-    docs = [pipeline_doc(f2_operator(flat)) for flat in f2_hopf_solutions]
+    docs = [pipeline_doc(pres, rs) for _, pres, rs in f2_hopf_systems]
     assert len(docs) == 147
     assert sum(d["rs"]["status"] == "complete" for d in docs) == 143
     assert docs[0]["dim"] == ["lower_bound", 87381, [4 ** d for d in range(9)], 8]
@@ -323,7 +324,7 @@ def test_b_of_r_outputs_pinned_over_f2_hopf_solutions(f2_hopf_solutions):
 ])
 def test_b_of_r_outputs_pinned_on_fixtures(fid, fd, want):
     # digests recorded with the linear-scan reduction, before the index
-    assert digest(pipeline_doc(build_fixture(fid, parse_field(fd)))) == want
+    assert digest(pipeline_doc(*presented(build_fixture(fid, parse_field(fd))))) == want
 
 
 # -- overlap-indexed completion and counted dimension against the oracles ---------
@@ -331,12 +332,13 @@ def test_b_of_r_outputs_pinned_on_fixtures(fid, fd, want):
 ORACLE_LENGTHS = (0, 1, 3, 8)
 
 
-def assert_matches_oracles(pres):
+def assert_matches_oracles(pres, rs=None):
     """complete and dimension agree with all-pairs completion and listed
     irreducible words on the relations of pres; returns the completion
-    status."""
+    status. rs, when given, is the completion of those relations at degree
+    8 on their alphabet and field."""
     args = pres.relations, 8, pres.alphabet, pres.field
-    rs = RW.complete(*args)
+    rs = RW.complete(*args) if rs is None else rs
     want = oracles.all_pairs_complete(*args)
     assert rs.to_json() == want.to_json()
     assert not rs.is_complete() or oracles.check_complete(rs, pres.relations)
@@ -362,27 +364,19 @@ def test_commutative_completion_matches_oracles():
         == "complete"
 
 
-def test_completion_and_dimension_match_oracles_over_f2_hopf_solutions(f2_hopf_solutions):
-    statuses = [assert_matches_oracles(frt.frt_presentation(f2_operator(flat)))
-                for flat in f2_hopf_solutions]
+def test_completion_and_dimension_match_oracles_over_f2_hopf_solutions(f2_hopf_systems):
+    statuses = [assert_matches_oracles(pres, rs) for _, pres, rs in f2_hopf_systems]
     assert len(statuses) == 147 and statuses.count("capped") == 4
 
 
-def test_completion_and_dimension_match_oracles_over_f3_hopf_solutions(f3_hopf_solutions):
-    statuses = [
-        assert_matches_oracles(frt.frt_presentation(
-            T.TensorOp(2, F3, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)])))
-        for flat in f3_hopf_solutions]
+def test_completion_and_dimension_match_oracles_over_f3_hopf_solutions(f3_hopf_systems):
+    statuses = [assert_matches_oracles(pres, rs) for _, pres, rs in f3_hopf_systems]
     assert len(statuses) == 463 and statuses.count("capped") == 24
 
 
-def test_completion_pinned_over_f3_hopf_solutions(f3_hopf_solutions):
+def test_completion_pinned_over_f3_hopf_solutions(f3_hopf_systems):
     # digest recorded before the index listed ambiguities itself
-    docs = []
-    for flat in f3_hopf_solutions:
-        pres = frt.frt_presentation(
-            T.TensorOp(2, F3, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)]))
-        docs.append(RW.complete(pres.relations, 8, pres.alphabet, pres.field).to_json())
+    docs = [rs.to_json() for _, _, rs in f3_hopf_systems]
     assert len(docs) == 463
     assert digest(docs) == "3633dd9889fdb38fc346315f01275887eec7643b812cd3f3f5ad52eddd8eeebd"
 
@@ -438,8 +432,8 @@ def _counting(monkeypatch, owner, name, keep=False):
     return calls
 
 
-def test_completion_scans_only_below_a_live_lhs(monkeypatch, f2_hopf_solutions,
-                                                f3_hopf_solutions):
+def test_completion_scans_only_below_a_live_lhs(monkeypatch, f2_hopf_systems,
+                                                f3_hopf_systems):
     # both rule scans run only when the new lhs lies below some live lhs:
     # never on the takesaki ladder, whose lhs come in increasing order
     scans = _counting(monkeypatch, RW, "_has_factor")
@@ -449,12 +443,8 @@ def test_completion_scans_only_below_a_live_lhs(monkeypatch, f2_hopf_solutions,
     assert not scans
     # where rules do retire, the result is the all-pairs oracle's
     retired = _counting(monkeypatch, RW._RuleIndex, "remove")
-    solutions = [f2_operator(flat) for flat in f2_hopf_solutions] + [
-        T.TensorOp(2, F3, [list(flat[r * 4:(r + 1) * 4]) for r in range(4)])
-        for flat in f3_hopf_solutions]
     retiring = 0
-    for R in solutions:
-        pres = frt.frt_presentation(R)
+    for _, pres, _ in f2_hopf_systems + f3_hopf_systems:
         before = len(retired)
         rs = RW.complete(pres.relations, 8, pres.alphabet, pres.field)
         if len(retired) > before:
@@ -742,12 +732,9 @@ def test_check_coideal_matches_oracle_on_commutative_presentations(fid, fd):
     assert coideal_verdict(pres, rs)
 
 
-def test_check_coideal_matches_oracle_over_f2_hopf_solutions(f2_hopf_solutions):
+def test_check_coideal_matches_oracle_over_f2_hopf_solutions(f2_hopf_systems):
     statuses = []
-    for flat in f2_hopf_solutions:
-        R = f2_operator(flat)
-        pres = frt.frt_presentation(R)
-        rs = RW.complete(pres.relations, 8, pres.alphabet, pres.field)
+    for _, pres, rs in f2_hopf_systems:
         assert coideal_verdict(pres, rs)
         statuses.append(rs.status)
     assert len(statuses) == 147 and statuses.count("capped") == 4
@@ -769,13 +756,12 @@ def perturbed(pres, rng):
     return frt.Presentation(alphabet=alphabet, field=field, relations=rels)
 
 
-def test_check_coideal_matches_oracle_on_single_relation_perturbations(f2_hopf_solutions):
+def test_check_coideal_matches_oracle_on_single_relation_perturbations(f2_hopf_systems):
     # one relation among many is changed, the result completed (capped or
     # not) and decided: a verdict that is not decided relation by relation,
     # or that drops a term, shows up as a disagreement with the oracle
     rng = random.Random(9)
-    bases = [frt.frt_presentation(f2_operator(flat))
-             for flat in rng.sample(f2_hopf_solutions, 40)]
+    bases = [pres for _, pres, _ in rng.sample(f2_hopf_systems, 40)]
     bases += [frt.frt_presentation(build_fixture(fid, parse_field(fd)))
               for fid, fd in [("galois_c3", "fp:7"), ("takesaki_c3", "fp:7"),
                               ("takesaki_c3", "q"), ("r_q:0", "q")] for _ in range(12)]
@@ -825,7 +811,8 @@ def test_check_coideal_matches_oracle_on_random_relations(data):
     build_fixture("takesaki_c3", QQ), dense_conjugate(*DENSE_CONJUGATES[0])],
     ids=["takesaki_c3", "dense_q"])
 def test_quotient_reduces_each_word_once(R, monkeypatch):
-    # one memo serves the coideal check, the mult table and the comult table
+    # one memo serves the mult table and the comult table (and the coideal
+    # check, on a presentation that frt did not build)
     pres = frt.frt_presentation(R)
     rs = RW.complete(pres.relations, 8)
     reduced = []
@@ -840,6 +827,109 @@ def test_quotient_reduces_each_word_once(R, monkeypatch):
     monkeypatch.undo()
     assert quo.dim == 10
     assert reduced and len(reduced) == len(set(reduced))
+
+
+# -- the coideal certificate of a presentation frt built ---------------------------
+
+CERTIFIED_KINDS = [
+    ("identity:2", "q"), ("r_q:0", "q"), ("r_q:1", "q"), ("r_q_prime:1", "q"),
+    ("r_q_dblprime:1", "q"), ("char2", "fp:2"), ("classical_yb:2", "q"), ("graded_c2", "q"),
+    ("crossed_s3", "q"), ("takesaki_c3", "q"), ("galois_c3", "fp:7"),
+]
+
+
+def certified_verdict(pres, rs):
+    """The certificate of pres, asserted equal to check_coideal and to the
+    oracle (``coideal_verdict``)."""
+    verdict = pres.coideal_certificate()
+    assert verdict is coideal_verdict(pres, rs)
+    return verdict
+
+
+@pytest.mark.parametrize("build", [frt.frt_presentation, frt.frt_commutative],
+                         ids=["chi", "commutative"])
+@pytest.mark.parametrize("fid,fd", CERTIFIED_KINDS)
+def test_coideal_certificate_agrees_on_every_fixture_kind(fid, fd, build):
+    # under force, so crossed_s3 and classical_yb (no Hopf solutions) are
+    # the frt --force presentations of both variants
+    pres = build(build_fixture(fid, parse_field(fd)), force=True)
+    assert certified_verdict(pres, RW.complete(pres.relations, 8, pres.alphabet, pres.field))
+
+
+@pytest.mark.parametrize("case", DENSE_CONJUGATES[:3], ids=lambda c: f"{c[0]}@{c[1]}:{c[2][0]}")
+def test_coideal_certificate_agrees_on_dense_conjugates(case):
+    pres = frt.frt_presentation(dense_conjugate(*case))
+    assert certified_verdict(pres, RW.complete(pres.relations, 8))
+
+
+def test_coideal_certificate_agrees_over_f2_and_f3_hopf_solutions(
+        f2_hopf_systems, f3_hopf_systems, f2_commutative_systems, f3_commutative_systems):
+    systems = f2_hopf_systems + f3_hopf_systems + f2_commutative_systems + f3_commutative_systems
+    assert len(systems) == 2 * (147 + 463)
+    assert all(certified_verdict(pres, rs) for _, pres, rs in systems)
+
+
+def refused(pres, rs):
+    """Whether quotient_bialgebra refuses pres as not a coideal."""
+    try:
+        RW.quotient_bialgebra(pres, rs)
+    except ValueError as exc:
+        assert str(exc) == "relation ideal is not a coideal; no quotient bialgebra"
+        return True
+    return False
+
+
+def test_quotient_of_an_frt_presentation_takes_the_certificate(monkeypatch):
+    pres = frt.frt_presentation(B.char2_matrix(F2))
+    rs = RW.complete(pres.relations, 8)
+    monkeypatch.setattr(RW, "check_coideal", None)  # never called on it
+    assert RW.quotient_bialgebra(pres, rs).dim == 5
+    # each identity decides: a false one refuses the quotient
+    for name in ("verify_delta_chi", "eps_chi_zero"):
+        with monkeypatch.context() as patch:
+            patch.setattr(frt, name, lambda R: False)
+            assert pres.coideal_certificate() is False and refused(pres, rs)
+
+
+def changed_presentations():
+    """char2's frt presentation with its first relation r given the term
+    c21 c12 (counit 0), which leaves the quotient complete, of dimension 4
+    and not a coideal: the list item replaced, the polynomial changed in
+    place, and a dataclasses.replace copy with the new list."""
+    def fresh():
+        pres = frt.frt_presentation(B.char2_matrix(F2))
+        return pres, pres.relations[0] + NCPoly.word(pres.alphabet, F2, (2, 1))
+
+    replaced, new = fresh()
+    replaced.relations[0] = new
+    in_place, new = fresh()
+    in_place.relations[0].terms.update(new.terms)
+    copied, new = fresh()
+    copied = dataclasses.replace(copied, relations=[new] + copied.relations[1:])
+    return [replaced, in_place, copied]
+
+
+def test_changed_frt_presentations_take_the_general_path():
+    for pres in changed_presentations():
+        rs = RW.complete(pres.relations, 8, pres.alphabet, pres.field)
+        assert rs.is_complete() and RW.dimension(rs, 8).count == 4
+        assert pres.coideal_certificate() is None
+        assert not coideal_verdict(pres, rs)
+        assert refused(pres, rs)
+
+
+@pytest.mark.parametrize("fid,fd", [("char2", "fp:2"), ("takesaki_c3", "q"),
+                                    ("galois_c3", "fp:7"), ("graded_c2", "q")])
+def test_json_round_trip_takes_the_general_path(fid, fd, monkeypatch):
+    pres = frt.frt_presentation(build_fixture(fid, parse_field(fd)))
+    back = frt.Presentation.from_json(json.loads(json.dumps(pres.to_json())))
+    rs = RW.complete(pres.relations, 8, pres.alphabet, pres.field)
+    assert back == pres and back.coideal_certificate() is None
+    calls = []
+    check_coideal = RW.check_coideal
+    monkeypatch.setattr(RW, "check_coideal", lambda *args: calls.append(1) or check_coideal(*args))
+    assert RW.quotient_bialgebra(back, rs).to_json() == RW.quotient_bialgebra(pres, rs).to_json()
+    assert calls == [1]
 
 
 def test_empty_relations_count_words_on_the_given_alphabet():
