@@ -154,21 +154,12 @@ def _sparse(vec):
     return {k: c for k, c in enumerate(vec) if c}
 
 
-def _sums(pairs):
-    """Sum (key, int) pairs into {key: sum}; a zero sum may stay."""
-    out = {}
-    get = out.get
-    for key, v in pairs:
-        out[key] = get(key, 0) + v
-    return out
-
-
 def _same(field, a, b, sa=1, sb=1):
     """Whether sa times the sums of the (key, int) pairs a and sb times those
     of b agree in field, key by key: the difference is lowered
     (``linalg.lifted_is_zero``), so over F_p a sum that is a multiple of p
     reads as zero."""
-    a, b = _sums(a), _sums(b)
+    a, b = linalg.int_sums(a), linalg.int_sums(b)
     diff = [a.get(k, 0) * sa - b.get(k, 0) * sb for k in a.keys() | b.keys()]
     return linalg.lifted_is_zero(field, ([diff], 1))
 
@@ -263,7 +254,7 @@ def _tensor_op(f, dim, pairs, d):
     of the ((row, col), int) pairs over d, each entry lowered once; zero
     elsewhere."""
     ent = linalg.zeros(f, dim * dim, dim * dim)
-    sums = _sums(pairs)
+    sums = linalg.int_sums(pairs)
     for (row, col), c in zip(sums, f.lower([list(sums.values())], d)[0]):
         ent[row][col] = c
     return TensorOp(dim, f, ent)

@@ -40,9 +40,9 @@ class Presentation:
     commutative_closure: bool = False
     provenance: str = ""
     chi_origin: list = dc_field(default_factory=list)  # (i,j,k,l) per chi relation
-    # set by frt only, never in JSON: a copy of the operator R the relations
-    # were built from, and a copy of the relations as built
-    source: tuple | None = dc_field(default=None, compare=False, repr=False)
+    # set by frt after construction, never in JSON nor by replace(): a copy of
+    # the operator R the relations were built from, and their term sets
+    source: tuple | None = dc_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for r in self.relations:
@@ -61,7 +61,7 @@ class Presentation:
         coideal (see ``rewriting.quotient_bialgebra``); None when there is no
         such R, or when the relations are no longer the ones built from it."""
         R, built = self.source or (None, None)
-        if R is not None and self.relations == built:
+        if R is not None and built == _term_sets(self.relations):
             return verify_delta_chi(R) and eps_chi_zero(R)
 
     def to_json(self):
@@ -102,6 +102,11 @@ class Presentation:
             provenance=doc.get("provenance", ""),
             chi_origin=[tuple(idx) for idx in doc.get("chi_origin", [])],
         )
+
+
+def _term_sets(relations):
+    """Each relation's terms as a frozenset, the key chi_relations dedups by."""
+    return [frozenset(p.terms.items()) for p in relations]
 
 
 def chi(R: TensorOp):
@@ -150,10 +155,10 @@ def _chi_presentation(R: TensorOp, commutative: bool) -> Presentation:
     extra = commutator_relations(R.n, R.field) if commutative else ()
     relations, origin = chi_relations(R, extra)
     provenance = "chi presentation + commutators" if commutative else "chi presentation"
-    built = [NCPoly(p.alphabet, p.field, p.terms) for p in relations]
-    return Presentation(comatrix_alphabet(R.n), R.field, relations,
-                        commutative_closure=commutative, provenance=provenance, chi_origin=origin,
-                        source=(R.copy(), built))
+    pres = Presentation(comatrix_alphabet(R.n), R.field, relations,
+                        commutative_closure=commutative, provenance=provenance, chi_origin=origin)
+    pres.source = (R.copy(), _term_sets(relations))
+    return pres
 
 
 def frt_presentation(R: TensorOp, force=False) -> Presentation:

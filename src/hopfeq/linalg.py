@@ -73,6 +73,15 @@ def lifted_is_zero(field, a):
     return not any(any(field.lower([row], d)[0]) for row in ints if any(row))
 
 
+def int_sums(pairs):
+    """Sum (key, int) pairs into {key: sum}; a zero sum may stay."""
+    out = {}
+    get = out.get
+    for key, v in pairs:
+        out[key] = get(key, 0) + v
+    return out
+
+
 def mat_sub(field, a, b):
     return field.lower(*lifted_sub(field.lift(a), field.lift(b)))
 

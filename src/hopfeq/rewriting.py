@@ -44,6 +44,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cache
 from math import lcm
 
+from . import linalg
 from .freealgebra import NCPoly, render_word, word_key
 
 COMPLETION_STEP_LIMIT = 500_000  # safety valve; desk-scale inputs never get close
@@ -241,12 +242,10 @@ def _word_images(rs):
         # every key of Delta(w) has coefficient 1
         legs = [nf(u) for pair in NCPoly.word(alphabet, field, w).delta().terms for u in pair]
         ints, d = field.lift([list(leg.values()) for leg in legs])
-        acc = {}
-        for left, right, a_row, b_row in zip(legs[::2], legs[1::2], ints[::2], ints[1::2]):
-            for u1, a in zip(left, a_row):
-                for u2, b in zip(right, b_row):
-                    acc[u1, u2] = acc.get((u1, u2), 0) + a * b
-        return acc, d * d
+        return linalg.int_sums(
+            ((u1, u2), a * b)
+            for left, right, a_row, b_row in zip(legs[::2], legs[1::2], ints[::2], ints[1::2])
+            for u1, a in zip(left, a_row) for u2, b in zip(right, b_row)), d * d
 
     return nf, reduce_delta
 
@@ -434,11 +433,8 @@ def check_coideal(pres, rs, images=None):
         (coeffs,), e = field.lift([list(r.terms.values())])
         parts = [images(w) for w in r.terms]
         den = lcm(*(d for _, d in parts))
-        acc = {}
-        for a, (ints, d) in zip(coeffs, parts):
-            a *= den // d
-            for key, v in ints.items():
-                acc[key] = acc.get(key, 0) + a * v
+        acc = linalg.int_sums((key, a * (den // d) * v)
+                              for a, (ints, d) in zip(coeffs, parts) for key, v in ints.items())
         if any(field.lower([list(acc.values())], e * den)[0]):
             return False
     return True
@@ -474,7 +470,7 @@ def quotient_bialgebra(pres, rs, max_len=12):
             f"no empty irreducible level up to length {max_len}; dimension undecided"
         )
     nf, images = _word_images(rs)
-    verdict = getattr(pres, "coideal_certificate", lambda: None)()
+    verdict = pres.coideal_certificate()
     if not (check_coideal(pres, rs, images) if verdict is None else verdict):
         raise ValueError("relation ideal is not a coideal; no quotient bialgebra")
     field, alphabet = rs.field, rs.alphabet

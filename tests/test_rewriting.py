@@ -807,13 +807,10 @@ def test_check_coideal_matches_oracle_on_random_relations(data):
     coideal_verdict(type("P", (), {"relations": relations})(), rs)
 
 
-@pytest.mark.parametrize("R", [
-    build_fixture("takesaki_c3", QQ), dense_conjugate(*DENSE_CONJUGATES[0])],
-    ids=["takesaki_c3", "dense_q"])
-def test_quotient_reduces_each_word_once(R, monkeypatch):
-    # one memo serves the mult table and the comult table (and the coideal
-    # check, on a presentation that frt did not build)
-    pres = frt.frt_presentation(R)
+ONCE_CASES = [build_fixture("takesaki_c3", QQ), dense_conjugate(*DENSE_CONJUGATES[0])]
+
+
+def assert_quotient_reduces_each_word_once(pres, monkeypatch):
     rs = RW.complete(pres.relations, 8)
     reduced = []
     normal_form = RW.normal_form
@@ -827,6 +824,21 @@ def test_quotient_reduces_each_word_once(R, monkeypatch):
     monkeypatch.undo()
     assert quo.dim == 10
     assert reduced and len(reduced) == len(set(reduced))
+
+
+@pytest.mark.parametrize("R", ONCE_CASES, ids=["takesaki_c3", "dense_q"])
+def test_quotient_reduces_each_word_once(R, monkeypatch):
+    # one memo serves the mult table and the comult table
+    assert_quotient_reduces_each_word_once(frt.frt_presentation(R), monkeypatch)
+
+
+@pytest.mark.parametrize("R", ONCE_CASES, ids=["takesaki_c3", "dense_q"])
+def test_quotient_reduces_each_word_once_on_the_general_path(R, monkeypatch):
+    # read back from JSON the presentation has no certificate: the same memo
+    # also serves its coideal check
+    pres = frt.Presentation.from_json(frt.frt_presentation(R).to_json())
+    assert pres.coideal_certificate() is None
+    assert_quotient_reduces_each_word_once(pres, monkeypatch)
 
 
 # -- the coideal certificate of a presentation frt built ---------------------------
@@ -907,6 +919,15 @@ def changed_presentations():
     copied, new = fresh()
     copied = dataclasses.replace(copied, relations=[new] + copied.relations[1:])
     return [replaced, in_place, copied]
+
+
+def test_only_frt_sets_a_presentation_source():
+    pres = frt.frt_presentation(B.char2_matrix(F2))
+    with pytest.raises(TypeError):
+        frt.Presentation(pres.alphabet, F2, pres.relations, source=pres.source)
+    copied = dataclasses.replace(pres)
+    assert copied == pres and copied.coideal_certificate() is None
+    assert pres.coideal_certificate() is True
 
 
 def test_changed_frt_presentations_take_the_general_path():
