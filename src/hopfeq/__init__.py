@@ -37,6 +37,7 @@ from .bialgebras import (
 from .frt import (
     NotHopfSolutionError,
     Presentation,
+    build,
     chi,
     chi_relations,
     frt_commutative,

@@ -15,7 +15,7 @@ import json
 import random
 import sys
 
-from . import bialgebras, frt, kernels, rewriting, tensorops
+from . import bialgebras, frt, kernels, tensorops
 from .fields import FieldError, parse_field, parse_integer
 from .fixtures import FIXTURE_NAMES, MAX_FIXTURE_N, FixtureError, build_fixture
 from .freealgebra import render_word
@@ -102,18 +102,8 @@ def cmd_frt(args):
     if args.max_deg < 1:
         raise CliInputError(f"--max-deg must be >= 1, got {args.max_deg}")
     R = _load_operator(args)
-    if args.commutative:
-        pres = frt.frt_commutative(R, force=args.force)
-    else:
-        pres = frt.frt_presentation(R, force=args.force)
-    annihilates = None
-    if args.force and not tensorops.check_hopf(R):
-        # the chi ideal is still a coideal, but it does not annihilate V: by
-        # the defect identity (frt.verify_defect_identity, which holds for
-        # every R) the chi act on V as the nonzero Hopf defect of R
-        annihilates = False
-    rs = rewriting.complete(pres.relations, args.max_deg, pres.alphabet, pres.field)
-    report = rewriting.dimension(rs, max_len=args.max_deg)
+    built = frt.build(R, args.commutative, args.force, args.max_deg)
+    pres, rs, report, quotient = built.presentation, built.system, built.dimension, built.quotient
     names = _generator_names(R.n, rs)
 
     doc = {
@@ -126,11 +116,9 @@ def cmd_frt(args):
             "word_length_cap": report.word_length_cap,
         },
     }
-    if annihilates is not None:
-        doc["annihilates_module"] = annihilates
-    quotient = None
-    if report.is_finite():
-        quotient = rewriting.quotient_bialgebra(pres, rs, max_len=args.max_deg)
+    if built.annihilates_module is not None:
+        doc["annihilates_module"] = built.annihilates_module
+    if quotient is not None:
         doc["basis"] = quotient.basis_labels
         if args.tables:
             doc["tables"] = quotient.to_json()
@@ -140,9 +128,9 @@ def cmd_frt(args):
         return EXIT_OK
 
     print(f"generators: n = {R.n} ({R.n * R.n} comatrix symbols)")
-    if annihilates is not None:
+    if built.annihilates_module is not None:
         print(f"warning: not a Hopf solution; chi relations annihilate V: "
-              f"{'true' if annihilates else 'false'}")
+              f"{'true' if built.annihilates_module else 'false'}")
     print(f"relations ({len(pres.relations)}, paper index order"
           f"{', commutators adjoined' if pres.commutative_closure else ''}):")
     for k, r in enumerate(pres.relations):

@@ -1,7 +1,8 @@
 """FRT-type construction for the Hopf equation: the obstruction elements
 chi(i,j,k,l), the presentation of B(R) = T(C)/I (and its commutative variant),
-and exact verification of the three structural identities that make I a
-bi-ideal annihilating V.
+``build``, which composes B(R) from R once (presentation, completion,
+dimension, quotient bialgebra), and exact verification of the three
+structural identities that make I a bi-ideal annihilating V.
 
 With structure constants R(m_v (x) m_u) = sum x[u][v][j][i] m_i (x) m_j,
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from . import linalg
+from . import bialgebras, linalg, rewriting
 from .fields import parse_field
 from .freealgebra import Alphabet, NCPoly, comatrix_alphabet
 from .hopfmodules import _short_word_rows, module_from_R, obstructions
@@ -180,6 +181,33 @@ def frt_commutative(R: TensorOp, force=False) -> Presentation:
         if not check_commutative(R):
             raise NotCommutativeSolutionError("R is not a commutative solution")
     return _chi_presentation(R, commutative=True)
+
+
+@dataclass
+class FRTResult:
+    presentation: Presentation
+    system: rewriting.RewriteSystem
+    dimension: rewriting.DimensionReport
+    quotient: bialgebras.StructureBialgebra | None
+    annihilates_module: bool | None
+
+
+def build(R: TensorOp, commutative=False, force=False, max_degree=8) -> FRTResult:
+    """B(R) = T(C)/(all chi), or its commutative variant: the presentation
+    (refused as ``frt_presentation``/``frt_commutative`` refuse it unless
+    force), its completion on the comatrix alphabet at max_degree, the
+    dimension report to word length max_degree, and the quotient bialgebra
+    when that dimension is finite (else None). ``annihilates_module`` is
+    False when force let a non-solution through, else None: the chi ideal
+    is still a coideal, but by the defect identity (``verify_defect_identity``,
+    which holds for every R) the chi act on V as the nonzero Hopf defect."""
+    pres = (frt_commutative if commutative else frt_presentation)(R, force=force)
+    annihilates = False if force and not check_hopf(R) else None
+    rs = rewriting.complete(pres.relations, max_degree, pres.alphabet, pres.field)
+    report = rewriting.dimension(rs, max_len=max_degree)
+    quotient = (rewriting.quotient_bialgebra(pres, rs, max_len=max_degree)
+                if report.is_finite() else None)
+    return FRTResult(pres, rs, report, quotient, annihilates)
 
 
 def eps_chi_zero(R: TensorOp) -> bool:

@@ -527,14 +527,6 @@ class EquivalenceReport:
             and self.roundtrip_ok
         )
 
-    @property
-    def containment(self):
-        if self.forward_annihilates and not self.backward_annihilates:
-            return "forward"
-        if self.backward_annihilates and not self.forward_annihilates:
-            return "backward"
-        return None
-
 
 def presentations_equivalent(p1, p2, forward, backward, max_degree=6):
     """Degree-bounded bidirectional equivalence under the given substitutions.

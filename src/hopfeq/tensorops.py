@@ -263,10 +263,6 @@ def random_tensorop(n, field, rng) -> TensorOp:
     return TensorOp(n, field, [[field.random(rng) for _ in range(d2)] for _ in range(d2)])
 
 
-def random_endo(n, field, rng) -> EndoV:
-    return EndoV(n, field, [[field.random(rng) for _ in range(n)] for _ in range(n)])
-
-
 def enumerate_solutions(n, field, which="hopf", cap=2**24):
     """All n^2 x n^2 operators over F_p solving the chosen equation.
 

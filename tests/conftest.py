@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 from hopfeq import frt, kernels, rewriting as RW, tensorops as T
-from hopfeq.fields import parse_field
+from hopfeq.fields import QQ, parse_field
+from hopfeq.fixtures import build_fixture
 
 
 @pytest.fixture(scope="session")
@@ -20,21 +23,29 @@ def f2_hopf_solutions():
     return tuple(kernels.solutions_mod(2, 2, "hopf"))
 
 
-# -- presentations and completions of the solution sets, built once -------------
+# -- presentations and completions, built once -----------------------------------
 
 # fixture name -> fingerprint of its systems when they were built
 SHARED_SYSTEMS = {}
 
 
+def _system_key(pres, rs):
+    return (pres.commutative_closure, tuple(frozenset(r.terms.items()) for r in pres.relations),
+            rs.status, tuple((q.lhs, frozenset(q.tail.terms.items())) for q in rs.rules))
+
+
 def fingerprint(systems):
     """A hash of every entry of R, every relation and every rule of the
-    (R, presentation, completion) triples; it changes when any of them is
-    changed in place."""
-    return hash(tuple(
-        (tuple(map(tuple, R.entries)), pres.commutative_closure,
-         tuple(frozenset(r.terms.items()) for r in pres.relations),
-         rs.status, tuple((q.lhs, frozenset(q.tail.terms.items())) for q in rs.rules))
-        for R, pres, rs in systems))
+    (R, presentation, completion) triples, or of every relation, rule,
+    dimension figure and table entry of one ``frt.build`` result; it changes
+    when any of them is changed in place."""
+    if isinstance(systems, frt.FRTResult):
+        d, q = systems.dimension, systems.quotient
+        return hash((_system_key(systems.presentation, systems.system), d.kind, d.count,
+                     tuple(d.hilbert_prefix), d.word_length_cap, systems.annihilates_module,
+                     json.dumps(q and q.to_json())))
+    return hash(tuple((tuple(map(tuple, R.entries)), *_system_key(pres, rs))
+                      for R, pres, rs in systems))
 
 
 def _systems(name, solutions, p, build):
@@ -76,6 +87,16 @@ def f2_commutative_systems(f2_hopf_solutions):
 def f3_commutative_systems(f3_hopf_solutions):
     """``frt_commutative(force=True)`` and its completion for each F_3 solution."""
     return _systems("f3_commutative_systems", f3_hopf_solutions, 3, _commutative)
+
+
+@pytest.fixture(scope="session")
+def crossed_s3_forced():
+    """``frt.build`` of crossed_s3, which is not a Hopf solution, under force
+    at degree 8: 1296 chi relations, 146 rules and a 12-dimensional quotient,
+    about half a second to build."""
+    built = frt.build(build_fixture("crossed_s3", QQ), force=True)
+    SHARED_SYSTEMS["crossed_s3_forced"] = fingerprint(built)
+    return built
 
 
 def assert_shared_systems_unchanged(request):

@@ -306,6 +306,13 @@ def linear_scan_normal_form(field, terms, rules):
     return done
 
 
+def random_endo(n, field, rng):
+    """A random endomorphism of V = k^n, entries drawn row by row."""
+    from hopfeq.tensorops import EndoV
+
+    return EndoV(n, field, [[field.random(rng) for _ in range(n)] for _ in range(n)])
+
+
 def random_invertible(field, n, rng):
     while True:
         m = [[field.random(rng) for _ in range(n)] for _ in range(n)]

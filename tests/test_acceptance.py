@@ -52,13 +52,10 @@ def test_criterion_01_solution_verdict_table():
 
 
 def test_criterion_02_char2_five_dimensional_construction():
-    R = build_fixture("char2", F2)
-    pres = frt.frt_presentation(R)
-    rs = RW.complete(pres.relations, 8)
+    built = frt.build(build_fixture("char2", F2))
+    rs, dim_report, quo = built.system, built.dimension, built.quotient
     assert rs.status == "complete"
-    dim_report = RW.dimension(rs, 8)
     assert dim_report.is_finite() and dim_report.count == 5
-    quo = RW.quotient_bialgebra(pres, rs)
     assert B.check_bialgebra_axioms(quo).all_ok
 
     nf = lambda p: RW.normal_form(p, rs)
@@ -281,7 +278,7 @@ def test_criterion_07_equivalence_propositions_200_samples():
     for field, n, cnt in samples:
         I = T.EndoV(n, field, linalg.identity(field, n))
         for _ in range(cnt):
-            f = T.random_endo(n, field, rng)
+            f = oracles.random_endo(n, field, rng)
             idem = linalg.mat_mul(field, f.entries, f.entries) == f.entries
             assert T.check_hopf(T.pair_tensor(f, I)) == idem
     report(7, "hopf <=> pentagon-of-flip, both tau13 operator identities, and the "
@@ -290,9 +287,8 @@ def test_criterion_07_equivalence_propositions_200_samples():
 
 def test_criterion_08_derived_dimensions():
     # commutative variant of the char-2 solution: dimension 3
-    pres = frt.frt_commutative(build_fixture("char2", F2))
-    rs = RW.complete(pres.relations, 8)
-    rep = RW.dimension(rs, 8)
+    built = frt.build(build_fixture("char2", F2), commutative=True)
+    rs, rep = built.system, built.dimension
     assert rs.status == "complete" and rep.is_finite() and rep.count == 3
 
     # T(k): dimension 3 with Delta(z) = x (x) z + z (x) 1
@@ -332,9 +328,8 @@ def test_criterion_08_derived_dimensions():
 def test_criterion_09_universal_property():
     # identity morphism from the five-dimensional B(R) presentation to its quotient
     R = build_fixture("char2", F2)
-    pres = frt.frt_presentation(R)
-    rs = RW.complete(pres.relations, 8)
-    quo = RW.quotient_bialgebra(pres, rs)
+    built = frt.build(R)
+    pres, rs, quo = built.presentation, built.system, built.quotient
     data = HM.module_from_R(R)
     bm, assignment = HM.quotient_hopf_module(pres, rs, quo, data)
     assert HM.verify_morphism(pres, quo, bm, assignment, source_data=data)

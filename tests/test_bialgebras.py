@@ -60,15 +60,6 @@ def test_corrupted_assoc():
 
 # -- axiom checks against the dense oracle ----------------------------------------
 
-def finite_quotient(R):
-    """B(R) as a structure bialgebra, or None when it is not known finite."""
-    pres = frt.frt_presentation(R)
-    rs = RW.complete(pres.relations, 8)
-    if RW.dimension(rs, 8).is_finite():
-        return RW.quotient_bialgebra(pres, rs, 8)
-    return None
-
-
 @pytest.fixture(scope="module")
 def f2_quotients(f2_hopf_systems):
     """The finite B(R) among the Hopf solutions over F_2 with n = 2."""
@@ -112,7 +103,7 @@ def holder_of(H, table, index):
     ("galois_c3", "fp:7"),
 ])
 def test_axioms_match_oracle_on_fixture_quotients(fid, fd):
-    H = finite_quotient(build_fixture(fid, parse_field(fd)))
+    H = frt.build(build_fixture(fid, parse_field(fd))).quotient
     assert B.check_bialgebra_axioms(H).all_ok
     assert_matches_oracle(H)
 
@@ -587,7 +578,7 @@ def test_structure_bialgebra_json_round_trip_property(data):
 
 @pytest.mark.parametrize("fid,fd", [("char2", "fp:2"), ("takesaki_c3", "q")])
 def test_quotient_json_round_trip_keeps_basis_words(fid, fd):
-    H = finite_quotient(build_fixture(fid, parse_field(fd)))
+    H = frt.build(build_fixture(fid, parse_field(fd))).quotient
     doc = json.loads(json.dumps(H.to_json()))
     assert doc["basis_words"] == [list(w) for w in H.basis_words]
     assert B.StructureBialgebra.from_json(doc) == H

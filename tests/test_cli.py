@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfeq import cli, fields, fixtures, kernels, rewriting, tensorops
+from hopfeq import cli, fields, fixtures, frt, kernels, rewriting, tensorops
 from hopfeq.cli import main
 from hopfeq.fields import QQ, parse_field
 
@@ -450,12 +450,24 @@ PINNED_OUTPUTS = [
      "4d311637b274af3ee12494633f9ca2e63fffe14fffdcec8a6e0cd0e998285319"),
     (("enumerate", "--n", "2", "--field", "fp:2", "--eq", "qybe", "--json"),
      "3db55fca7bacd0b26cfa77803daeaee0a2f8892716c1697cbaa999c7e799bf15"),
+    # the warning line of a forced non-solution, the commutative tables, a
+    # lower bound and a capped completion, each recorded before cmd_frt
+    # rendered frt.build
+    (("frt", "--fixture", "crossed_s3", "--force"),
+     "bf3a45a5bf7e99300a5a114e786b6b775127fd3b1f4b5d23f37e9d1a2e5470e8"),
+    (("frt", "--fixture", "char2", "--field", "fp:2", "--commutative", "--tables", "--json"),
+     "4afbd8d0603076fb38e659933cb0b0464ac7d3bbaeffbd218e3c1467de6db663"),
+    (("frt", "--fixture", "r_q:0"),
+     "437d052740fe526e9d5704032924ec94e58f2a25f8bd8fd73da606b53ef0e909"),
+    (("frt", "--fixture", "takesaki_c3", "--max-deg", "2", "--json"),
+     "265cc78e3a0e094dd5192a2932186536ded2c09214cbeffcdbf1c5d72424dd65"),
 ]
 
 
 @pytest.mark.parametrize("argv,want", PINNED_OUTPUTS,
                          ids=["verify", "check", "frt-crossed", "frt-tables", "enumerate",
-                              "enumerate-qybe"])
+                              "enumerate-qybe", "frt-crossed-text", "frt-commutative-tables",
+                              "frt-lower-bound", "frt-capped"])
 def test_outputs_pinned(capsys, argv, want):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -528,6 +540,34 @@ def test_frt_rewriting_failures_exit_4(capsys, monkeypatch, target, exc):
     monkeypatch.setattr(rewriting, target, _raiser(exc))
     code, _, err = run(capsys, "frt", "--fixture", "char2", "--field", "fp:2")
     assert code == 4 and err.startswith("precondition:") and str(exc) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("frt", "--fixture", "char2", "--field", "fp:2", "--tables"),
+    ("frt", "--fixture", "classical_yb:2", "--commutative", "--force", "--max-deg", "3", "--json"),
+], ids=["tables", "forced-json"])
+def test_frt_renders_one_build(capsys, monkeypatch, argv):
+    # cmd_frt takes B(R) from one frt.build call and runs no stage itself
+    want = run(capsys, *argv)
+    built, calls = [], []
+    build = frt.build
+
+    def recording(*args):
+        calls.append(args[1:])
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(frt, "build", recording)
+    assert run(capsys, *argv) == want and len(calls) == 1
+    stages = [(rewriting, "complete"), (rewriting, "dimension"),
+              (rewriting, "quotient_bialgebra"), (tensorops, "check_hopf"),
+              (frt, "frt_presentation"), (frt, "frt_commutative")]
+    for owner, name in stages:
+        monkeypatch.setattr(owner, name, None)
+    monkeypatch.setattr(frt, "build", lambda *args: built[0])
+    assert run(capsys, *argv) == want
+    commutative, force = "--commutative" in argv, "--force" in argv
+    assert calls == [(commutative, force, 3 if commutative else 8)]
 
 
 def test_frt_force_overrides(capsys):

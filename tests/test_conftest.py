@@ -1,11 +1,14 @@
-"""The session's shared presentations and completions: a test that changes
-one in place fails."""
+"""The session's shared presentations, completions and build: a test that
+changes one in place fails."""
 
 import copy
 
 import pytest
 
 from conftest import SHARED_SYSTEMS, assert_shared_systems_unchanged, fingerprint
+from hopfeq import frt
+from hopfeq.fields import parse_field
+from hopfeq.fixtures import build_fixture
 from hopfeq.freealgebra import NCPoly
 
 
@@ -51,4 +54,43 @@ def test_a_test_that_changes_a_shared_system_fails(f2_hopf_systems, request):
             assert_shared_systems_unchanged(request)
     finally:
         del terms[(0, 0, 0)]
+    assert_shared_systems_unchanged(request)
+
+
+def test_shared_build_is_crossed_s3_under_force(crossed_s3_forced):
+    built = crossed_s3_forced
+    assert built.annihilates_module is False and not built.presentation.commutative_closure
+    assert (len(built.presentation.relations), len(built.system.rules)) == (1296, 146)
+    assert built.system.is_complete() and built.quotient.dim == built.dimension.count == 12
+
+
+def test_fingerprint_sees_in_place_changes_of_a_build():
+    F2 = parse_field("fp:2")
+    built = frt.build(build_fixture("char2", F2))
+    want = fingerprint(built)
+    assert fingerprint(copy.deepcopy(built)) == want
+    changes = [
+        lambda b: b.presentation.relations[0].terms.__setitem__((0, 0, 0), F2.one),
+        lambda b: b.system.rules.pop(),
+        lambda b: setattr(b.system, "status", "capped"),
+        lambda b: b.dimension.hilbert_prefix.append(0),
+        lambda b: setattr(b.dimension, "count", 6),
+        lambda b: b.quotient.mult[1][1].__setitem__(0, F2.one),
+        lambda b: setattr(b, "annihilates_module", False),
+    ]
+    for change in changes:
+        copied = copy.deepcopy(built)
+        change(copied)
+        assert fingerprint(copied) != want
+
+
+def test_a_test_that_changes_the_shared_build_fails(crossed_s3_forced, request):
+    assert SHARED_SYSTEMS["crossed_s3_forced"] == fingerprint(crossed_s3_forced)
+    prefix = crossed_s3_forced.dimension.hilbert_prefix
+    prefix.append(0)
+    try:
+        with pytest.raises(AssertionError, match="the test changed a system of crossed_s3_forced"):
+            assert_shared_systems_unchanged(request)
+    finally:
+        prefix.pop()
     assert_shared_systems_unchanged(request)

@@ -146,12 +146,11 @@ def test_chi_relations_dedup_and_order():
 # -- presentations ------------------------------------------------------------
 
 def test_frt_presentation_identity_n1():
-    pres = frt.frt_presentation(T.identity_op(1, QQ))
+    built = frt.build(T.identity_op(1, QQ))
+    pres, rep = built.presentation, built.dimension
     assert len(pres.relations) == 1
     r = pres.relations[0]
     assert r.terms == {(0, 0): QQ.one, (0,): -QQ.one}  # c^2 - c
-    rs = RW.complete(pres.relations, 8)
-    rep = RW.dimension(rs, 8)
     assert rep.is_finite() and rep.count == 2  # k[c]/(c^2 - c)
 
 
@@ -227,6 +226,84 @@ def test_commutative_variant_equals_polynomial_quotient():
 def test_presentation_rejects_nonzero_counit_relation():
     with pytest.raises(ValueError):
         frt.Presentation(alphabet=A2, field=QQ, relations=[gen(0, 0)])
+
+
+# -- B(R) in one call -------------------------------------------------------------
+
+# the chi fixtures, plus a lower bound and a completion capped at degree 8
+BUILD_FIXTURES = CHI_FIXTURES + [("r_q:0", QQ), ("r_q:1", QQ)]
+VARIANTS = {"plain": (False, False), "commutative": (True, False), "force": (False, True)}
+
+
+def by_stages(R, commutative, force, max_degree):
+    """The stages frt.build composes, each called on its own."""
+    make = frt.frt_commutative if commutative else frt.frt_presentation
+    pres = make(R, force=force)
+    rs = RW.complete(pres.relations, max_degree, pres.alphabet, pres.field)
+    rep = RW.dimension(rs, max_degree)
+    return pres, rs, rep, RW.quotient_bialgebra(pres, rs, max_degree) if rep.is_finite() else None
+
+
+def assert_build_agrees_with_stages(R, commutative, force, max_degree, built=None):
+    """frt.build (or built, its result) against by_stages: the same JSON, the
+    same dimension report and the same refusal. Where there are relations,
+    their completion without the alphabet, as perfbench calls it, is the same
+    system too."""
+    try:
+        pres, rs, rep, quo = by_stages(R, commutative, force, max_degree)
+    except (frt.NotHopfSolutionError, frt.NotCommutativeSolutionError) as exc:
+        with pytest.raises(type(exc)) as refused:
+            frt.build(R, commutative, force, max_degree)
+        assert str(refused.value) == str(exc)
+        return
+    built = built or frt.build(R, commutative, force, max_degree)
+    assert built.presentation.to_json() == pres.to_json()
+    assert built.system.to_json() == rs.to_json()
+    assert built.dimension == rep
+    assert (built.quotient and built.quotient.to_json()) == (quo and quo.to_json())
+    assert built.annihilates_module is (False if force and not T.check_hopf(R) else None)
+    if pres.relations:
+        assert RW.complete(pres.relations, max_degree=max_degree).to_json() == rs.to_json()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("fid,field", BUILD_FIXTURES, ids=[fid for fid, _ in BUILD_FIXTURES])
+def test_build_agrees_with_its_stages_on_fixtures(fid, field, variant, request):
+    # crossed_s3 under force is the session's build, read and not rebuilt
+    built = request.getfixturevalue("crossed_s3_forced") \
+        if (fid, variant) == ("crossed_s3", "force") else None
+    assert_build_agrees_with_stages(build_fixture(fid, field), *VARIANTS[variant], 8, built)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("max_degree", range(1, 9))
+def test_build_agrees_with_its_stages_at_every_degree(max_degree, variant):
+    assert_build_agrees_with_stages(build_fixture("takesaki_c3", QQ), *VARIANTS[variant],
+                                    max_degree)
+
+
+@pytest.mark.parametrize("commutative", [False, True], ids=["chi", "commutative"])
+def test_build_refuses_a_non_solution_before_any_stage(commutative, monkeypatch):
+    for name in ("complete", "dimension", "quotient_bialgebra"):
+        monkeypatch.setattr(RW, name, None)
+    for fid in ("classical_yb:2", "crossed_s3"):
+        with pytest.raises(frt.NotHopfSolutionError):
+            frt.build(build_fixture(fid, QQ), commutative)
+
+
+def test_build_counts_the_free_algebra_of_the_zero_operator():
+    # no chi relations: the system keeps the comatrix alphabet, so B(R) is
+    # the free algebra on four letters, counted to word length 8
+    built = frt.build(T.TensorOp(2, F2, [[F2.zero] * 4 for _ in range(4)]))
+    assert built.presentation.relations == []
+    assert built.system.alphabet == A2 and built.system.field == F2
+    levels = [4 ** d for d in range(9)]
+    assert built.dimension == RW.DimensionReport("lower_bound", sum(levels), levels, 8)
+    assert built.quotient is None and built.annihilates_module is None
+    # a completion given neither relations nor alphabet, as perfbench's
+    # chain still asks for, only knows the empty word
+    bare = RW.complete(built.presentation.relations, max_degree=8)
+    assert RW.dimension(bare, 8) == RW.DimensionReport("lower_bound", 1, [1], 8)
 
 
 # -- the unconditional identities ------------------------------------------------

