@@ -11,6 +11,7 @@ not known to be finite-dimensional), 5 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -78,13 +79,11 @@ def _print_bools(pairs):
         print(f"{k:<{width}}  {'true' if v else 'false'}")
 
 
-def _generator_names(n, rs=None):
+def _generator_names(n, rs):
     """Paper lettering x=c11, y=c22, z=c12 when n=2 and c21 rewrites to 0."""
     names = [f"c[{i + 1},{j + 1}]" for i in range(n) for j in range(n)]
-    if n == 2 and rs is not None:
-        c21_to_zero = any(r.lhs == (2,) and r.tail.is_zero() for r in rs.rules)
-        if c21_to_zero:
-            names = ["x", "z", "c[2,1]", "y"]
+    if n == 2 and any(r.lhs == (2,) and r.tail.is_zero() for r in rs.rules):
+        names = ["x", "z", "c[2,1]", "y"]
     return names
 
 
@@ -109,12 +108,7 @@ def cmd_frt(args):
     doc = {
         "presentation": pres.to_json(),
         "rewrite_system": rs.to_json(),
-        "dimension": {
-            "kind": report.kind,
-            "count": report.count,
-            "hilbert_prefix": report.hilbert_prefix,
-            "word_length_cap": report.word_length_cap,
-        },
+        "dimension": dataclasses.asdict(report),
     }
     if built.annihilates_module is not None:
         doc["annihilates_module"] = built.annihilates_module

@@ -52,18 +52,15 @@ class Presentation:
             if self.alphabet.comatrix_n is not None and r.eps():
                 raise ValueError(f"relation {r.render()} has nonzero counit")
 
-    @property
-    def n(self):
-        return self.alphabet.comatrix_n
-
     def coideal_certificate(self):
-        """``verify_delta_chi(R) and eps_chi_zero(R)`` for the operator R that
-        ``frt`` built the relations from, which decides whether they span a
-        coideal (see ``rewriting.quotient_bialgebra``); None when there is no
-        such R, or when the relations are no longer the ones built from it."""
+        """``verify_delta_chi(R)`` for the operator R that ``frt`` built the
+        relations from, which decides whether they span a coideal (see
+        ``rewriting.quotient_bialgebra``; their counit is 0, as the
+        constructor checks); None when there is no such R, or when the
+        relations are no longer the ones built from it."""
         R, built = self.source or (None, None)
         if R is not None and built == _term_sets(self.relations):
-            return verify_delta_chi(R) and eps_chi_zero(R)
+            return verify_delta_chi(R)
 
     def to_json(self):
         f = self.field
@@ -200,7 +197,10 @@ def build(R: TensorOp, commutative=False, force=False, max_degree=8) -> FRTResul
     when that dimension is finite (else None). ``annihilates_module`` is
     False when force let a non-solution through, else None: the chi ideal
     is still a coideal, but by the defect identity (``verify_defect_identity``,
-    which holds for every R) the chi act on V as the nonzero Hopf defect."""
+    which holds for every R) the chi act on V as the nonzero Hopf defect.
+    A max_degree below 1 is refused before any stage runs."""
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     pres = (frt_commutative if commutative else frt_presentation)(R, force=force)
     annihilates = False if force and not check_hopf(R) else None
     rs = rewriting.complete(pres.relations, max_degree, pres.alphabet, pres.field)
@@ -214,7 +214,9 @@ def eps_chi_zero(R: TensorOp) -> bool:
     """eps(chi(i,j,k,l)) = 0 for every index, any R. eps(c_jk) = delta_jk,
     so eps(chi) is the sum of the coefficients of its diagonal words. Those
     coefficients of all n^4 chi are lifted by one ``Field.lift``, summed as
-    ints per chi, and the n^4 sums are lowered once."""
+    ints per chi, and the n^4 sums are lowered once. The coideal certificate
+    does not call it: ``Presentation`` refuses a comatrix relation of nonzero
+    counit when it is built."""
     diagonal_letters = frozenset(range(0, R.n ** 2, R.n + 1))  # c_11, c_22, ...
     diagonal = [[c for w, c in p.terms.items() if diagonal_letters.issuperset(w)]
                 for p in chi(R).values()]

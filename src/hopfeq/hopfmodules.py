@@ -62,8 +62,9 @@ def module_from_R(R: TensorOp) -> HopfModuleData:
     return HopfModuleData(n=n, field=R.field, action=action)
 
 
-_CHI = _Slot()  # obstructions of the last module
-_WORDS = _Slot()  # _short_word_rows of the last module
+# the last module's obstructions ("chi") and _short_word_rows ("words"),
+# keyed on its action entries in sorted key order, not in R's flat order
+_MODULE = _Slot()
 
 
 def _action_scalars(data):
@@ -79,7 +80,7 @@ def obstructions(data: HopfModuleData) -> dict:
 
     They are built once per module (``tensorops._Slot`` on the action
     entries) and shared; each call returns a new dict of them."""
-    return dict(_CHI.get(data.field, _action_scalars(data), lambda: _obstructions(data)))
+    return dict(_MODULE.get(data.field, _action_scalars(data), "chi", lambda: _obstructions(data)))
 
 
 def _obstructions(data):
@@ -129,7 +130,7 @@ def _short_word_rows(data):
     """Each word of one or two letters as its matrix flattened by rows, in ints over one
     denominator: the letters stacked (n^3 x n) times them side by side has A_a A_b at (a, b).
     Built once per module, as ``obstructions``, and shared: do not change the rows."""
-    return _WORDS.get(data.field, _action_scalars(data), lambda: _block_rows(data))
+    return _MODULE.get(data.field, _action_scalars(data), "words", lambda: _block_rows(data))
 
 
 def _block_rows(data):
@@ -297,7 +298,9 @@ def quotient_hopf_module(pres, rs, quotient, data: HopfModuleData):
     B = T(C)/I, together with the generator assignment c_ij -> [c_ij].
 
     quotient must come from rewriting.quotient_bialgebra(pres, rs), so its
-    basis_words are the irreducible words of rs."""
+    basis_words are the irreducible words of rs. pres is not read: the
+    quotient and rs carry what is needed of it, and the parameter stays in
+    the signature that callers use."""
     words = quotient.basis_words
     if words is None:
         raise ValueError("quotient carries no basis words")

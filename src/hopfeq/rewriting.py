@@ -19,7 +19,7 @@ updates the index of its working system only when it admits or retires a
 rule, and after admitting one re-reduces only the tails in which the new lhs
 occurs. quotient_bialgebra reduces each word once per call: one memo serves
 its mult table, its comult table and, on relations that frt did not build,
-its coideal check (on those frt built, R's own identities decide it).
+its coideal check (on those frt built, R's own Delta identity decides it).
 
 Completion takes the overlap ambiguities of a new rule (Bergman's) from
 the same index, which maps every proper prefix and proper suffix of an lhs
@@ -267,9 +267,9 @@ def complete(relations, max_degree=8, alphabet=None, field=None):
     Status is "complete" iff every overlap ambiguity resolved to zero and
     nothing (input relation, admitted rule, or ambiguity word) exceeded
     max_degree; otherwise "capped". Reaching the cap is never an exception.
-    The alphabet and field default to those of the first relation; a caller
-    that holds a presentation passes its own, which an empty relation list
-    cannot carry.
+    The system takes the alphabet and field of the first relation; the ones
+    passed are used only for an empty relation list, which cannot carry
+    them, so a caller that holds a presentation passes its own.
     """
     relations = [r for r in relations if not r.is_zero()]
     if not relations:
@@ -406,8 +406,11 @@ def dimension(rs, max_len=12):
 
     A finite verdict needs a complete system plus an exhausted level: once a
     length has no irreducible words, no longer word can avoid reducible
-    factors. Anything else is reported as a lower bound at the cap.
+    factors. Anything else is reported as a lower bound at the cap. A
+    negative max_len is refused.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     if rs.alphabet is None:  # complete() given no relations and no alphabet
         return DimensionReport("lower_bound", 1, [1], word_length_cap=max_len)
     counts = _WordGraph(rs).counts(max_len)
@@ -447,18 +450,21 @@ def quotient_bialgebra(pres, rs, max_len=12):
     the coideal property (otherwise the comultiplication would not descend).
 
     On relations that ``frt`` built from R and left as built, the coideal
-    verdict is ``pres.coideal_certificate()``: ``verify_delta_chi(R) and
-    eps_chi_zero(R)``, decided in O(n^6) from the chi coefficients. Proof:
-    the identity Delta(chi(i,j,k,l)) = sum_{a,b} chi(i,j,a,b) (x) c_ak c_bl
-    + sum_p c_ip (x) chi(p,j,k,l) puts Delta(I) in I (x) T + T (x) I, and
-    eps(chi) = 0 gives eps(I) = 0, for the ideal I of all chi, which the
-    monic, deduplicated chi relations also span. The commutators of
-    ``frt_commutative`` keep it a coideal: Delta(c_rk c_sj - c_sj c_rk) =
-    sum_{p,q} c_rp c_sq (x) [c_pk, c_qj] + [c_rp, c_sq] (x) c_qj c_pk, and
-    eps of a commutator is 0. So both variants, with or without force,
-    take the same verdict. Any other relations (a hand-built presentation,
-    one read by ``from_json``, one whose relations were replaced or changed
-    in place) are decided by ``check_coideal``, relation by relation.
+    verdict is ``pres.coideal_certificate()``: ``verify_delta_chi(R)``,
+    decided in O(n^6) from the chi coefficients. Proof: the identity
+    Delta(chi(i,j,k,l)) = sum_{a,b} chi(i,j,a,b) (x) c_ak c_bl + sum_p c_ip
+    (x) chi(p,j,k,l) puts Delta(I) in I (x) T + T (x) I, for the ideal I of
+    all chi, which the monic, deduplicated chi relations also span. The
+    commutators of ``frt_commutative`` keep it so: Delta(c_rk c_sj - c_sj
+    c_rk) = sum_{p,q} c_rp c_sq (x) [c_pk, c_qj] + [c_rp, c_sq] (x) c_qj
+    c_pk. eps(I) = 0 is not checked here: the relations are the nonzero chi
+    made monic, of counit 0 for every R (``frt.eps_chi_zero``), and
+    commutators, of counit 0; and ``Presentation`` refuses a comatrix
+    relation of nonzero counit when it is built. So both variants, with or
+    without force, take the same verdict. Any other relations (a hand-built
+    presentation, one read by ``from_json``, one whose relations were
+    replaced or changed in place) are decided by ``check_coideal``,
+    relation by relation.
     """
     from .bialgebras import StructureBialgebra  # deferred: bialgebras is a leaf
 

@@ -108,33 +108,37 @@ def leg(R: TensorOp, which: int):
 
 
 class _Slot:
-    """A memo of one value: the last one built, with the field object and
-    the list of scalar objects it was built from. ``get`` returns it while
-    the field and every scalar are the very same objects (``is``; the slot
-    holds them, so no id is reused while it lives), and builds afresh
-    otherwise. So an entry changed in place, an equal operator made of other
-    scalar objects and the same ints over another field all miss, and a slot
-    keeps one operator's data at a time."""
+    """A memo of named values built from one key: the field object and the
+    list of scalar objects they were built from. ``get`` returns the value of
+    a name while the field and every scalar are the very same objects
+    (``is``; the slot holds them, so no id is reused while it lives), builds
+    it on first use, and drops every value when the key changes. So an entry
+    changed in place, an equal operator made of other scalar objects and the
+    same ints over another field all miss, and a slot keeps one operator's
+    data at a time."""
 
-    __slots__ = ("field", "scalars", "value")
+    __slots__ = ("field", "scalars", "values")
 
     def __init__(self):
         self.clear()
 
     def clear(self):
-        self.field = self.scalars = self.value = None
+        self.field = self.scalars = None
+        self.values = {}
 
-    def get(self, field, scalars, build):
+    def get(self, field, scalars, name, build):
         if not (field is self.field and len(scalars) == len(self.scalars)
                 and all(map(is_, scalars, self.scalars))):
             self.clear()  # the last operator's data goes before the next is built
-            self.value = build()
             self.field, self.scalars = field, scalars
-        return self.value
+        if name not in self.values:
+            self.values[name] = build()
+        return self.values[name]
 
 
-_PRODUCTS = _Slot()  # leg_products of the last operator
-_DEFECTS = _Slot()  # equation name -> lifted defect, of the last operator
+# the last operator's leg products ("legs") and its lifted defects, one per
+# equation name of kernels.EQUATIONS
+_OPERATOR = _Slot()
 
 
 def leg_products(R: TensorOp):
@@ -146,7 +150,7 @@ def leg_products(R: TensorOp):
     them; a product has at most three legs, which bounds the size of its
     ints. The products are shared: do not change them."""
     # a copy: the legs are built later, from the entries R has now
-    return _PRODUCTS.get(R.field, R.flat(), lambda: _leg_products(R.copy()))
+    return _OPERATOR.get(R.field, R.flat(), "legs", lambda: _leg_products(R.copy()))
 
 
 def _leg_products(R: TensorOp):
@@ -158,11 +162,8 @@ def equation_defect(R: TensorOp, name: str):
     """lhs - rhs of the named equation of ``kernels.EQUATIONS`` as a lifted
     matrix, from ``leg_products(R)``. Each is built once per operator and
     shared by every check and identity on it: do not change it."""
-    defects = _DEFECTS.get(R.field, R.flat(), dict)
-    if name not in defects:
-        product = leg_products(R)
-        defects[name] = linalg.lifted_sub(*(product(side) for side in kernels.EQUATIONS[name]))
-    return defects[name]
+    return _OPERATOR.get(R.field, R.flat(), name, lambda: linalg.lifted_sub(
+        *map(leg_products(R), kernels.EQUATIONS[name])))
 
 
 def _equation_holds(R: TensorOp, name: str) -> bool:

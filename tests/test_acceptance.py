@@ -296,6 +296,7 @@ def test_criterion_08_derived_dimensions():
     tk = [x * x - x, x * z, z * x, z * z, c21, y - NCPoly.one(A2, QQ)]
     pres_tk = frt.Presentation(alphabet=A2, field=QQ,
                                relations=[r.monic() for r in tk])
+    assert pres_tk.coideal_certificate() is None  # hand-presented: check_coideal decides
     rs_tk = RW.complete(pres_tk.relations, 8)
     rep_tk = RW.dimension(rs_tk, 8)
     assert rep_tk.is_finite() and rep_tk.count == 3

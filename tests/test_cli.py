@@ -435,6 +435,19 @@ def test_malformed_matrix_document_exits_with_its_documented_code(data):
     assert bool(calls) == (fault == "entry")
 
 
+def serve_session_build(request, monkeypatch):
+    """Make frt.build hand out the session's build of crossed_s3 under force,
+    after asserting that it was asked for exactly that build."""
+    built = request.getfixturevalue("crossed_s3_forced")
+    R = fixtures.build_fixture("crossed_s3", QQ)
+
+    def stand_in(S, *args):
+        assert S == R and args == (False, True, 8)
+        return built
+
+    monkeypatch.setattr(frt, "build", stand_in)
+
+
 # digests of the exact stdout bytes, recorded before integer-accumulated products
 PINNED_OUTPUTS = [
     (("verify", "--random", "40", "--n", "3", "--field", "q", "--seed", "5", "--json"),
@@ -468,7 +481,9 @@ PINNED_OUTPUTS = [
                          ids=["verify", "check", "frt-crossed", "frt-tables", "enumerate",
                               "enumerate-qybe", "frt-crossed-text", "frt-commutative-tables",
                               "frt-lower-bound", "frt-capped"])
-def test_outputs_pinned(capsys, argv, want):
+def test_outputs_pinned(capsys, argv, want, request, monkeypatch):
+    if argv[:3] == ("frt", "--fixture", "crossed_s3"):  # rendered from the session's build
+        serve_session_build(request, monkeypatch)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == want

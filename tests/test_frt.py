@@ -291,6 +291,18 @@ def test_build_refuses_a_non_solution_before_any_stage(commutative, monkeypatch)
             frt.build(build_fixture(fid, QQ), commutative)
 
 
+@pytest.mark.parametrize("max_degree", [0, -1])
+def test_build_refuses_a_degree_cap_below_one_before_any_stage(max_degree, monkeypatch):
+    # refused up front: no stage can give a meaningful report at such a cap
+    R = build_fixture("takesaki_c2", QQ)
+    for owner, name in ((frt, "frt_presentation"), (frt, "frt_commutative"),
+                        (RW, "complete"), (RW, "dimension"), (RW, "quotient_bialgebra")):
+        monkeypatch.setattr(owner, name, None)
+    for commutative in (False, True):
+        with pytest.raises(ValueError, match=f"max_degree must be >= 1, got {max_degree}"):
+            frt.build(R, commutative, max_degree=max_degree)
+
+
 def test_build_counts_the_free_algebra_of_the_zero_operator():
     # no chi relations: the system keeps the comatrix alphabet, so B(R) is
     # the free algebra on four letters, counted to word length 8

@@ -361,6 +361,14 @@ def test_completion_and_dimension_match_oracles_on_fixtures(fid, fd):
     assert_matches_oracles(pres)
 
 
+def test_dimension_refuses_a_negative_word_length():
+    rs = frt.build(build_fixture("takesaki_c2", QQ)).system
+    assert RW.dimension(rs, 0) == RW.DimensionReport("lower_bound", 1, [1], 0)
+    for rules in (rs, RW.complete([], 8)):  # with and without an alphabet
+        with pytest.raises(ValueError, match="max_len must be >= 0, got -1"):
+            RW.dimension(rules, -1)
+
+
 def test_commutative_completion_matches_oracles():
     assert assert_matches_oracles(frt.frt_commutative(B.char2_matrix(F2))) \
         == "complete"
@@ -901,11 +909,26 @@ def test_quotient_of_an_frt_presentation_takes_the_certificate(monkeypatch):
     rs = RW.complete(pres.relations, 8)
     monkeypatch.setattr(RW, "check_coideal", None)  # never called on it
     assert RW.quotient_bialgebra(pres, rs).dim == 5
-    # each identity decides: a false one refuses the quotient
-    for name in ("verify_delta_chi", "eps_chi_zero"):
-        with monkeypatch.context() as patch:
-            patch.setattr(frt, name, lambda R: False)
-            assert pres.coideal_certificate() is False and refused(pres, rs)
+    # the Delta identity decides: a false one refuses the quotient
+    monkeypatch.setattr(frt, "verify_delta_chi", lambda R: False)
+    assert pres.coideal_certificate() is False and refused(pres, rs)
+
+
+def test_frt_presentation_refuses_a_chi_of_nonzero_counit(monkeypatch):
+    # eps(chi) = 0 is checked where the presentation is built, so the
+    # certificate need not decide it again: a chi family with a nonzero
+    # counit is refused before any completion or quotient exists
+    R = B.char2_matrix(F2)
+    family = frt.chi(R)
+    idx = next(k for k, p in sorted(family.items()) if p)
+    family[idx] = family[idx] + NCPoly.word(A2, F2, (0,))  # eps(c11) = 1
+    monkeypatch.setattr(frt, "chi", lambda R: dict(family))
+    assert not frt.eps_chi_zero(R)
+    for name in ("complete", "dimension", "quotient_bialgebra"):
+        monkeypatch.setattr(RW, name, None)
+    for build in (frt.frt_presentation, frt.frt_commutative, frt.build):
+        with pytest.raises(ValueError, match="nonzero counit"):
+            build(R)
 
 
 def changed_presentations():

@@ -1,9 +1,9 @@
 """The work that every decider taking R shares: the leg prefix products and
 the equation defects of ``tensorops``, the chi family and the short word
-rows of ``hopfmodules``. Each is kept for the last operator only, keyed by
-its field and scalar objects; these tests check that a warm answer is
-always the cold one, that the sharing saves the work it should, and that
-no slot outlives the operator it was built for."""
+rows of ``hopfmodules``. Each module keeps them in one slot, for the last
+operator only, keyed by its field and scalar objects; these tests check
+that a warm answer is always the cold one, that the sharing saves the work
+it should, and that no slot outlives the operator it was built for."""
 
 import gc
 import random
@@ -18,7 +18,7 @@ from hopfeq.fields import QQ, parse_field
 
 F3 = parse_field("fp:3")
 F5 = parse_field("fp:5")
-SLOTS = (T._PRODUCTS, T._DEFECTS, HM._CHI, HM._WORDS)
+SLOTS = (T._OPERATOR, HM._MODULE)
 
 
 def _chi_terms(R):
@@ -46,14 +46,14 @@ DECIDERS = {
 
 def _cold(decide, R):
     """decide(R) with every slot empty; the slots are put back as they were."""
-    saved = [(s.field, s.scalars, s.value) for s in SLOTS]
+    saved = [(s.field, s.scalars, s.values) for s in SLOTS]
     for s in SLOTS:
         s.clear()
     try:
         return decide(R)
     finally:
-        for s, (field, scalars, value) in zip(SLOTS, saved):
-            s.field, s.scalars, s.value = field, scalars, value
+        for s, (field, scalars, values) in zip(SLOTS, saved):
+            s.field, s.scalars, s.values = field, scalars, values
 
 
 def _fresh(R):
@@ -142,6 +142,18 @@ def test_frt_presentation_takes_the_hopf_defect_of_the_check_before_it(monkeypat
     assert calls["lifted_mul"] == 3  # R^23 R^13, then R^12 on it, and R^12 R^23
     frt.frt_presentation(R)
     assert calls["lifted_mul"] == 3
+
+
+def test_each_slot_keeps_every_named_value_of_its_key():
+    # one operator's leg products and five defects share its slot under
+    # names that do not collide; its module's chi family and word rows
+    # share the other
+    R = T.random_tensorop(2, F5, random.Random(56))
+    T.solution_report(R)
+    frt.verify_delta_chi(R)
+    frt.verify_commutator_identity(R)
+    assert sorted(T._OPERATOR.values) == sorted(["legs", *kernels.EQUATIONS])
+    assert sorted(HM._MODULE.values) == ["chi", "words"]
 
 
 class _Watched(Fraction):
