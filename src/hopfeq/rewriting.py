@@ -21,7 +21,20 @@ occurs. quotient_bialgebra reduces each word once per call: one memo serves
 its mult table, its comult table and, on relations that frt did not build,
 its coideal check (on those frt built, R's own Delta identity decides it).
 
-Completion takes the overlap ambiguities of a new rule (Bergman's) from
+Completion first tries a direct route, for relations of degree at most 2
+under a cap of at least 3. Row reduction of the relations, over
+deglex-descending words through a pivot index, must make every quadratic
+word a leading word and leave no element of degree 1 or 0 in their span.
+Then the reduced rows are rules xy -> t(xy) with tails in span{1, letters},
+and their only ambiguities are the cubic words xyz. Either side of one
+reduces through a degree-<=1 tail and one more rule to a product of the
+table x . y = t(xy), so the ambiguity resolves iff (x . y) . z = x . (y . z),
+and the system is complete iff the table is associative (Bergman's diamond
+lemma). That is checked once per letter triple, in lifted ints. Otherwise
+the overlap loop runs. The reduced system of an ideal is unique, so both
+routes give the same rules.
+
+The loop takes the overlap ambiguities of a new rule (Bergman's) from
 the same index, which maps every proper prefix and proper suffix of an lhs
 to its rules: the new lhs looks up each of its own suffixes among the
 prefixes and each of its prefixes among the suffixes, and each hit is one
@@ -42,6 +55,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache
+from itertools import chain
 from math import lcm
 
 from . import linalg
@@ -266,14 +280,126 @@ def complete(relations, max_degree=8, alphabet=None, field=None):
 
     Status is "complete" iff every overlap ambiguity resolved to zero and
     nothing (input relation, admitted rule, or ambiguity word) exceeded
-    max_degree; otherwise "capped". Reaching the cap is never an exception.
-    The system takes the alphabet and field of the first relation; the ones
-    passed are used only for an empty relation list, which cannot carry
-    them, so a caller that holds a presentation passes its own.
+    max_degree; otherwise "capped". Reaching the cap is never an exception;
+    a negative max_degree is refused. The system takes the alphabet and
+    field of the first relation; the ones passed are used only for an empty
+    relation list, which cannot carry them, so a caller that holds a
+    presentation passes its own.
+
+    Relations of degree at most 2 whose quadratic parts span every quadratic
+    word are completed directly (``_complete_by_table``), when max_degree is
+    at least 3 and the table they define is associative; every other system
+    goes through the overlap loop (``_complete_by_overlaps``). Both give the
+    reduced deglex system of the ideal, which is unique, so the two routes
+    return the same rules. Proof that the direct route is right: once every
+    quadratic word xy is a leading word, its rule xy -> t(xy) has a tail in
+    span{1, letters}, no lhs is a factor of another, and the only overlap
+    ambiguities are the cubic words xyz, from xy -> t(xy) and yz -> t(yz),
+    each within a cap of 3 or more. Reducing (xy)z gives t(xy) z, whose
+    terms are the letter z and words k z of two letters, each the lhs of one
+    more rule; so (xy)z reduces to the table product t(xy) . z in span{1,
+    letters}, which is irreducible, and x(yz) to x . t(yz) likewise. The
+    ambiguity resolves iff the two agree, which for all x, y, z is the
+    associativity of the table (Bergman's diamond lemma, Adv. Math. 1978,
+    Thm 1.2). A degree-1 or constant element in the span of the relations
+    would be one more rule, of another shape, so the direct route refuses
+    it.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     relations = [r for r in relations if not r.is_zero()]
     if not relations:
         return RewriteSystem(alphabet, field, [], "complete", max_degree)
+    alphabet, field = relations[0].alphabet, relations[0].field
+    if max_degree >= 3 and all(r.degree() <= 2 for r in relations):
+        rules = _complete_by_table(relations)
+        if rules is not None:
+            return RewriteSystem(alphabet, field, rules, "complete", max_degree)
+    return _complete_by_overlaps(relations, max_degree)
+
+
+def _complete_by_table(relations):
+    """The rules of relations of degree at most 2 whose quadratic parts span
+    every quadratic word and whose table on span{1, letters} is associative,
+    sorted as complete() sorts them; None when either fails.
+
+    The relations are row-reduced over deglex-descending words, each row
+    against the rows already taken through a pivot index (lead word ->
+    monic row); a row with a new lead of degree 1 or 0 ends the attempt.
+    Then each row, in ascending lead order, trades its other quadratic
+    words for the tails of their rows, which are already in span{1,
+    letters}. The table x . y = t(xy) is lifted to ints over one
+    denominator d (Field.lift), and (xy)z - x(yz) is summed in ints over
+    d^2 and lowered once per letter triple."""
+    alphabet, field = relations[0].alphabet, relations[0].field
+    n = len(alphabet)
+    if len(relations) < n * n:
+        return None
+    zero, add, mul, neg, inv = field.zero, field.add, field.mul, field.neg, field.inv
+
+    def add_multiple(row, c, other):  # row += c * other, in place
+        for w, a in other.items():
+            if s := add(row.get(w, zero), mul(c, a)):
+                row[w] = s
+            else:
+                row.pop(w, None)
+
+    rows = {}
+    for rel in relations:
+        row = dict(rel.terms)
+        while row:
+            lead = max(row, key=word_key)
+            pivot = rows.get(lead)
+            if pivot is None:
+                break
+            add_multiple(row, neg(row[lead]), pivot)
+        if not row:
+            continue
+        if len(lead) < 2:
+            return None
+        c = inv(row[lead])
+        rows[lead] = {w: mul(c, a) for w, a in row.items()}
+    if len(rows) < n * n:
+        return None
+    leads = sorted(rows, key=word_key)
+    for lead in leads:  # each lower lead w is done: rows[w] is w - t(w)
+        row = rows[lead]
+        del row[lead]
+        for w in [w for w in row if len(w) == 2]:
+            add_multiple(row, neg(row.pop(w)), rows[w])
+    tails = [{t: neg(a) for t, a in rows[lead].items()} for lead in leads]
+    ints, d = field.lift([list(tail.values()) for tail in tails])
+    table = {lead: list(zip(tail, a_row)) for lead, tail, a_row in zip(leads, tails, ints)}
+
+    def product(tail, g, letter_first):  # tail . g, or g . tail, lifted over d^2
+        for t, a in tail:
+            if not t:  # the unit term: a times the letter g, lifted to d / d
+                yield (g,), a * d
+            else:
+                for u, b in table[(g, t[0]) if letter_first else (t[0], g)]:
+                    yield u, a * b
+
+    dd = d * d
+    letters = range(n)
+    for x in letters:
+        for y in letters:
+            xy = table[x, y]
+            for z in letters:
+                yz = table[y, z]
+                if xy or yz:  # (xy)z - x(yz), lowered once
+                    diff = linalg.int_sums(chain(
+                        product(xy, z, False), ((u, -v) for u, v in product(yz, x, True))))
+                    values = [v for v in diff.values() if v]
+                    if values and any(field.lower([values], dd)[0]):
+                        return None
+    return [RewriteRule(lead, NCPoly._from_terms(alphabet, field, tail))
+            for lead, tail in zip(leads, tails)]
+
+
+def _complete_by_overlaps(relations, max_degree):
+    """complete() on nonzero relations by the overlap loop: FIFO S-polynomials
+    of every ambiguity within max_degree, with the rule set kept
+    inter-reduced."""
     alphabet, field = relations[0].alphabet, relations[0].field
     queue = deque(
         sorted((r.monic() for r in relations), key=lambda p: word_key(p.leading_word()))

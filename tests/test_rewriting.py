@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,7 +231,8 @@ def test_overlap_index_matches_pairwise_scan(k):
 
 def test_completion_pairs_each_self_overlap_once(monkeypatch):
     # a new rule is in the index when its overlaps are looked up, so it finds
-    # itself; (new, new, L) must be built once per self-overlap length L
+    # itself; (new, new, L) must be built once per self-overlap length L.
+    # complete() takes the direct route on char2, so the loop is run itself
     self_pairs = {}  # id -> (rule, lengths), the rule kept so ids stay apart
     s_polynomial = RW._s_polynomial
 
@@ -241,7 +243,7 @@ def test_completion_pairs_each_self_overlap_once(monkeypatch):
 
     monkeypatch.setattr(RW, "_s_polynomial", recording)
     rels, _ = frt.chi_relations(B.char2_matrix(F2))
-    RW.complete(rels, 8)
+    RW._complete_by_overlaps(rels, 8)
     assert self_pairs
     for r, lengths in self_pairs.values():
         w = r.lhs
@@ -260,16 +262,17 @@ def test_completion_builds_one_s_polynomial_per_ambiguity_within_the_bound(monke
     monkeypatch.setattr(RW, "_s_polynomial", recording)
     # the 625 lhs of takesaki_c5 are all the words of two of its 25 letters,
     # so its ambiguities are the 25^3 words of three, one overlap each (the
-    # pair search that the index replaced ran 30,625 times)
+    # pair search that the index replaced ran 30,625 times); complete()
+    # takes the direct route here, so the loop is run itself
     pres = frt.frt_presentation(build_fixture("takesaki_c5", QQ))
-    rs = RW.complete(pres.relations, 8, pres.alphabet, pres.field)
+    rs = RW._complete_by_overlaps(pres.relations, 8)
     assert rs.is_complete() and len(rs.rules) == 625 and len(built) == 25 ** 3
     # capped at 3, r_q:1 lists ambiguities over the bound too, and builds
     # only those within it
     listed = _counting(monkeypatch, RW._RuleIndex, "overlaps", keep=True)
     built.clear()
     pres = frt.frt_presentation(build_fixture("r_q:1", QQ))
-    assert not RW.complete(pres.relations, 3).is_complete()
+    assert not RW._complete_by_overlaps(pres.relations, 3).is_complete()
     words = [len(r1.lhs) + len(r2.lhs) - L for found in listed for r1, r2, L in found]
     assert built == [d for d in words if d <= 3] and len(built) < len(words)
 
@@ -513,6 +516,100 @@ def test_normal_form_idempotent_and_linear(data):
     np_, nq = RW.normal_form(p, rs), RW.normal_form(q, rs)
     assert RW.normal_form(np_, rs) == np_
     assert RW.normal_form(p.scale(c) + q, rs) == np_.scale(c) + nq
+
+
+# unital associative algebras with a basis {1, letters}: letter count -> the
+# nonzero products of two letters, each in span{1, letters}
+ASSOCIATIVE_TABLES = {
+    2: [{(0, 0): {(0,): 1}, (1, 1): {(1,): 1}},  # k^3: two orthogonal idempotents
+        {(0, 0): {(1,): 1}},  # k[t]/(t^3): t and t^2
+        {(0, 0): {(0,): 1}, (0, 1): {(1,): 1}}],  # upper triangular: e11 and e12
+    # M_2: e11, e12 and e21, with e21 e12 = e22 = 1 - e11
+    3: [{(0, 0): {(0,): 1}, (0, 1): {(1,): 1}, (1, 2): {(0,): 1}, (2, 0): {(2,): 1},
+         (2, 1): {(): 1, (0,): -1}}],
+}
+ROUTE_KINDS = ("associative", "table", "linear", "cubic", "partial")
+
+
+def random_scalar(data, field):
+    if field is QQ:
+        return Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+    return data.draw(st.integers(0, field.p - 1))
+
+
+def table_relations(data, field, alphabet, kind):
+    """The relations x y - x . y of a table on span{1, letters}: an
+    associative one after the letter change x -> x + h_x, or, for the kind
+    "table", one of random products."""
+    n, zero = len(alphabet), field.zero
+    if kind == "table":
+        table = {(x, y): {t: random_scalar(data, field) for t in [()] + [(k,) for k in range(n)]}
+                 for x in range(n) for y in range(n)}
+    elif n == 1:  # k[t]/(t^2 - a t - b)
+        table = {(0, 0): {(0,): random_scalar(data, field), (): random_scalar(data, field)}}
+    else:
+        table = {key: {t: field.from_int(c) for t, c in v.items()}
+                 for key, v in data.draw(st.sampled_from(ASSOCIATIVE_TABLES[n])).items()}
+    h = [zero] * n if kind == "table" else [random_scalar(data, field) for _ in range(n)]
+    relations = []
+    for x in range(n):
+        for y in range(n):
+            # (b_x + h_x)(b_y + h_y) in the old letters b, then b_k = x_k - h_k
+            v = field.combine(list(table.get((x, y), {}).items())
+                              + [((x,), h[y]), ((y,), h[x]), ((), field.mul(h[x], h[y]))])
+            unit = v.pop((), zero)
+            for (k,), c in v.items():
+                unit = field.sub(unit, field.mul(c, h[k]))
+            terms = {(k,): field.neg(c) for (k,), c in v.items()}
+            terms[()] = field.neg(unit)
+            terms[(x, y)] = field.one
+            relations.append(NCPoly(alphabet, field, terms))
+    return relations
+
+
+def route_relations(data, kind):
+    """Relations of degree <= 2 on one to three letters over Q, F_2 or F_3
+    whose quadratic parts span every quadratic word, each row then added to
+    random multiples of the rows after it, in a random order. kind says
+    what else holds: "associative" (a table from an associative algebra),
+    "table" (random products, nearly always not associative), "linear" (an
+    associative table and a degree-1 or constant relation), "cubic" (an
+    associative table and a cubic relation) or "partial" (an associative
+    table with one quadratic relation left out)."""
+    field = data.draw(st.sampled_from([QQ, F2, F3]), label="field")
+    # one letter has one quadratic relation: none is left out there
+    alphabets = [AB, ABC] if kind == "partial" else [free_alphabet("a"), AB, ABC]
+    alphabet = data.draw(st.sampled_from(alphabets), label="alphabet")
+    relations = table_relations(data, field, alphabet, kind)
+    n = len(alphabet)
+    if kind == "linear":
+        low = NCPoly(alphabet, field, {t: random_scalar(data, field)
+                                       for t in [()] + [(k,) for k in range(n)]})
+        relations.append(low or NCPoly.letter(alphabet, field, 0))
+    elif kind == "cubic":
+        cubic = tuple(data.draw(st.integers(0, n - 1)) for _ in range(3))
+        relations.append(NCPoly.word(alphabet, field, cubic)
+                         + NCPoly(alphabet, field, {(0,): random_scalar(data, field)}))
+    elif kind == "partial":
+        relations.pop(data.draw(st.integers(0, len(relations) - 1)))
+    for a in range(len(relations)):
+        for b in range(a + 1, len(relations)):
+            relations[a] = relations[a] + relations[b].scale(random_scalar(data, field))
+    return data.draw(st.permutations(relations), label="order")
+
+
+@pytest.mark.parametrize("max_degree", [2, 3])
+@pytest.mark.parametrize("kind", ROUTE_KINDS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_complete_matches_the_overlap_loop_on_random_quadratic_tables(kind, max_degree, data):
+    relations = route_relations(data, kind)
+    rs, direct = complete_against_the_loop(relations, max_degree)
+    if max_degree < 3 or kind in ("linear", "cubic", "partial"):
+        assert not direct
+    elif kind == "associative":
+        assert direct
+    assert not direct or rs.is_complete()
 
 
 # -- irreducible words and dimension -----------------------------------------------
@@ -1058,3 +1155,168 @@ def test_equivalence_reports_undecided_on_degree_blowup():
     ident = [NCPoly.letter(A2, QQ, k) for k in range(4)]
     rep = RW.presentations_equivalent(p1, p1, subst, ident, max_degree=6)
     assert rep.undecided and not rep.equivalent
+
+
+# -- the direct route of complete against the overlap loop --------------------------
+
+ROUTE_FIXTURES = [
+    ("identity:1", "q"), ("identity:2", "fp:5"), ("r_q:0", "q"), ("r_q:1", "q"), ("r_q:2", "fp:5"),
+    ("r_q_prime:1", "q"), ("r_q_dblprime:1", "fp:3"), ("char2", "fp:2"), ("char2", "q"),
+    ("classical_yb:2", "q"), ("graded_c2", "q"), ("crossed_s3", "q"), ("takesaki_c2", "q"),
+    ("takesaki_c3", "q"), ("takesaki_c4", "q"), ("galois_c3", "fp:7"), ("galois_c3", "q"),
+    ("galois_c4", "q"),
+]
+# plain refuses these: nothing to complete
+NOT_HOPF = {("char2", "q"), ("classical_yb:2", "q"), ("crossed_s3", "q")}
+# the chi relations of these span every quadratic word, with no degree-1
+# element, and their table is associative; with the commutators of two or
+# more letters the span holds a degree-1 element. char2 over Q and crossed_s3
+# span every quadratic word too, and their tables are not associative
+DIRECT_ROUTE = {("identity:1", "q"), ("identity:2", "fp:5"), ("char2", "fp:2"), ("graded_c2", "q"),
+                ("takesaki_c2", "q"), ("takesaki_c3", "q"), ("takesaki_c4", "q"),
+                ("galois_c3", "fp:7"), ("galois_c3", "q"), ("galois_c4", "q")}
+# the commutative variant under force, as the census builds it, so that every
+# fixture has commutators to complete
+ROUTE_VARIANTS = {"plain": (frt.frt_presentation, False),
+                  "commutative": (frt.frt_commutative, True),
+                  "force": (frt.frt_presentation, True)}
+
+
+def complete_against_the_loop(relations, max_degree):
+    """complete on relations and whether it took the direct route, after
+    checking that the overlap loop gives the same system and, where the
+    direct route was taken, that the diamond-lemma oracle accepts it."""
+    with mock.patch.object(RW, "_complete_by_overlaps", wraps=RW._complete_by_overlaps) as loop:
+        rs = RW.complete(relations, max_degree)
+    direct = not loop.called
+    assert rs.to_json() == RW._complete_by_overlaps(relations, max_degree).to_json()
+    assert not direct or oracles.check_complete(rs, relations)
+    return rs, direct
+
+
+@pytest.mark.parametrize("variant", ROUTE_VARIANTS)
+@pytest.mark.parametrize("fid,fd", ROUTE_FIXTURES, ids=[f"{fid}@{fd}" for fid, fd in ROUTE_FIXTURES])
+def test_complete_matches_the_overlap_loop_on_fixtures(fid, fd, variant, request):
+    make, force = ROUTE_VARIANTS[variant]
+    if (fid, variant) == ("crossed_s3", "force"):  # the session's build, read and not rebuilt
+        built = request.getfixturevalue("crossed_s3_forced")
+        relations = built.presentation.relations
+        assert built.system.to_json() == RW._complete_by_overlaps(relations, 8).to_json()
+        assert RW._complete_by_table(relations) is None
+        return
+    R = build_fixture(fid, parse_field(fd))
+    if variant == "plain" and (fid, fd) in NOT_HOPF:
+        with pytest.raises(frt.NotHopfSolutionError):
+            make(R, force=force)
+        return
+    _, direct = complete_against_the_loop(make(R, force=force).relations, 8)
+    assert direct == ((fid, fd) in DIRECT_ROUTE and (variant != "commutative" or fid == "identity:1"))
+
+
+@pytest.mark.parametrize("variant", ["plain", "commutative"])
+@pytest.mark.parametrize("max_degree", range(1, 9))
+def test_complete_matches_the_overlap_loop_at_every_degree(max_degree, variant):
+    make, force = ROUTE_VARIANTS[variant]
+    pres = make(build_fixture("takesaki_c3", QQ), force=force)
+    _, direct = complete_against_the_loop(pres.relations, max_degree)
+    assert direct == (variant == "plain" and max_degree >= 3)
+
+
+# the census systems whose chi relations span every quadratic word with no
+# degree-1 element, and whose table is associative: 19 over F_2, 25 over F_3
+CENSUS_DIRECT = {"f2_hopf_systems": 19, "f3_hopf_systems": 25,
+                 "f2_commutative_systems": 0, "f3_commutative_systems": 0}
+
+
+@pytest.mark.parametrize("name", CENSUS_DIRECT)
+def test_complete_matches_the_overlap_loop_over_the_census(name, request):
+    # every other system goes through the loop itself, and the census digests
+    # pin those
+    direct = 0
+    for _, pres, rs in request.getfixturevalue(name):
+        relations = pres.relations
+        if relations and all(r.degree() <= 2 for r in relations) \
+                and RW._complete_by_table(relations):
+            direct += 1
+            assert rs.to_json() == RW._complete_by_overlaps(relations, 8).to_json()
+            assert oracles.check_complete(rs, relations)
+    assert direct == CENSUS_DIRECT[name]
+
+
+def refusing_loop(*args):
+    raise AssertionError("the overlap loop ran")
+
+
+def shifted_triangular():
+    """a = e11 + 1/2 and b = e12 in the upper triangular 2x2 matrices: an
+    associative table with unit terms and denominators, which chi relations
+    never have (their tails have no constant term)."""
+    a, b = (NCPoly.letter(AB, QQ, k) for k in range(2))
+    return [a * a - a.scale(QQ.from_int(2)) + NCPoly.scalar(AB, QQ, Fraction(3, 4)),
+            a * b - b.scale(Fraction(3, 2)), b * a - b.scale(Fraction(1, 2)), b * b]
+
+
+DIRECT_CASES = {
+    "takesaki_c5": lambda: frt.frt_presentation(build_fixture("takesaki_c5", QQ)).relations,
+    **{f"{c[0]}@{c[1]}:{c[2][0]}": lambda c=c: frt.frt_presentation(dense_conjugate(*c)).relations
+       for c in DENSE_CONJUGATES},
+    "shifted_triangular": shifted_triangular,
+}
+
+
+@pytest.mark.parametrize("case", DIRECT_CASES)
+def test_direct_route_completes_without_the_loop(case, monkeypatch):
+    relations = DIRECT_CASES[case]()
+    want = RW._complete_by_overlaps(relations, 8)
+    monkeypatch.setattr(RW, "_complete_by_overlaps", refusing_loop)
+    rs = RW.complete(relations, 8)
+    assert rs.is_complete() and len(rs.rules) == len(rs.alphabet) ** 2
+    assert rs.to_json() == want.to_json()
+
+
+def linear_census_system(systems):
+    """The first system whose relations span every quadratic word and a
+    degree-1 element too, by rank: the quadratic parts have rank n^2, and
+    the whole relations more."""
+    for _, pres, rs in systems:
+        field, relations = pres.field, pres.relations
+        words = sorted({w for r in relations for w in r.terms}, key=word_key)
+        ranks = [linalg.rank(field, [[r.terms.get(w, field.zero) for w in ws] for r in relations])
+                 for ws in ([w for w in words if len(w) == 2], words)]
+        if ranks[0] == len(pres.alphabet) ** 2 < ranks[1]:
+            return pres, rs
+    raise AssertionError("no census system spans a degree-1 element")
+
+
+def idempotents_with_a_linear_relation():
+    """a^2 = a, b^2 = b and ab = ba = 0 (the table of k^3, associative),
+    and a = b: the span of the relations holds the degree-1 element a - b."""
+    a, b = (NCPoly.letter(AB, QQ, k) for k in range(2))
+    return [a * a - a, a * b, b * a, b * b - b, a - b]
+
+
+def test_loop_completes_what_the_direct_route_refuses(f2_commutative_systems):
+    pres, rs = linear_census_system(f2_commutative_systems)
+    c3 = frt.frt_presentation(build_fixture("takesaki_c3", QQ))
+    cubic = c3.relations + [NCPoly.word(c3.alphabet, QQ, (0, 1, 2))]
+    for relations, max_degree, status in [
+        (pres.relations, 8, rs.status),  # a census system with a degree-1 element
+        (idempotents_with_a_linear_relation(), 8, "complete"),
+        (cubic, 8, "complete"),  # a cubic relation
+        (c3.relations, 2, "capped"),  # a cap below the cubic ambiguities
+        (frt.frt_presentation(B.char2_matrix(F2)).relations, 2, "capped"),
+    ]:
+        got, direct = complete_against_the_loop(relations, max_degree)
+        assert not direct and got.status == status
+
+
+def test_complete_refuses_a_negative_degree_cap():
+    pres = frt.frt_presentation(B.char2_matrix(F2))
+    assert RW.complete(pres.relations, 0).status == "capped"
+    assert RW.complete([], 0).status == "complete"
+    for relations in (pres.relations, []):
+        with pytest.raises(ValueError, match="max_degree must be >= 0, got -1"):
+            RW.complete(relations, -1)
+    ident = [NCPoly.letter(A2, F2, k) for k in range(4)]
+    with pytest.raises(ValueError, match="max_degree must be >= 0, got -2"):
+        RW.presentations_equivalent(pres, pres, ident, ident, max_degree=-2)
