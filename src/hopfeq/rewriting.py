@@ -311,17 +311,18 @@ def complete(relations, max_degree=8, alphabet=None, field=None):
     if not relations:
         return RewriteSystem(alphabet, field, [], "complete", max_degree)
     alphabet, field = relations[0].alphabet, relations[0].field
-    if max_degree >= 3 and all(r.degree() <= 2 for r in relations):
-        rules = _complete_by_table(relations)
-        if rules is not None:
-            return RewriteSystem(alphabet, field, rules, "complete", max_degree)
+    # below 3 the cubic ambiguities exceed the cap: the loop reports them
+    rules = _complete_by_table(relations) if max_degree >= 3 else None
+    if rules is not None:
+        return RewriteSystem(alphabet, field, rules, "complete", max_degree)
     return _complete_by_overlaps(relations, max_degree)
 
 
 def _complete_by_table(relations):
-    """The rules of relations of degree at most 2 whose quadratic parts span
-    every quadratic word and whose table on span{1, letters} is associative,
-    sorted as complete() sorts them; None when either fails.
+    """The rules of a nonempty list of relations of degree at most 2 whose
+    quadratic parts span every quadratic word and whose table on span{1,
+    letters} is associative, sorted as complete() sorts them; None when any
+    of these fails.
 
     The relations are row-reduced over deglex-descending words, each row
     against the rows already taken through a pivot index (lead word ->
@@ -333,7 +334,7 @@ def _complete_by_table(relations):
     d^2 and lowered once per letter triple."""
     alphabet, field = relations[0].alphabet, relations[0].field
     n = len(alphabet)
-    if len(relations) < n * n:
+    if len(relations) < n * n or any(r.degree() > 2 for r in relations):
         return None
     zero, add, mul, neg, inv = field.zero, field.add, field.mul, field.neg, field.inv
 
