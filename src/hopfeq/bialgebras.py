@@ -86,12 +86,8 @@ class StructureBialgebra:
         )
 
     def is_cocommutative(self):
-        for mat in (self.comult[i] for i in range(self.dim)):
-            for u in range(self.dim):
-                for v in range(u + 1, self.dim):
-                    if mat[u][v] != mat[v][u]:
-                        return False
-        return True
+        return all(mat[u][v] == mat[v][u] for mat in self.comult
+                   for u in range(self.dim) for v in range(u + 1, self.dim))
 
     def to_json(self):
         f = self.field
@@ -114,10 +110,20 @@ class StructureBialgebra:
     @classmethod
     def from_json(cls, doc):
         field = parse_field(doc["field"])
+        dim = doc["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+            raise ValueError(f"bad dimension {dim!r}")
+        # no entry of a misshapen document is parsed
+        for key, depth in (("basis", 1), ("unit", 1), ("mult", 3), ("comult", 3),
+                           ("counit", 1), ("antipode", 2), ("basis_words", 1)):
+            table = doc.get(key)
+            if not ((table is None and key in ("antipode", "basis_words"))
+                    or _has_shape(table, dim, depth)):
+                raise ValueError(f"{key} must be {'x'.join([str(dim)] * depth)}")
         p = field.parse_scalar
         return cls(
             field=field,
-            dim=doc["dim"],
+            dim=dim,
             basis_labels=list(doc["basis"]),
             unit=[p(x) for x in doc["unit"]],
             mult=[[[p(x) for x in vec] for vec in row] for row in doc["mult"]],
@@ -128,6 +134,12 @@ class StructureBialgebra:
             basis_words=None if doc.get("basis_words") is None
             else [tuple(w) for w in doc["basis_words"]],
         )
+
+
+def _has_shape(table, dim, depth):
+    """Whether table is nested lists, depth deep, of dim entries each."""
+    return isinstance(table, list) and len(table) == dim and (
+        depth == 1 or all(_has_shape(row, dim, depth - 1) for row in table))
 
 
 @dataclass
@@ -154,6 +166,15 @@ def _sparse(vec):
     return {k: c for k, c in enumerate(vec) if c}
 
 
+def _dense(terms, index, zero):
+    """The terms {word: c} of a combination of basis words as a coefficient
+    vector over the word index {word: position}."""
+    vec = [zero] * len(index)
+    for w, c in terms.items():
+        vec[index[w]] = c
+    return vec
+
+
 def _same(field, a, b, sa=1, sb=1):
     """Whether sa times the sums of the (key, int) pairs a and sb times those
     of b agree in field, key by key: the difference is lowered
@@ -162,6 +183,35 @@ def _same(field, a, b, sa=1, sb=1):
     a, b = linalg.int_sums(a), linalg.int_sums(b)
     diff = [a.get(k, 0) * sa - b.get(k, 0) * sb for k in a.keys() | b.keys()]
     return linalg.lifted_is_zero(field, ([diff], 1))
+
+
+def _associative(f, m):
+    """Whether the lifted sparse table m (m[i][j] = {k: c}, as from
+    ``StructureBialgebra.sparse``) is associative in f: (m_i m_j) m_k =
+    m_i (m_j m_k), keyed by (j, k, l) for each i. Both sides are over D^2.
+    Only nonzero entries are visited: each row's nonzero (j, entry) pairs,
+    and for each t the (j, k, a) with a m_t a term of m_j m_k, are listed
+    once."""
+    rows = [[(j, e) for j, e in enumerate(row) if e] for row in m]
+    into = [[] for _ in m]
+    for j, row in enumerate(rows):
+        for k, e in row:
+            for t, a in e.items():
+                into[t].append((j, k, a))
+    return all(_same(f, (((j, k, l), a * c) for j, e in row for t, a in e.items()
+                         for k, g in rows[t] for l, c in g.items()),
+                     (((j, k, l), a * c) for t, g in row for j, k, a in into[t]
+                      for l, c in g.items()))
+               for row in rows)
+
+
+def _unital(f, m, unit, D):
+    """Whether unit ({t: a}, over D) is a two-sided unit of the lifted sparse
+    table m in f: unit m_i = m_i = m_i unit for every i."""
+    ident = [((i, i), D * D) for i in range(len(m))]
+    return all(_same(f, (((i, k), a * c) for i, row in enumerate(m) for t, a in unit.items()
+                         for k, c in (m[t][i] if left else row[t]).items()), ident)
+               for left in (True, False))
 
 
 def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
@@ -173,32 +223,20 @@ def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
     then compares two contractions of these views, keyed by their free basis
     indices and summed in ints; a side that multiplies k table entries is
     over D^k, so the side with fewer is scaled up before the two are
-    compared (``_same``). ``antipode`` is None when B has no antipode table.
+    compared (``_same``). The coalgebra axioms are the algebra axioms of the
+    dual table, dual[u][v][i] = c over Delta(m_i) = sum c m_u (x) m_v, with
+    the counit as its unit: one associativity check (``_associative``) and
+    one unit check (``_unital``) decide both. ``antipode`` is None when B
+    has no antipode table.
     """
     f, n = B.field, range(B.dim)
     m, d, unit, eps, S, D = B.sparse()
-    ident = [((i, i), D * D) for i in n]
-
-    # (m_i m_j) m_k = m_i (m_j m_k), keyed by (j, k, l) for each i
-    assoc = all(
-        _same(f, (((j, k, l), a * c) for j in n for t, a in m[i][j].items()
-                  for k in n for l, c in m[t][k].items()),
-              (((j, k, l), a * c) for j in n for k in n
-               for t, a in m[j][k].items() for l, c in m[i][t].items()))
-        for i in n)
-    unit_ok = _same(f, (((i, k), a * c) for i in n for t, a in unit.items()
-                        for k, c in m[t][i].items()), ident) \
-        and _same(f, (((i, k), a * c) for i in n for t, a in unit.items()
-                      for k, c in m[i][t].items()), ident)
-    # (Delta (x) 1) Delta(m_i) = (1 (x) Delta) Delta(m_i), keyed by (u, v, w)
-    coassoc = all(
-        _same(f, (((u, v, w), c * e) for (t, w), c in d[i].items()
-                  for (u, v), e in d[t].items()),
-              (((u, v, w), c * e) for (u, t), c in d[i].items()
-               for (v, w), e in d[t].items()))
-        for i in n)
-    counit = _same(f, (((i, v), c * eps[u]) for i in n for (u, v), c in d[i].items()), ident) \
-        and _same(f, (((i, u), c * eps[v]) for i in n for (u, v), c in d[i].items()), ident)
+    dual = [[{} for _ in n] for _ in n]
+    for i in n:
+        for (u, v), c in d[i].items():
+            dual[u][v][i] = c
+    assoc, unit_ok = _associative(f, m), _unital(f, m, unit, D)
+    coassoc, counit = _associative(f, dual), _unital(f, dual, _sparse(eps), D)
     # Delta(m_i m_j) = Delta(m_i) Delta(m_j) in H (x) H, keyed by (j, u, v):
     # two entries on the left, four on the right
     delta_mult = all(

@@ -31,7 +31,9 @@ test for zero or to hand out a result: the coideal check and the coproduct
 table of a quotient (``rewriting``), the coideal and counit identities of
 chi (``frt``), the contractions on the tables of a structure bialgebra
 (``StructureBialgebra.sparse``: its axioms, Hopf modules over it, the
-universal property and the Takesaki and Galois maps), and the one
+universal property and the Takesaki and Galois maps), the one
+associativity check ``bialgebras._associative`` on such a table, its dual
+table, or the table of the direct completion route, and the one
 fraction-free elimination behind ``linalg.rank``, ``is_invertible`` and
 ``inverse``, which tests each pivot through ``from_int``.
 

@@ -86,8 +86,21 @@ class Presentation:
         n = doc.get("comatrix_n")
         if n is not None:
             alphabet = comatrix_alphabet(n)
+            if doc.get("generators", n * n) != n * n:
+                raise ValueError(f"comatrix_n {n} needs {n * n} generators, "
+                                 f"not {doc['generators']!r}")
         else:
             alphabet = Alphabet(tuple(f"g{k}" for k in range(doc["generators"])))
+        letters = range(len(alphabet))
+        words = [[tuple(w) for w, _ in rel["terms"]] for rel in doc["relations"]]
+        for ws in words:  # every word is checked before any relation is built
+            for w in ws:
+                if not all(type(g) is int and g in letters for g in w):
+                    raise ValueError(f"word {list(w)} has a letter outside the "
+                                     f"{len(letters)} generators")
+            if len(set(ws)) < len(ws):
+                twice = next(w for k, w in enumerate(ws) if w in ws[:k])
+                raise ValueError(f"word {list(twice)} is listed twice in one relation")
         relations = []
         for rel in doc["relations"]:
             terms = {tuple(w): field.parse_scalar(c) for w, c in rel["terms"]}

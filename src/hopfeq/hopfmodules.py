@@ -22,7 +22,7 @@ from itertools import chain, product
 from math import lcm
 
 from . import linalg
-from .bialgebras import _same, _sparse
+from .bialgebras import _dense, _same, _sparse
 from .freealgebra import NCPoly, comatrix_alphabet, word_products
 from .rewriting import normal_form
 from .tensorops import TensorOp, _Slot
@@ -309,18 +309,13 @@ def quotient_hopf_module(pres, rs, quotient, data: HopfModuleData):
     n = data.n
     alphabet = comatrix_alphabet(n)
 
-    def to_vec(poly):
-        vec = [field.zero] * quotient.dim
-        for w, c in poly.terms.items():
-            vec[index[w]] = c
-        return vec
-
     # the irreducible words are closed under prefixes, so with one memo each
     # basis word costs one product
     memo = {}
     basis_action = [act_word(w, data, memo) for w in words]
     assignment = {
-        (i, j): to_vec(normal_form(NCPoly.generator(alphabet, field, i, j), rs))
+        (i, j): _dense(normal_form(NCPoly.generator(alphabet, field, i, j), rs).terms, index,
+                       field.zero)
         for i in range(n)
         for j in range(n)
     }

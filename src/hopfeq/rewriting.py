@@ -30,9 +30,12 @@ and their only ambiguities are the cubic words xyz. Either side of one
 reduces through a degree-<=1 tail and one more rule to a product of the
 table x . y = t(xy), so the ambiguity resolves iff (x . y) . z = x . (y . z),
 and the system is complete iff the table is associative (Bergman's diamond
-lemma). That is checked once per letter triple, in lifted ints. Otherwise
-the overlap loop runs. The reduced system of an ideal is unique, so both
-routes give the same rules.
+lemma). The table is lifted to ints and laid out on the basis {1, letters},
+with 1 as its unit, and decided by the one associativity check of the
+package, ``bialgebras._associative``, which also decides the associativity
+and coassociativity of a structure bialgebra. Otherwise the overlap loop
+runs. The reduced system of an ideal is unique, so both routes give the
+same rules.
 
 The loop takes the overlap ambiguities of a new rule (Bergman's) from
 the same index, which maps every proper prefix and proper suffix of an lhs
@@ -55,10 +58,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache
-from itertools import chain
 from math import lcm
 
-from . import linalg
+from . import bialgebras, linalg
 from .freealgebra import NCPoly, render_word, word_key
 
 COMPLETION_STEP_LIMIT = 500_000  # safety valve; desk-scale inputs never get close
@@ -301,9 +303,11 @@ def complete(relations, max_degree=8, alphabet=None, field=None):
     letters}, which is irreducible, and x(yz) to x . t(yz) likewise. The
     ambiguity resolves iff the two agree, which for all x, y, z is the
     associativity of the table (Bergman's diamond lemma, Adv. Math. 1978,
-    Thm 1.2). A degree-1 or constant element in the span of the relations
-    would be one more rule, of another shape, so the direct route refuses
-    it.
+    Thm 1.2). With 1 adjoined as a two-sided unit, the table on span{1,
+    letters} is associative iff it is on the letter triples, so the route
+    hands it to the shared check ``bialgebras._associative``. A degree-1 or
+    constant element in the span of the relations would be one more rule,
+    of another shape, so the direct route refuses it.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -330,8 +334,9 @@ def _complete_by_table(relations):
     Then each row, in ascending lead order, trades its other quadratic
     words for the tails of their rows, which are already in span{1,
     letters}. The table x . y = t(xy) is lifted to ints over one
-    denominator d (Field.lift), and (xy)z - x(yz) is summed in ints over
-    d^2 and lowered once per letter triple."""
+    denominator d (Field.lift) and laid out on the basis {1, letters}, with
+    1 as its unit, for the one associativity check of the package
+    (``bialgebras._associative``)."""
     alphabet, field = relations[0].alphabet, relations[0].field
     n = len(alphabet)
     if len(relations) < n * n or any(r.degree() > 2 for r in relations):
@@ -370,29 +375,13 @@ def _complete_by_table(relations):
             add_multiple(row, neg(row.pop(w)), rows[w])
     tails = [{t: neg(a) for t, a in rows[lead].items()} for lead in leads]
     ints, d = field.lift([list(tail.values()) for tail in tails])
-    table = {lead: list(zip(tail, a_row)) for lead, tail, a_row in zip(leads, tails, ints)}
-
-    def product(tail, g, letter_first):  # tail . g, or g . tail, lifted over d^2
-        for t, a in tail:
-            if not t:  # the unit term: a times the letter g, lifted to d / d
-                yield (g,), a * d
-            else:
-                for u, b in table[(g, t[0]) if letter_first else (t[0], g)]:
-                    yield u, a * b
-
-    dd = d * d
-    letters = range(n)
-    for x in letters:
-        for y in letters:
-            xy = table[x, y]
-            for z in letters:
-                yz = table[y, z]
-                if xy or yz:  # (xy)z - x(yz), lowered once
-                    diff = linalg.int_sums(chain(
-                        product(xy, z, False), ((u, -v) for u, v in product(yz, x, True))))
-                    values = [v for v in diff.values() if v]
-                    if values and any(field.lower([values], dd)[0]):
-                        return None
+    # the table on the basis {1, letters}: index 0 is 1 and index 1 + k the
+    # letter k, so the unit rows are {i + j: d}
+    table = [[{i + j: d} if not (i and j) else None for j in range(n + 1)] for i in range(n + 1)]
+    for (x, y), tail, a_row in zip(leads, tails, ints):
+        table[1 + x][1 + y] = {(1 + t[0] if t else 0): a for t, a in zip(tail, a_row)}
+    if not bialgebras._associative(field, table):
+        return None
     return [RewriteRule(lead, NCPoly._from_terms(alphabet, field, tail))
             for lead, tail in zip(leads, tails)]
 
@@ -593,8 +582,6 @@ def quotient_bialgebra(pres, rs, max_len=12):
     replaced or changed in place) are decided by ``check_coideal``,
     relation by relation.
     """
-    from .bialgebras import StructureBialgebra  # deferred: bialgebras is a leaf
-
     if not rs.is_complete():
         raise NotFiniteDimensionalError("rewriting system is not complete")
     graph = _WordGraph(rs)
@@ -611,15 +598,8 @@ def quotient_bialgebra(pres, rs, max_len=12):
     index = {w: k for k, w in enumerate(words)}
     dim = len(words)
     zero = field.zero
-
-    def to_vec(terms):
-        vec = [zero] * dim
-        for w, c in terms.items():
-            vec[index[w]] = c
-        return vec
-
-    unit = to_vec(nf(()))
-    mult = [[to_vec(nf(wi + wj)) for wj in words] for wi in words]
+    unit = bialgebras._dense(nf(()), index, zero)
+    mult = [[bialgebras._dense(nf(wi + wj), index, zero) for wj in words] for wi in words]
     comult = []
     for w in words:
         mat = [[zero] * dim for _ in range(dim)]
@@ -629,17 +609,8 @@ def quotient_bialgebra(pres, rs, max_len=12):
         comult.append(mat)
     counit = [NCPoly.word(alphabet, field, w).eps() for w in words]
     labels = [render_word(w, alphabet.names) for w in words]
-    return StructureBialgebra(
-        field=field,
-        dim=dim,
-        basis_labels=labels,
-        unit=unit,
-        mult=mult,
-        comult=comult,
-        counit=counit,
-        antipode=None,
-        basis_words=words,
-    )
+    return bialgebras.StructureBialgebra(field, dim, labels, unit, mult, comult, counit,
+                                         basis_words=words)
 
 
 @dataclass

@@ -544,6 +544,31 @@ def test_structure_bialgebra_json_round_trip():
     assert B.check_bialgebra_axioms(H2).all_ok
 
 
+# the number of basis indices of an item of each table of a document
+DOC_DEPTH = {"basis": 1, "unit": 1, "mult": 3, "comult": 3, "counit": 1, "antipode": 2,
+             "basis_words": 1}
+
+
+@pytest.mark.parametrize("key", DOC_DEPTH)
+def test_structure_bialgebra_from_json_refuses_a_misshapen_table(key):
+    doc = {**B.group_algebra(2, QQ).to_json(), "basis_words": [[], [0]]}
+    assert B.StructureBialgebra.from_json(doc).basis_words == [(), (0,)]
+    bad = json.loads(json.dumps(doc))
+    holder = bad[key]
+    for _ in range(DOC_DEPTH[key] - 1):
+        holder = holder[-1]
+    holder.pop()
+    with pytest.raises(ValueError, match=f"^{key} must be {'x'.join('2' * DOC_DEPTH[key])}$"):
+        B.StructureBialgebra.from_json(bad)
+
+
+@pytest.mark.parametrize("dim", [3, 1, 0, -1, True, "2", 2.0])
+def test_structure_bialgebra_from_json_refuses_a_dimension_its_tables_lack(dim):
+    doc = {**B.group_algebra(2, QQ).to_json(), "dim": dim}
+    with pytest.raises(ValueError, match="^bad dimension|must be"):
+        B.StructureBialgebra.from_json(doc)
+
+
 _SCALARS = {
     "q": st.one_of(st.just(QQ.zero), st.builds(Fraction, st.integers(-50, 50),
                                                  st.integers(1, 12))),

@@ -1294,6 +1294,21 @@ def idempotents_with_a_linear_relation():
     return [a * a - a, a * b, b * a, b * b - b, a - b]
 
 
+def last_triple_table():
+    """aa = ab = 0, ba = a and bb = a + b: associative on every letter triple
+    but the last, (bb)b = a + b against b(bb) = 2a + b, so the check refuses
+    only in the last row of its table."""
+    a, b = (NCPoly.letter(AB, QQ, k) for k in range(2))
+    return [a * a, a * b, b * a - a, b * b - a - b]
+
+
+def unit_term_table():
+    """aa = 1 and ab = ba = bb = 0: (aa)b = b through the unit term, against
+    a(ab) = 0; read with no unit term, the table is associative."""
+    a, b = (NCPoly.letter(AB, QQ, k) for k in range(2))
+    return [a * a - NCPoly.scalar(AB, QQ, QQ.one), a * b, b * a, b * b]
+
+
 def test_loop_completes_what_the_direct_route_refuses(f2_commutative_systems):
     pres, rs = linear_census_system(f2_commutative_systems)
     c3 = frt.frt_presentation(build_fixture("takesaki_c3", QQ))
@@ -1301,12 +1316,16 @@ def test_loop_completes_what_the_direct_route_refuses(f2_commutative_systems):
     for relations, max_degree, status in [
         (pres.relations, 8, rs.status),  # a census system with a degree-1 element
         (idempotents_with_a_linear_relation(), 8, "complete"),
+        # full quadratic parts, and a table that is not associative
+        (last_triple_table(), 8, "complete"),
+        (unit_term_table(), 8, "complete"),
         (cubic, 8, "complete"),  # a cubic relation
         (c3.relations, 2, "capped"),  # a cap below the cubic ambiguities
         (frt.frt_presentation(B.char2_matrix(F2)).relations, 2, "capped"),
     ]:
         got, direct = complete_against_the_loop(relations, max_degree)
         assert not direct and got.status == status
+        assert max_degree < 3 or RW._complete_by_table(relations) is None
 
 
 def test_complete_refuses_a_negative_degree_cap():
