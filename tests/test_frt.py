@@ -726,22 +726,21 @@ def test_presentation_json_round_trip():
     assert frt.Presentation.from_json(doc).chi_origin == []
 
 
-def misread_presentations():
-    """Presentation documents that from_json refuses, each changed in its
-    last relation or its header: a letter outside the alphabet, a word
-    listed twice in one relation, a generator count other than n^2."""
-    doc = frt.frt_presentation(build_fixture("takesaki_c2", QQ)).to_json()
-    bad_letter, twice, count = (json.loads(json.dumps(doc)) for _ in range(3))
-    bad_letter["relations"][-1]["terms"].append([[0, 9], "1"])
-    twice["relations"][-1]["terms"] = [[[0, 1], "1"], [[0, 1], "-1"]]
-    count["generators"] = 5
-    return {"outside the 4 generators": bad_letter, r"\[0, 1\] is listed twice": twice,
-            "comatrix_n 2 needs 4 generators, not 5": count}
+# the changes to a presentation document that from_json refuses, in its last
+# relation or its header, by the message they raise
+MISREADINGS = {
+    "outside the 4 generators":
+        lambda doc: doc["relations"][-1]["terms"].append([[0, 9], "1"]),
+    r"\[0, 1\] is listed twice":
+        lambda doc: doc["relations"][-1].update(terms=[[[0, 1], "1"], [[0, 1], "-1"]]),
+    "comatrix_n 2 needs 4 generators, not 5": lambda doc: doc.update(generators=5),
+}
 
 
-@pytest.mark.parametrize("message", misread_presentations())
+@pytest.mark.parametrize("message", MISREADINGS)
 def test_presentation_from_json_refuses_bad_input_up_front(message):
-    doc = misread_presentations()[message]
+    doc = frt.frt_presentation(build_fixture("takesaki_c2", QQ)).to_json()
+    MISREADINGS[message](doc)
     with mock.patch.object(frt, "NCPoly", side_effect=AssertionError("an NCPoly was built")):
         with pytest.raises(ValueError, match=message):
             frt.Presentation.from_json(doc)
