@@ -16,7 +16,7 @@ from itertools import chain
 
 from . import linalg
 from .fields import Field, parse_field
-from .tensorops import EndoV, TensorOp, pair_tensor
+from .tensorops import EndoV, TensorOp, _from_action, _has_shape, _require_shape, pair_tensor
 
 
 class MissingAntipodeError(ValueError):
@@ -45,20 +45,13 @@ class StructureBialgebra:
         return v
 
     def multiply(self, a, b):
-        f = self.field
-        zero = f.zero
-        out = [zero] * self.dim
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                coeff = f.mul(ai, bj)
-                for k, m in enumerate(self.mult[i][j]):
-                    if m:
-                        out[k] = f.add(out[k], f.mul(coeff, m))
-        return out
+        """a b, summed by ``Field.combine`` over the nonzero entries of a, b
+        and the table."""
+        f, mul = self.field, self.field.mul
+        return _dense(f.combine((k, mul(mul(ai, bj), c)) for i, ai in enumerate(a) if ai
+                                for j, bj in enumerate(b) if bj
+                                for k, c in enumerate(self.mult[i][j]) if c),
+                      range(self.dim), f.zero)
 
     def sparse(self):
         """The tables lifted to ints over one denominator D (``Field.lift``),
@@ -116,10 +109,12 @@ class StructureBialgebra:
         # no entry of a misshapen document is parsed
         for key, depth in (("basis", 1), ("unit", 1), ("mult", 3), ("comult", 3),
                            ("counit", 1), ("antipode", 2), ("basis_words", 1)):
-            table = doc.get(key)
-            if not ((table is None and key in ("antipode", "basis_words"))
-                    or _has_shape(table, dim, depth)):
-                raise ValueError(f"{key} must be {'x'.join([str(dim)] * depth)}")
+            if not (doc.get(key) is None and key in ("antipode", "basis_words")):
+                _require_shape(doc.get(key), dim, depth, key)
+        words = doc.get("basis_words") or []
+        if not all(isinstance(w, list) and all(type(g) is int and g >= 0 for g in w)
+                   for w in words):
+            raise ValueError("basis_words must be lists of letter indices")
         p = field.parse_scalar
         return cls(
             field=field,
@@ -134,12 +129,6 @@ class StructureBialgebra:
             basis_words=None if doc.get("basis_words") is None
             else [tuple(w) for w in doc["basis_words"]],
         )
-
-
-def _has_shape(table, dim, depth):
-    """Whether table is nested lists, depth deep, of dim entries each."""
-    return isinstance(table, list) and len(table) == dim and (
-        depth == 1 or all(_has_shape(row, dim, depth - 1) for row in table))
 
 
 @dataclass
@@ -384,17 +373,18 @@ class GradedModuleSpec:
     def validate(self, mode="graded"):
         """Action must be a homomorphism moving V_sigma into V_{g sigma}
         (graded) or V_{g sigma g^-1} (crossed); checked entrywise."""
-        G = self.group
-        f = self.field
-        if len(self.degree) != self.n or len(self.action) != G.order:
+        G, f = self.group, self.field
+        # shapes and degrees are checked before any product is taken
+        if not (_has_shape(self.degree, self.n, 1) and _has_shape(self.action, G.order, 1)
+                and all(_has_shape(mat, self.n, 2) for mat in self.action)):
             raise GradingError("degree/action tables have wrong shape")
+        if not all(type(s) is int and 0 <= s < G.order for s in self.degree):
+            raise GradingError(f"degrees must be elements 0..{G.order - 1} of {G.name}")
         if self.action[G.identity] != linalg.identity(f, self.n):
             raise GradingError("identity element must act as the identity")
-        for g in range(G.order):
-            for h in range(G.order):
-                lhs = linalg.mat_mul(f, self.action[g], self.action[h])
-                if lhs != self.action[G.mul(g, h)]:
-                    raise GradingError("action is not a group homomorphism")
+        if any(linalg.mat_mul(f, self.action[g], self.action[h]) != self.action[G.mul(g, h)]
+               for g in range(G.order) for h in range(G.order)):
+            raise GradingError("action is not a group homomorphism")
         for g in range(G.order):
             mat = self.action[g]
             for b in range(self.n):
@@ -413,17 +403,10 @@ def graded_solution(spec: GradedModuleSpec, mode="graded") -> TensorOp:
     if mode not in ("graded", "crossed"):
         raise ValueError("mode must be graded or crossed")
     spec.validate(mode)
-    f = spec.field
-    n = spec.n
-    ent = linalg.zeros(f, n * n, n * n)
-    for a in range(n):
-        for b in range(n):
-            col = a * n + b
-            mat = spec.action[spec.degree[b]]
-            for i in range(n):
-                if mat[i][a]:
-                    ent[i * n + b][col] = mat[i][a]
-    return TensorOp(n, f, ent)
+    n, zeros = spec.n, linalg.zeros(spec.field, spec.n, spec.n)
+    # R_(M,.,rho) of the graded module: c_ju acts as sigma_deg(u) if j = u, else as 0
+    return _from_action(n, spec.field, {(j, u): spec.action[spec.degree[u]] if j == u else zeros
+                                        for j in range(n) for u in range(n)})
 
 
 # -- the printed operator matrices ---------------------------------------

@@ -10,7 +10,9 @@ With structure constants R(m_v (x) m_u) = sum x[u][v][j][i] m_i (x) m_j,
                    - sum_{a} x[k][l][j][a] c_{ia},
 
 indices 0-based internally, listed in lexicographic (i,j,k,l) order. ``chi`` is
-``hopfmodules.obstructions`` of ``module_from_R(R)``, where (c_ju.m_v)_i = x[u][v][j][i].
+``hopfmodules.obstructions`` of ``module_from_R(R)``, where (c_ju.m_v)_i = x[u][v][j][i]
+is read off R by ``tensorops._action_of``, the one writing of this index map
+with its inverse ``tensorops._from_action``.
 """
 
 from __future__ import annotations
@@ -83,21 +85,28 @@ class Presentation:
     @classmethod
     def from_json(cls, doc):
         field = parse_field(doc["field"])
-        n = doc.get("comatrix_n")
+        n, gens = doc.get("comatrix_n"), doc.get("generators")
+        if not all(x is None or type(x) is int and x >= 0 for x in (n, gens)) or n is None is gens:
+            raise ValueError(f"bad generator count: comatrix_n {n!r}, generators {gens!r}")
         if n is not None:
             alphabet = comatrix_alphabet(n)
-            if doc.get("generators", n * n) != n * n:
-                raise ValueError(f"comatrix_n {n} needs {n * n} generators, "
-                                 f"not {doc['generators']!r}")
+            if gens not in (None, n * n):
+                raise ValueError(f"comatrix_n {n} needs {n * n} generators, not {gens!r}")
         else:
-            alphabet = Alphabet(tuple(f"g{k}" for k in range(doc["generators"])))
+            alphabet = Alphabet(tuple(f"g{k}" for k in range(gens)))
         letters = range(len(alphabet))
-        words = [[tuple(w) for w, _ in rel["terms"]] for rel in doc["relations"]]
+        origin = doc.get("chi_origin", [])
+        if not (isinstance(origin, list) and all(isinstance(idx, list) for idx in origin)):
+            raise ValueError("chi_origin must be a list of index lists")
+        words = [[w for w, _ in rel["terms"]] for rel in doc["relations"]]
         for ws in words:  # every word is checked before any relation is built
             for w in ws:
+                if not isinstance(w, list):
+                    raise ValueError(f"word {w!r} is not a list of letters")
                 if not all(type(g) is int and g in letters for g in w):
-                    raise ValueError(f"word {list(w)} has a letter outside the "
+                    raise ValueError(f"word {w} has a letter outside the "
                                      f"{len(letters)} generators")
+            ws = [tuple(w) for w in ws]
             if len(set(ws)) < len(ws):
                 twice = next(w for k, w in enumerate(ws) if w in ws[:k])
                 raise ValueError(f"word {list(twice)} is listed twice in one relation")
@@ -111,7 +120,7 @@ class Presentation:
             relations=relations,
             commutative_closure=doc.get("commutative_closure", False),
             provenance=doc.get("provenance", ""),
-            chi_origin=[tuple(idx) for idx in doc.get("chi_origin", [])],
+            chi_origin=[tuple(idx) for idx in origin],
         )
 
 

@@ -2,7 +2,10 @@
 bialgebra: the multiplicative action extension, the comatrix coaction, the
 obstructions chi read off the action, the Hopf compatibility check (every
 chi reduces to zero), the induced operator
-R(m (x) n) = sum n_<1>.m (x) n_<0> and the universal property of B(R).
+R(m (x) n) = sum n_<1>.m (x) n_<0> and the universal property of B(R). The
+index map between R and the action is written once, in
+``tensorops._action_of`` (``module_from_R``) and ``tensorops._from_action``
+(``induced_R``).
 
 Both module kinds give V as a T(C)-module, ``action``: (j, u) -> the
 matrix of c_{j+1,u+1}; over a structure bialgebra H, c_ju acts as the
@@ -25,7 +28,7 @@ from . import linalg
 from .bialgebras import _dense, _same, _sparse
 from .freealgebra import NCPoly, comatrix_alphabet, word_products
 from .rewriting import normal_form
-from .tensorops import TensorOp, _Slot
+from .tensorops import TensorOp, _action_of, _from_action, _Slot
 
 
 @dataclass
@@ -50,16 +53,10 @@ class HopfModuleData:
 
 
 def module_from_R(R: TensorOp) -> HopfModuleData:
-    """Read the action off R.entries through the index map that ``induced_R``
-    inverts: (c_ju . m_v)_i = entries[i*n+j][v*n+u]; coaction is the
-    comatrix assignment."""
-    n, ent = R.n, R.entries
-    action = {
-        (j, u): [[ent[i * n + j][v * n + u] for v in range(n)] for i in range(n)]
-        for j in range(n)
-        for u in range(n)
-    }
-    return HopfModuleData(n=n, field=R.field, action=action)
+    """The module R reads as (``tensorops._action_of``, the index map that
+    ``induced_R`` inverts): (c_ju . m_v)_i = entries[i*n+j][v*n+u];
+    coaction is the comatrix assignment."""
+    return HopfModuleData(n=R.n, field=R.field, action=_action_of(R))
 
 
 # the last module's obstructions ("chi") and _short_word_rows ("words"),
@@ -165,12 +162,10 @@ def act_poly(p, data: HopfModuleData, memo=None):
 
 def induced_R(data) -> TensorOp:
     """The operator R(m (x) n) = sum n_<1>.m (x) n_<0> of the module/comodule
-    pair, read off data.action: entries[i*n+j][v*n+u] = (c_ju . m_v)_i.
-    data is a HopfModuleData or a BialgebraHopfModule."""
-    n = data.n
-    action = data.action
-    return TensorOp(n, data.field, [[action[(j, u)][i][v] for v in range(n) for u in range(n)]
-                                    for i in range(n) for j in range(n)])
+    pair, read off data.action by ``tensorops._from_action``:
+    entries[i*n+j][v*n+u] = (c_ju . m_v)_i. data is a HopfModuleData or a
+    BialgebraHopfModule."""
+    return _from_action(data.n, data.field, data.action)
 
 
 def check_hopf_compat(data: HopfModuleData, rs) -> bool:
@@ -307,6 +302,8 @@ def quotient_hopf_module(pres, rs, quotient, data: HopfModuleData):
     index = {w: k for k, w in enumerate(words)}
     field = data.field
     n = data.n
+    if any(g >= n * n for w in words for g in w):
+        raise ValueError(f"a basis word has a letter outside the {n * n} comatrix letters")
     alphabet = comatrix_alphabet(n)
 
     # the irreducible words are closed under prefixes, so with one memo each

@@ -58,6 +58,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache
+from itertools import chain
 from math import lcm
 
 from . import bialgebras, linalg
@@ -341,14 +342,10 @@ def _complete_by_table(relations):
     n = len(alphabet)
     if len(relations) < n * n or any(r.degree() > 2 for r in relations):
         return None
-    zero, add, mul, neg, inv = field.zero, field.add, field.mul, field.neg, field.inv
+    mul, neg, inv = field.mul, field.neg, field.inv
 
-    def add_multiple(row, c, other):  # row += c * other, in place
-        for w, a in other.items():
-            if s := add(row.get(w, zero), mul(c, a)):
-                row[w] = s
-            else:
-                row.pop(w, None)
+    def add_multiple(row, c, other):  # row + c * other
+        return field.combine(chain(row.items(), ((w, mul(c, a)) for w, a in other.items())))
 
     rows = {}
     for rel in relations:
@@ -358,7 +355,7 @@ def _complete_by_table(relations):
             pivot = rows.get(lead)
             if pivot is None:
                 break
-            add_multiple(row, neg(row[lead]), pivot)
+            row = add_multiple(row, neg(row[lead]), pivot)
         if not row:
             continue
         if len(lead) < 2:
@@ -372,7 +369,7 @@ def _complete_by_table(relations):
         row = rows[lead]
         del row[lead]
         for w in [w for w in row if len(w) == 2]:
-            add_multiple(row, neg(row.pop(w)), rows[w])
+            rows[lead] = row = add_multiple(row, neg(row.pop(w)), rows[w])
     tails = [{t: neg(a) for t, a in rows[lead].items()} for lead in leads]
     ints, d = field.lift([list(tail.values()) for tail in tails])
     # the table on the basis {1, letters}: index 0 is 1 and index 1 + k the

@@ -8,6 +8,11 @@ Basis conventions, pinned once for the whole package:
   m_i (x) m_j (all indices 0-based here), i.e. entries[i*n+j][v*n+u] =
   x[u][v][j][i].  Reproducing the printed coefficient list of the R_q family
   is the regression test that pins this down.
+* R is the natural map R_(M,.,rho)(m (x) n) = sum n_<1>.m (x) n_<0> of the
+  Hopf module V with the comatrix coaction, where c_ju acts by
+  (c_ju . m_v)_i = x[u][v][j][i] = entries[i*n+j][v*n+u]. This index map is
+  written once: ``_action_of`` reads the action (j, u) -> matrix of c_ju
+  off R, and ``_from_action`` builds R from such an action.
 
 All comparisons are exact, entrywise; no tolerances anywhere.
 """
@@ -26,11 +31,17 @@ class CapExceededError(RuntimeError):
     """Candidate space p^(n^4) larger than the configured cap."""
 
 
-def _check_square(rows, d):
-    """Refuse rows unless they are a list of d lists of d entries each."""
-    if not isinstance(rows, list) or len(rows) != d or any(
-            not isinstance(row, list) or len(row) != d for row in rows):
-        raise ValueError(f"entries must be {d}x{d}")
+def _has_shape(table, dim, depth):
+    """Whether table is nested lists, depth deep, of dim entries each."""
+    return isinstance(table, list) and len(table) == dim and (
+        depth == 1 or all(_has_shape(row, dim, depth - 1) for row in table))
+
+
+def _require_shape(table, dim, depth, name):
+    """Refuse table with "{name} must be {dim}x...x{dim}" unless it has the
+    shape (``_has_shape``)."""
+    if not _has_shape(table, dim, depth):
+        raise ValueError(f"{name} must be {'x'.join([str(dim)] * depth)}")
 
 
 @dataclass
@@ -40,7 +51,7 @@ class TensorOp:
     entries: list  # n^2 x n^2, row-major
 
     def __post_init__(self):
-        _check_square(self.entries, self.n * self.n)
+        _require_shape(self.entries, self.n * self.n, 2, "entries")
 
     def copy(self):
         return TensorOp(self.n, self.field, [row[:] for row in self.entries])
@@ -63,7 +74,7 @@ class TensorOp:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"bad dimension {_quote(n)}")
         rows = doc["matrix"]
-        _check_square(rows, n * n)  # no entry of a misshapen document is parsed
+        _require_shape(rows, n * n, 2, "entries")  # no entry of a misshapen document is parsed
         return cls(n, field, [[field.parse_scalar(x) for x in row] for row in rows])
 
 
@@ -74,7 +85,7 @@ class EndoV:
     entries: list  # n x n
 
     def __post_init__(self):
-        _check_square(self.entries, self.n)
+        _require_shape(self.entries, self.n, 2, "entries")
 
 
 def identity_op(n, field):
@@ -210,32 +221,35 @@ def solution_report(R):
     return report
 
 
+def _action_of(R: TensorOp):
+    """The action R reads as: (j, u) -> the matrix of c_ju, with
+    (c_ju . m_v)_i = entries[i*n+j][v*n+u]. ``_from_action`` inverts it."""
+    n, ent, N = R.n, R.entries, range(R.n)
+    return {(j, u): [[ent[i * n + j][v * n + u] for v in N] for i in N] for j in N for u in N}
+
+
+def _from_action(n, field, action) -> TensorOp:
+    """The natural map R(m (x) n) = sum n_<1>.m (x) n_<0> of V with the
+    comatrix coaction and the action (j, u) -> the matrix of c_ju:
+    entries[i*n+j][v*n+u] = (c_ju . m_v)_i."""
+    N = range(n)
+    return TensorOp(n, field, [[action[(j, u)][i][v] for v in N for u in N]
+                               for i in N for j in N])
+
+
 def to_structure_constants(R: TensorOp):
-    """Four-index array x[u][v][j][i] with entries[i*n+j][v*n+u] = x[u][v][j][i]."""
-    n = R.n
-    ent = R.entries
-    return [
-        [[[ent[i * n + j][v * n + u] for i in range(n)] for j in range(n)]
-         for v in range(n)]
-        for u in range(n)
-    ]
+    """Four-index array x[u][v][j][i] = (c_ju . m_v)_i of ``_action_of(R)``."""
+    action, N = _action_of(R), range(R.n)
+    return [[[[action[(j, u)][i][v] for i in N] for j in N] for v in N] for u in N]
 
 
 def from_structure_constants(x, field) -> TensorOp:
-    n = len(x)
-    if any(
-        len(x[u]) != n or any(len(x[u][v]) != n or any(len(x[u][v][j]) != n for j in range(n))
-                             for v in range(n))
-        for u in range(n)
-    ):
-        raise ValueError("structure constant array must be n x n x n x n")
-    ent = linalg.zeros(field, n * n, n * n)
-    for u in range(n):
-        for v in range(n):
-            for j in range(n):
-                for i in range(n):
-                    ent[i * n + j][v * n + u] = x[u][v][j][i]
-    return TensorOp(n, field, ent)
+    """The operator of the four-index array x, as ``_from_action`` of
+    (c_ju . m_v)_i = x[u][v][j][i]; x must be n x n x n x n lists."""
+    n, N = len(x), range(len(x))
+    _require_shape(x, n, 4, "structure constant array")
+    return _from_action(n, field, {(j, u): [[x[u][v][j][i] for v in N] for i in N]
+                                   for j in N for u in N})
 
 
 def conjugate(R: TensorOp, u: EndoV) -> TensorOp:

@@ -1,6 +1,7 @@
 """Independent oracles used to freeze expected values: dense triple-loop
 matrix arithmetic, the scalar form of the Hopf equation, direct expansions
-of the obstruction formula, the coideal and counit identities of chi in
+of the obstruction formula, the graded and crossed module solutions entry by
+entry, the coideal and counit identities of chi in
 scalars, brute-force enumeration of solutions over F_p,
 normal forms by a scan of the whole rule list, completion that pairs every
 two rules, the diamond lemma's test of a finished rewriting system,
@@ -95,6 +96,20 @@ def structure_constants(R):
          for v in range(n)]
         for u in range(n)
     ]
+
+
+def naive_graded_solution(spec):
+    """R(u (x) v) = sum_sigma sigma.u (x) v_sigma of a valid graded or crossed
+    module spec, entry by entry: column a*n+b holds deg(m_b).m_a (x) m_b."""
+    field, n = spec.field, spec.n
+    ent = [[field.zero] * (n * n) for _ in range(n * n)]
+    for a in range(n):
+        for b in range(n):
+            mat = spec.action[spec.degree[b]]
+            for i in range(n):
+                if mat[i][a]:
+                    ent[i * n + b][a * n + b] = mat[i][a]
+    return ent
 
 
 def obstruction_terms(R, i, j, k, l):

@@ -444,6 +444,20 @@ def test_non_homomorphism_rejected():
         B.graded_solution(spec)
 
 
+def test_misshapen_grading_refused_before_any_product(monkeypatch):
+    G = B.cyclic_group(2)
+    swap = [[QQ.zero, QQ.one], [QQ.one, QQ.zero]]
+    monkeypatch.setattr(G, "mul", None)  # any product would raise TypeError
+    # a degree outside C2 once raised IndexError from G.mul
+    spec = B.GradedModuleSpec(G, 2, QQ, [0, 5], [linalg.identity(QQ, 2), swap])
+    with pytest.raises(B.GradingError, match="^degrees must be elements 0..1 of C2$"):
+        B.graded_solution(spec)
+    # a 3x3 action for n = 2 was once reported as no homomorphism
+    spec = B.GradedModuleSpec(G, 2, QQ, [0, 1], [linalg.identity(QQ, 2), linalg.identity(QQ, 3)])
+    with pytest.raises(B.GradingError, match="^degree/action tables have wrong shape$"):
+        B.graded_solution(spec)
+
+
 def random_graded_spec(group, blocks, field, rng, mode="graded"):
     """Basis (sigma, i), i < blocks; action[g] built from a coboundary of
     random invertible block matrices, so the spec is valid by construction."""
@@ -475,6 +489,19 @@ def test_random_graded_specs_always_solve_hopf(group_builder):
     for _ in range(3):
         spec = random_graded_spec(group_builder(), 1, F5, rng, mode="graded")
         assert T.check_hopf(B.graded_solution(spec, mode="graded"))
+
+
+@pytest.mark.parametrize("mode", ["graded", "crossed"])
+@pytest.mark.parametrize("fd", ["q", "fp:5"])
+@pytest.mark.parametrize("group_builder", [lambda: B.cyclic_group(2),
+                                           lambda: B.cyclic_group(3),
+                                           B.symmetric_group_3],
+                         ids=["C2", "C3", "S3"])
+def test_graded_solution_matches_the_entrywise_oracle(group_builder, fd, mode):
+    rng = random.Random(33)
+    for blocks in (1, 2):
+        spec = random_graded_spec(group_builder(), blocks, parse_field(fd), rng, mode=mode)
+        assert B.graded_solution(spec, mode).entries == oracles.naive_graded_solution(spec)
 
 
 def test_random_crossed_specs_solve_qybe():
@@ -544,6 +571,25 @@ def test_structure_bialgebra_json_round_trip():
     assert B.check_bialgebra_axioms(H2).all_ok
 
 
+@pytest.mark.parametrize("fd", ["q", "fp:3"])
+def test_multiply_matches_the_dense_oracle_on_cancelling_vectors(fd):
+    field = parse_field(fd)
+    rng = random.Random(34)
+    small = [field.from_int(c) for c in (-1, 0, 1)]  # so that terms often cancel
+    cancelled = 0
+    for H in (sweedler_h4(field), group_algebra_s3(field)[1], B.group_algebra(4, field)):
+        times, _, _ = oracles._dense_bialgebra_ops(H)
+        for _ in range(30):
+            a, b = ([rng.choice(small) for _ in range(H.dim)] for _ in range(2))
+            got = H.multiply(a, b)
+            assert got == times(a, b)
+            # an entry that is zero though some term m_i m_j reaches it
+            cancelled += any(not got[k] and any(a[i] and b[j] and H.mult[i][j][k]
+                                                for i in range(H.dim) for j in range(H.dim))
+                             for k in range(H.dim))
+    assert cancelled >= 10
+
+
 # the number of basis indices of an item of each table of a document
 DOC_DEPTH = {"basis": 1, "unit": 1, "mult": 3, "comult": 3, "counit": 1, "antipode": 2,
              "basis_words": 1}
@@ -560,6 +606,14 @@ def test_structure_bialgebra_from_json_refuses_a_misshapen_table(key):
     holder.pop()
     with pytest.raises(ValueError, match=f"^{key} must be {'x'.join('2' * DOC_DEPTH[key])}$"):
         B.StructureBialgebra.from_json(bad)
+
+
+@pytest.mark.parametrize("word", ["ab", [-1], [True], [0.0], 0],
+                         ids=["text", "negative", "bool", "float", "int"])
+def test_structure_bialgebra_from_json_refuses_a_basis_word_that_is_no_letter_list(word):
+    doc = {**B.group_algebra(2, QQ).to_json(), "basis_words": [[], word]}
+    with pytest.raises(ValueError, match="^basis_words must be lists of letter indices$"):
+        B.StructureBialgebra.from_json(doc)
 
 
 @pytest.mark.parametrize("dim", [3, 1, 0, -1, True, "2", 2.0])

@@ -734,6 +734,12 @@ MISREADINGS = {
     r"\[0, 1\] is listed twice":
         lambda doc: doc["relations"][-1].update(terms=[[[0, 1], "1"], [[0, 1], "-1"]]),
     "comatrix_n 2 needs 4 generators, not 5": lambda doc: doc.update(generators=5),
+    # each of these once raised TypeError
+    "bad generator count: comatrix_n '2', generators 4": lambda doc: doc.update(comatrix_n="2"),
+    "bad generator count: comatrix_n None, generators '2'":
+        lambda doc: doc.update(comatrix_n=None, generators="2"),
+    "word 5 is not a list of letters": lambda doc: doc["relations"][-1]["terms"].append([5, "1"]),
+    "chi_origin must be a list of index lists": lambda doc: doc["chi_origin"].append(7),
 }
 
 

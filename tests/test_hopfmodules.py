@@ -315,6 +315,18 @@ def test_compat_implies_induced_solves_hopf():
     assert T.check_hopf(HM.induced_R(bm))
 
 
+def test_quotient_module_refuses_a_basis_word_outside_the_alphabet():
+    # a quotient document whose last basis word is [99] reads, but once made
+    # quotient_hopf_module raise KeyError: (49, 1)
+    R = build_fixture("takesaki_c2", QQ)
+    built = frt.build(R)
+    doc = built.quotient.to_json()
+    doc["basis_words"][-1] = [99]
+    quotient = B.StructureBialgebra.from_json(doc)
+    with pytest.raises(ValueError, match="outside the 4 comatrix letters"):
+        HM.quotient_hopf_module(built.presentation, built.system, quotient, HM.module_from_R(R))
+
+
 def test_commutative_bialgebra_induces_commutative_solution():
     for m in (2, 3, 4):
         H = B.group_algebra(m, QQ)

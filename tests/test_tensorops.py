@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from functools import reduce
@@ -236,6 +237,24 @@ def test_structure_constant_round_trip_random():
     for _ in range(100):
         R = T.random_tensorop(2, F3, rng)
         assert T.from_structure_constants(T.to_structure_constants(R), F3) == R
+
+
+def test_from_structure_constants_refuses_a_misshapen_array():
+    x = T.to_structure_constants(bialgebras.r_q(Fraction(3), QQ))
+    assert T.from_structure_constants(x, QQ) == bialgebras.r_q(Fraction(3), QQ)
+    bad = []
+    for depth in range(1, 4):  # the last item at that depth loses its last entry
+        short = copy.deepcopy(x)
+        holder = short
+        for _ in range(depth):
+            holder = holder[-1]
+        holder.pop()
+        bad.append(short)
+    # tuples where lists are due, at the top and in the last row, as TensorOp refuses them
+    bad += [tuple(x), x[:-1] + [x[-1][:-1] + [tuple(x[-1][-1])]]]
+    for array in bad:
+        with pytest.raises(ValueError, match="^structure constant array must be 2x2x2x2$"):
+            T.from_structure_constants(array, QQ)
 
 
 # -- conjugation and inversion ----------------------------------------------
