@@ -4,9 +4,12 @@ R_q family built from them, graded and crossed module solutions, Takesaki
 and Galois maps on group algebras, the characteristic-two matrix and the
 classical Yang-Baxter operator.
 
-Table conventions: mult[i][j] is the coefficient vector of m_i * m_j,
-comult[i][u][v] the coefficient of m_u (x) m_v in Delta(m_i), antipode[i] the
-coefficient vector of S(m_i).
+Table conventions: a structure bialgebra stores its tables in one sparse
+form, holding only nonzero field scalars: mult[i][j] = {k: c} for m_i * m_j
+= sum c m_k, comult[i] = {(u, v): c} for Delta(m_i) = sum c m_u (x) m_v, and
+antipode[i] = {k: c} for S(m_i), or antipode = None. The unit and the counit
+are coefficient lists of length dim. Only ``to_json`` lays the tables out
+densely; ``StructureBialgebra.sparse`` lifts their nonzero entries to ints.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from itertools import chain
 
 from . import linalg
 from .fields import Field, parse_field
-from .tensorops import EndoV, TensorOp, _from_action, _has_shape, _require_shape, pair_tensor
+from .tensorops import (EndoV, TensorOp, _from_action, _has_shape, _require_keys,
+                        _require_shape, pair_tensor)
 
 
 class MissingAntipodeError(ValueError):
@@ -33,10 +37,10 @@ class StructureBialgebra:
     dim: int
     basis_labels: list
     unit: list
-    mult: list
-    comult: list
+    mult: list  # mult[i][j] = {k: c}
+    comult: list  # comult[i] = {(u, v): c}
     counit: list
-    antipode: list | None = None
+    antipode: list | None = None  # antipode[i] = {k: c}
     basis_words: list | None = None  # set by quotient constructions
 
     def basis_vector(self, i):
@@ -45,56 +49,56 @@ class StructureBialgebra:
         return v
 
     def multiply(self, a, b):
-        """a b, summed by ``Field.combine`` over the nonzero entries of a, b
-        and the table."""
+        """a b for coefficient vectors a and b, summed by ``Field.combine``
+        over the nonzero entries of a, b and the table."""
         f, mul = self.field, self.field.mul
-        return _dense(f.combine((k, mul(mul(ai, bj), c)) for i, ai in enumerate(a) if ai
-                                for j, bj in enumerate(b) if bj
-                                for k, c in enumerate(self.mult[i][j]) if c),
-                      range(self.dim), f.zero)
+        out, b_terms = [f.zero] * self.dim, _sparse(b).items()
+        for k, c in f.combine((k, mul(mul(ai, bj), c)) for i, ai in enumerate(a) if ai
+                              for j, bj in b_terms for k, c in self.mult[i][j].items()).items():
+            out[k] = c
+        return out
 
     def sparse(self):
-        """The tables lifted to ints over one denominator D (``Field.lift``),
-        as sparse views: m[i][j] = {k: c} for m_i m_j, d[i] = {(u, v): c} for
-        Delta(m_i), the unit as {k: c}, the counit as the list of its values,
-        and S[i] = {k: c} for S(m_i), or S = None without an antipode table.
-        Returns (m, d, unit, eps, S, D): a product of k table entries stands
-        for its int over D^k. Built anew per call, so they follow changes to
-        the tables."""
-        ints, D = self.field.lift([*chain(*self.mult), *chain(*self.comult), self.unit,
-                                   self.counit, *(self.antipode or ())])
-        rows = iter(ints)
-        m = [[_sparse(next(rows)) for _ in row] for row in self.mult]
-        d = [{(u, v): c for u in range(len(mat)) for v, c in enumerate(next(rows)) if c}
-             for mat in self.comult]
-        unit, eps = _sparse(next(rows)), next(rows)
-        S = None if self.antipode is None else [_sparse(next(rows)) for _ in self.antipode]
-        return m, d, unit, eps, S, D
+        """The tables lifted to ints over one denominator D, by one
+        ``Field.lift`` of their nonzero entries, the unit and the counit:
+        m[i][j] = {k: c} for m_i m_j, d[i] = {(u, v): c} for Delta(m_i), the
+        unit as {k: c}, the counit as the list of its values, and S[i] = {k:
+        c} for S(m_i), or S = None without an antipode table. Returns (m, d,
+        unit, eps, S, D): a product of k table entries stands for its int
+        over D^k. Built anew per call, so they follow changes to the
+        tables."""
+        n, tables = self.dim, [*chain(*self.mult), *self.comult, *(self.antipode or ())]
+        (entries, unit, eps), D = self.field.lift(
+            [[c for t in tables for c in t.values()], self.unit, self.counit])
+        rest = iter(entries)
+        lifted = [dict(zip(t, rest)) for t in tables]  # each t takes len(t) entries
+        return ([lifted[i * n:i * n + n] for i in range(n)], lifted[n * n:n * n + n],
+                _sparse(unit), eps, None if self.antipode is None else lifted[n * n + n:], D)
 
     def is_commutative(self):
-        return all(
-            self.mult[i][j] == self.mult[j][i]
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
+        return all(row[j] == self.mult[j][i] for i, row in enumerate(self.mult) for j in range(i))
 
     def is_cocommutative(self):
-        return all(mat[u][v] == mat[v][u] for mat in self.comult
-                   for u in range(self.dim) for v in range(u + 1, self.dim))
+        return all(t.get((v, u)) == c for t in self.comult for (u, v), c in t.items())
 
     def to_json(self):
-        f = self.field
+        f, n = self.field, range(self.dim)
         s = f.scalar_to_json
+        zero = s(f.zero)
+
+        def vec(t):  # {k: c} as a coefficient list
+            return [s(t[k]) if k in t else zero for k in n]
+
         doc = {
             "field": f.descriptor,
             "dim": self.dim,
             "basis": list(self.basis_labels),
             "unit": [s(x) for x in self.unit],
-            "mult": [[[s(x) for x in vec] for vec in row] for row in self.mult],
-            "comult": [[[s(x) for x in row] for row in mat] for mat in self.comult],
+            "mult": [[vec(t) for t in row] for row in self.mult],
+            "comult": [[[s(t[u, v]) if (u, v) in t else zero for v in n] for u in n]
+                       for t in self.comult],
             "counit": [s(x) for x in self.counit],
-            "antipode": None if self.antipode is None
-            else [[s(x) for x in vec] for vec in self.antipode],
+            "antipode": None if self.antipode is None else [vec(t) for t in self.antipode],
         }
         if self.basis_words is not None:
             doc["basis_words"] = [list(w) for w in self.basis_words]
@@ -102,6 +106,11 @@ class StructureBialgebra:
 
     @classmethod
     def from_json(cls, doc):
+        """The bialgebra of a ``to_json`` document; its zero entries are not
+        stored. A document with a missing key, a table of another shape or a
+        bad basis word is refused with ValueError before any entry is
+        parsed."""
+        _require_keys(doc, "field", "dim")
         field = parse_field(doc["field"])
         dim = doc["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
@@ -121,11 +130,12 @@ class StructureBialgebra:
             dim=dim,
             basis_labels=list(doc["basis"]),
             unit=[p(x) for x in doc["unit"]],
-            mult=[[[p(x) for x in vec] for vec in row] for row in doc["mult"]],
-            comult=[[[p(x) for x in row] for row in mat] for mat in doc["comult"]],
+            mult=[[_sparse(map(p, vec)) for vec in row] for row in doc["mult"]],
+            comult=[{(u, v): c for u, row in enumerate(mat) for v, x in enumerate(row)
+                     if (c := p(x))} for mat in doc["comult"]],
             counit=[p(x) for x in doc["counit"]],
             antipode=None if doc.get("antipode") is None
-            else [[p(x) for x in vec] for vec in doc["antipode"]],
+            else [_sparse(map(p, vec)) for vec in doc["antipode"]],
             basis_words=None if doc.get("basis_words") is None
             else [tuple(w) for w in doc["basis_words"]],
         )
@@ -153,15 +163,6 @@ class AxiomReport:
 def _sparse(vec):
     """A coefficient vector as {index: c} over its nonzero entries."""
     return {k: c for k, c in enumerate(vec) if c}
-
-
-def _dense(terms, index, zero):
-    """The terms {word: c} of a combination of basis words as a coefficient
-    vector over the word index {word: position}."""
-    vec = [zero] * len(index)
-    for w, c in terms.items():
-        vec[index[w]] = c
-    return vec
 
 
 def _same(field, a, b, sa=1, sb=1):
@@ -207,9 +208,9 @@ def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
     """Decide every axiom exactly on the structure tables; a failing axiom is
     reported, never raised.
 
-    The dense tables are read once into the lifted sparse views of
-    ``StructureBialgebra.sparse``, ints over one denominator D. Each axiom
-    then compares two contractions of these views, keyed by their free basis
+    The nonzero table entries are lifted once by
+    ``StructureBialgebra.sparse``, to ints over one denominator D. Each axiom
+    then compares two contractions of these tables, keyed by their free basis
     indices and summed in ints; a side that multiplies k table entries is
     over D^k, so the side with fewer is scaled up before the two are
     compared (``_same``). The coalgebra axioms are the algebra axioms of the
@@ -225,7 +226,8 @@ def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
         for (u, v), c in d[i].items():
             dual[u][v][i] = c
     assoc, unit_ok = _associative(f, m), _unital(f, m, unit, D)
-    coassoc, counit = _associative(f, dual), _unital(f, dual, _sparse(eps), D)
+    nonzero_eps = _sparse(eps)
+    coassoc, counit = _associative(f, dual), _unital(f, dual, nonzero_eps, D)
     # Delta(m_i m_j) = Delta(m_i) Delta(m_j) in H (x) H, keyed by (j, u, v):
     # two entries on the left, four on the right
     delta_mult = all(
@@ -239,7 +241,8 @@ def check_bialgebra_axioms(B: StructureBialgebra) -> AxiomReport:
                 (((u, v), a * b) for u, a in unit.items() for v, b in unit.items()))
     eps_mult = _same(f, (((i, j), a * eps[k]) for i in n for j in n
                          for k, a in m[i][j].items()),
-                     (((i, j), eps[i] * eps[j]) for i in n for j in n)) \
+                     (((i, j), x * y) for i, x in nonzero_eps.items()
+                      for j, y in nonzero_eps.items())) \
         and _same(f, (((), a * eps[k]) for k, a in unit.items()), [((), D * D)])
 
     antipode = None
@@ -261,19 +264,12 @@ def group_algebra(m: int, field: Field) -> StructureBialgebra:
     if m < 1:
         raise ValueError("m must be >= 1")
     G = cyclic_group(m)
-    zero, one = field.zero, field.one
-
-    def vec(i):
-        v = [zero] * m
-        v[i] = one
-        return v
-
+    one = field.one
     labels = ["1"] + [f"g^{i}" if i > 1 else "g" for i in range(1, m)]
-    mult = [[vec(g) for g in row] for row in G.table]
-    comult = [[vec(i) if u == i else [zero] * m for u in range(m)] for i in range(m)]
-    antipode = [vec(g) for g in G.inverse]
-    return StructureBialgebra(field, m, labels, vec(G.identity), mult, comult, [one] * m,
-                              antipode)
+    unit = [one if g == G.identity else field.zero for g in range(m)]
+    return StructureBialgebra(field, m, labels, unit, [[{g: one} for g in row] for row in G.table],
+                              [{(g, g): one} for g in range(m)], [one] * m,
+                              [{g: one} for g in G.inverse])
 
 
 def _tensor_op(f, dim, pairs, d):

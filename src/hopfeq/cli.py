@@ -151,18 +151,18 @@ def _print_tables(B, basis):
     f = B.field
     rng = range(B.dim)
 
-    def text(pairs):  # (scalar, label) pairs as a sum; zero scalars dropped
-        parts = [label if (cs := f.render(c)) == "1" else f"{cs}*{label}"
-                 for c, label in pairs if c]
+    def text(pairs):  # (scalar, label) pairs as a sum
+        parts = [label if (cs := f.render(c)) == "1" else f"{cs}*{label}" for c, label in pairs]
         return " + ".join(parts) if parts else "0"
 
     print("multiplication:")
     for i in rng:
         for j in rng:
-            print(f"  {basis[i]} . {basis[j]} = {text(zip(B.mult[i][j], basis))}")
+            terms = ((c, basis[k]) for k, c in sorted(B.mult[i][j].items()))
+            print(f"  {basis[i]} . {basis[j]} = {text(terms)}")
     print("comultiplication:")
     for i in rng:
-        terms = ((B.comult[i][u][v], f"{basis[u]}(x){basis[v]}") for u in rng for v in rng)
+        terms = ((c, f"{basis[u]}(x){basis[v]}") for (u, v), c in sorted(B.comult[i].items()))
         print(f"  Delta({basis[i]}) = {text(terms)}")
     print("counit:")
     for i in rng:

@@ -29,9 +29,10 @@ this form between products and is lowered once, where its scalar matrix
 leaves the chain. The other lifted users sum ints per key and lower only to
 test for zero or to hand out a result: the coideal check and the coproduct
 table of a quotient (``rewriting``), the coideal and counit identities of
-chi (``frt``), the contractions on the tables of a structure bialgebra
-(``StructureBialgebra.sparse``: its axioms, Hopf modules over it, the
-universal property and the Takesaki and Galois maps), the one
+chi (``frt``), the contractions on the sparse tables of a structure
+bialgebra, whose nonzero entries ``StructureBialgebra.sparse`` lifts in
+one call (its axioms, Hopf modules over it, the universal property and
+the Takesaki and Galois maps), the one
 associativity check ``bialgebras._associative`` on such a table, its dual
 table, or the table of the direct completion route, and the one
 fraction-free elimination behind ``linalg.rank``, ``is_invertible`` and

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from . import bialgebras, linalg, rewriting
-from .fields import parse_field
+from .fields import _quote, parse_field
 from .freealgebra import Alphabet, NCPoly, comatrix_alphabet
 from .hopfmodules import _short_word_rows, module_from_R, obstructions
-from .tensorops import TensorOp, check_commutative, check_hopf, equation_defect
+from .tensorops import (TensorOp, _has_shape, _require_keys, check_commutative, check_hopf,
+                        equation_defect)
 
 
 class NotHopfSolutionError(ValueError):
@@ -84,6 +85,7 @@ class Presentation:
 
     @classmethod
     def from_json(cls, doc):
+        _require_keys(doc, "field", "relations")
         field = parse_field(doc["field"])
         n, gens = doc.get("comatrix_n"), doc.get("generators")
         if not all(x is None or type(x) is int and x >= 0 for x in (n, gens)) or n is None is gens:
@@ -98,7 +100,14 @@ class Presentation:
         origin = doc.get("chi_origin", [])
         if not (isinstance(origin, list) and all(isinstance(idx, list) for idx in origin)):
             raise ValueError("chi_origin must be a list of index lists")
-        words = [[w for w, _ in rel["terms"]] for rel in doc["relations"]]
+        rels, closure = doc["relations"], doc.get("commutative_closure", False)
+        if not isinstance(rels, list) or not all(
+                isinstance(rel, dict) and isinstance(rel.get("terms"), list)
+                and all(_has_shape(t, 2, 1) for t in rel["terms"]) for rel in rels):
+            raise ValueError("relations must be objects with a terms list of [word, scalar] pairs")
+        if not isinstance(closure, bool):
+            raise ValueError(f"commutative_closure must be true or false, not {_quote(closure)}")
+        words = [[w for w, _ in rel["terms"]] for rel in rels]
         for ws in words:  # every word is checked before any relation is built
             for w in ws:
                 if not isinstance(w, list):
@@ -111,14 +120,14 @@ class Presentation:
                 twice = next(w for k, w in enumerate(ws) if w in ws[:k])
                 raise ValueError(f"word {list(twice)} is listed twice in one relation")
         relations = []
-        for rel in doc["relations"]:
+        for rel in rels:
             terms = {tuple(w): field.parse_scalar(c) for w, c in rel["terms"]}
             relations.append(NCPoly(alphabet, field, terms))
         return cls(
             alphabet=alphabet,
             field=field,
             relations=relations,
-            commutative_closure=doc.get("commutative_closure", False),
+            commutative_closure=closure,
             provenance=doc.get("provenance", ""),
             chi_origin=[tuple(idx) for idx in origin],
         )

@@ -11,7 +11,7 @@ Both module kinds give V as a T(C)-module, ``action``: (j, u) -> the
 matrix of c_{j+1,u+1}; over a structure bialgebra H, c_ju acts as the
 coaction coefficient coelems[j][u]. The regular module of H induces
 R(g (x) h) = sum h_(2) g (x) h_(1), Takesaki's map only when H is
-cocommutative. Checks over H read the lifted sparse views of
+cocommutative. Checks over H read its sparse tables lifted to ints by
 ``StructureBialgebra.sparse`` and compare two contractions keyed by their
 free basis indices and summed in ints, each side scaled by its power of
 the denominators and the difference lowered, as ``check_bialgebra_axioms``
@@ -25,7 +25,7 @@ from itertools import chain, product
 from math import lcm
 
 from . import linalg
-from .bialgebras import _dense, _same, _sparse
+from .bialgebras import _same, _sparse
 from .freealgebra import NCPoly, comatrix_alphabet, word_products
 from .rewriting import normal_form
 from .tensorops import TensorOp, _action_of, _from_action, _Slot
@@ -206,17 +206,18 @@ class BialgebraHopfModule:
 
 def regular_hopf_module(H) -> BialgebraHopfModule:
     """H as a Hopf module over itself: action by multiplication, coaction by
-    comultiplication."""
+    comultiplication. Only the nonzero table entries are read."""
     dim = H.dim
-    basis_action = [
-        [[H.mult[t][v][i] for v in range(dim)] for i in range(dim)]
-        for t in range(dim)
-    ]
-    # coelems[u][l][v] = comult[l][u][v]: Delta(m_l) = sum_u m_u (x) coelems[u][l]
-    coelems = [
-        [[H.comult[l][u][v] for v in range(dim)] for l in range(dim)]
-        for u in range(dim)
-    ]
+    basis_action = [linalg.zeros(H.field, dim, dim) for _ in range(dim)]
+    coelems = [linalg.zeros(H.field, dim, dim) for _ in range(dim)]
+    for t, row in enumerate(H.mult):
+        for v, e in enumerate(row):
+            for i, c in e.items():
+                basis_action[t][i][v] = c  # (m_t m_v)_i
+    # Delta(m_l) = sum_u m_u (x) coelems[u][l]
+    for l, e in enumerate(H.comult):
+        for (u, v), c in e.items():
+            coelems[u][l][v] = c
     return BialgebraHopfModule(H, dim, H.field, basis_action, coelems)
 
 
@@ -299,7 +300,6 @@ def quotient_hopf_module(pres, rs, quotient, data: HopfModuleData):
     words = quotient.basis_words
     if words is None:
         raise ValueError("quotient carries no basis words")
-    index = {w: k for k, w in enumerate(words)}
     field = data.field
     n = data.n
     if any(g >= n * n for w in words for g in w):
@@ -310,11 +310,9 @@ def quotient_hopf_module(pres, rs, quotient, data: HopfModuleData):
     # basis word costs one product
     memo = {}
     basis_action = [act_word(w, data, memo) for w in words]
-    assignment = {
-        (i, j): _dense(normal_form(NCPoly.generator(alphabet, field, i, j), rs).terms, index,
-                       field.zero)
-        for i in range(n)
-        for j in range(n)
-    }
+    assignment = {}
+    for i, j in product(range(n), repeat=2):
+        terms = normal_form(NCPoly.generator(alphabet, field, i, j), rs).terms
+        assignment[(i, j)] = [terms.get(w, field.zero) for w in words]
     coelems = [[assignment[(v, l)] for l in range(n)] for v in range(n)]
     return BialgebraHopfModule(quotient, n, field, basis_action, coelems), assignment

@@ -593,20 +593,18 @@ def quotient_bialgebra(pres, rs, max_len=12):
     field, alphabet = rs.field, rs.alphabet
     words = graph.words(max_len)
     index = {w: k for k, w in enumerate(words)}
-    dim = len(words)
-    zero = field.zero
-    unit = bialgebras._dense(nf(()), index, zero)
-    mult = [[bialgebras._dense(nf(wi + wj), index, zero) for wj in words] for wi in words]
-    comult = []
-    for w in words:
-        mat = [[zero] * dim for _ in range(dim)]
+
+    def delta(w):  # the reduced coproduct of w, keyed by basis index pairs
         ints, d = images(w)
-        for (w1, w2), c in zip(ints, field.lower([list(ints.values())], d)[0]):
-            mat[index[w1]][index[w2]] = c
-        comult.append(mat)
+        return {(index[w1], index[w2]): c
+                for (w1, w2), c in zip(ints, field.lower([list(ints.values())], d)[0]) if c}
+
+    unit = [nf(()).get(w, field.zero) for w in words]
+    mult = [[{index[w]: c for w, c in nf(wi + wj).items()} for wj in words] for wi in words]
+    comult = [delta(w) for w in words]
     counit = [NCPoly.word(alphabet, field, w).eps() for w in words]
     labels = [render_word(w, alphabet.names) for w in words]
-    return bialgebras.StructureBialgebra(field, dim, labels, unit, mult, comult, counit,
+    return bialgebras.StructureBialgebra(field, len(words), labels, unit, mult, comult, counit,
                                          basis_words=words)
 
 

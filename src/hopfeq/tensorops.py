@@ -37,6 +37,12 @@ def _has_shape(table, dim, depth):
         depth == 1 or all(_has_shape(row, dim, depth - 1) for row in table))
 
 
+def _require_keys(doc, *keys):
+    """Refuse doc with "missing key {key!r}" unless it has every key."""
+    if missing := [key for key in keys if key not in doc]:
+        raise ValueError(f"missing key {missing[0]!r}")
+
+
 def _require_shape(table, dim, depth, name):
     """Refuse table with "{name} must be {dim}x...x{dim}" unless it has the
     shape (``_has_shape``)."""
@@ -69,6 +75,7 @@ class TensorOp:
 
     @classmethod
     def from_json(cls, doc):
+        _require_keys(doc, "field", "n", "matrix")
         field = parse_field(doc["field"])
         n = doc["n"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:

@@ -352,6 +352,21 @@ def random_commuting_idempotents(field, n, rng):
     return conj(d), conj(e)
 
 
+def dense_tables(B):
+    """The product, coproduct and antipode tables of a structure bialgebra
+    laid out densely, zeros included, as the reference implementations here
+    read them: mult[i][j][k], comult[i][u][v] and antipode[i][k], or None
+    without an antipode table."""
+    zero, rng = B.field.zero, range(B.dim)
+
+    def vec(terms):
+        return [terms.get(k, zero) for k in rng]
+
+    return ([[vec(t) for t in row] for row in B.mult],
+            [[[t.get((u, v), zero) for v in rng] for u in rng] for t in B.comult],
+            None if B.antipode is None else [vec(t) for t in B.antipode])
+
+
 def naive_bialgebra_axioms(B):
     """The seven axiom verdicts of a structure bialgebra, by products of
     dense basis vectors: every triple for associativity, every pair for
@@ -361,6 +376,7 @@ def naive_bialgebra_axioms(B):
     field, dim = B.field, B.dim
     zero, one = field.zero, field.one
     rng = range(dim)
+    mult, comult, antipode_table = dense_tables(B)
 
     def add_into(acc, c, vec):
         if c != zero:
@@ -374,14 +390,14 @@ def naive_bialgebra_axioms(B):
             if a[i] != zero:
                 for j in rng:
                     if b[j] != zero:
-                        add_into(out, field.mul(a[i], b[j]), B.mult[i][j])
+                        add_into(out, field.mul(a[i], b[j]), mult[i][j])
         return out
 
     def delta(a):
         out = [[zero] * dim for _ in rng]
         for i in rng:
             for u in rng:
-                add_into(out[u], a[i], B.comult[i][u])
+                add_into(out[u], a[i], comult[i][u])
         return out
 
     def total(values):
@@ -396,7 +412,7 @@ def naive_bialgebra_axioms(B):
     def antipode(a):
         out = [zero] * dim
         for i in rng:
-            add_into(out, a[i], B.antipode[i])
+            add_into(out, a[i], antipode_table[i])
         return out
 
     def tensor_times(x, y):
@@ -409,7 +425,7 @@ def naive_bialgebra_axioms(B):
                 if y[s][t] != zero:
                     c = field.mul(x[u][v], y[s][t])
                     for a in rng:
-                        add_into(out[a], field.mul(c, B.mult[u][s][a]), B.mult[v][t])
+                        add_into(out[a], field.mul(c, mult[u][s][a]), mult[v][t])
         return out
 
     def coassoc_sides(i):
@@ -417,20 +433,20 @@ def naive_bialgebra_axioms(B):
         lhs = [[[zero] * dim for _ in rng] for _ in rng]
         rhs = [[[zero] * dim for _ in rng] for _ in rng]
         for x, y in product(rng, repeat=2):
-            c = B.comult[i][x][y]
+            c = comult[i][x][y]
             if c == zero:
                 continue
             for u, v in product(rng, repeat=2):
-                lhs[u][v][y] = field.add(lhs[u][v][y], field.mul(c, B.comult[x][u][v]))
-                rhs[x][u][v] = field.add(rhs[x][u][v], field.mul(c, B.comult[y][u][v]))
+                lhs[u][v][y] = field.add(lhs[u][v][y], field.mul(c, comult[x][u][v]))
+                rhs[x][u][v] = field.add(rhs[x][u][v], field.mul(c, comult[y][u][v]))
         return lhs, rhs
 
     def sweedler_sum(i, side):
         # sum over Delta(m_i) = sum c m_u (x) m_v of c * side(m_u, m_v)
         out = [zero] * dim
         for u, v in product(rng, repeat=2):
-            if B.comult[i][u][v] != zero:
-                add_into(out, B.comult[i][u][v], side(basis[u], basis[v]))
+            if comult[i][u][v] != zero:
+                add_into(out, comult[i][u][v], side(basis[u], basis[v]))
         return out
 
     basis = [[one if k == i else zero for k in rng] for i in rng]
@@ -443,9 +459,9 @@ def naive_bialgebra_axioms(B):
                     for i in rng),
         "coassoc": all(lhs == rhs for lhs, rhs in map(coassoc_sides, rng)),
         "counit": all(
-            [total(field.mul(B.comult[i][u][v], B.counit[u]) for u in rng) for v in rng]
+            [total(field.mul(comult[i][u][v], B.counit[u]) for u in rng) for v in rng]
             == basis[i]
-            == [total(field.mul(B.comult[i][u][v], B.counit[v]) for v in rng) for u in rng]
+            == [total(field.mul(comult[i][u][v], B.counit[v]) for v in rng) for u in rng]
             for i in rng),
         "delta_multiplicative": all(
             delta(times(basis[i], basis[j])) == tensor_times(delta(basis[i]), delta(basis[j]))
@@ -668,6 +684,7 @@ def _dense_bialgebra_ops(H):
     field, dim = H.field, H.dim
     zero = field.zero
     rng = range(dim)
+    mult, comult, _ = dense_tables(H)
 
     def times(a, b):
         out = [zero] * dim
@@ -676,7 +693,7 @@ def _dense_bialgebra_ops(H):
                 if a[i] != zero and b[j] != zero:
                     c = field.mul(a[i], b[j])
                     for k in rng:
-                        out[k] = field.add(out[k], field.mul(c, H.mult[i][j][k]))
+                        out[k] = field.add(out[k], field.mul(c, mult[i][j][k]))
         return out
 
     def delta(a):
@@ -685,7 +702,7 @@ def _dense_bialgebra_ops(H):
             if a[i] != zero:
                 for u in rng:
                     for v in rng:
-                        out[u][v] = field.add(out[u][v], field.mul(a[i], H.comult[i][u][v]))
+                        out[u][v] = field.add(out[u][v], field.mul(a[i], comult[i][u][v]))
         return out
 
     def eps(a):
@@ -729,6 +746,7 @@ def naive_hopf_compat_bialgebra(bm):
     H, field, n, dim = bm.bialgebra, bm.field, bm.n, bm.bialgebra.dim
     zero = field.zero
     times, _, _ = _dense_bialgebra_ops(H)
+    _, comult, _ = dense_tables(H)
     basis = [[field.one if k == t else zero for k in range(dim)] for t in range(dim)]
     # m_b coelems[v][l], for every b, v, l
     hv = [[[times(basis[b], bm.coelems[v][l]) for l in range(n)] for v in range(n)]
@@ -745,7 +763,7 @@ def naive_hopf_compat_bialgebra(bm):
                 for a in range(dim):
                     for b in range(dim):
                         for v in range(n):
-                            coeff = field.mul(H.comult[t][a][b], bm.basis_action[a][w][v])
+                            coeff = field.mul(comult[t][a][b], bm.basis_action[a][w][v])
                             if coeff != zero:
                                 for s in range(dim):
                                     rhs[s] = field.add(rhs[s], field.mul(coeff, hv[b][v][l][s]))
@@ -798,16 +816,17 @@ def naive_comult_map(H, h_first):
     """Entries of g (x) h -> sum x (x) h_(2), with x = h_(1) g if h_first, else
     g h_(1), by a loop over every dense table entry."""
     f, dim = H.field, H.dim
+    mult, comult, _ = dense_tables(H)
     ent = [[f.zero] * (dim * dim) for _ in range(dim * dim)]
     for a in range(dim):
         for b in range(dim):
             col = a * dim + b
             for u in range(dim):
                 for v in range(dim):
-                    c = H.comult[b][u][v]
+                    c = comult[b][u][v]
                     if c == f.zero:
                         continue
-                    prod = H.mult[u][a] if h_first else H.mult[a][u]
+                    prod = mult[u][a] if h_first else mult[a][u]
                     for i in range(dim):
                         row = i * dim + v
                         ent[row][col] = f.add(ent[row][col], f.mul(c, prod[i]))
@@ -819,6 +838,7 @@ def naive_galois_rprime(H):
     multiplied out on dense vectors."""
     f, dim = H.field, H.dim
     times, _, _ = _dense_bialgebra_ops(H)
+    _, comult, antipode = dense_tables(H)
     basis = [[f.one if k == t else f.zero for k in range(dim)] for t in range(dim)]
     ent = [[f.zero] * (dim * dim) for _ in range(dim * dim)]
     for a in range(dim):
@@ -826,10 +846,10 @@ def naive_galois_rprime(H):
             col = a * dim + b
             for u in range(dim):
                 for v in range(dim):
-                    c = H.comult[a][u][v]
+                    c = comult[a][u][v]
                     if c == f.zero:
                         continue
-                    sv = times(H.antipode[v], basis[b])
+                    sv = times(antipode[v], basis[b])
                     for j in range(dim):
                         row = u * dim + j
                         ent[row][col] = f.add(ent[row][col], f.mul(c, sv[j]))

@@ -303,9 +303,7 @@ def test_criterion_08_derived_dimensions():
     quo = RW.quotient_bialgebra(pres_tk, rs_tk)
     ix = {name: k for k, name in enumerate(quo.basis_labels)}
     dz = quo.comult[ix["c[1,2]"]]
-    want = [[QQ.zero] * 3 for _ in range(3)]
-    want[ix["c[1,1]"]][ix["c[1,2]"]] = QQ.one
-    want[ix["c[1,2]"]][ix["1"]] = QQ.one
+    want = {(ix["c[1,1]"], ix["c[1,2]"]): QQ.one, (ix["c[1,2]"], ix["1"]): QQ.one}
     assert dz == want
 
     # y^n = y family: exponents 3 and 4 give dimensions 7 and 9

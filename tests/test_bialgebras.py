@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from bialgebra_examples import group_algebra_s3, sweedler_h4
+from bialgebra_examples import from_dense, group_algebra_s3, sweedler_h4
 from hopfeq import bialgebras as B, frt, hopfmodules as HM, linalg, rewriting as RW
 from hopfeq import tensorops as T
 from hopfeq.fields import QQ, parse_field
@@ -31,10 +31,10 @@ def test_group_algebra_trivial():
 
 def test_group_algebra_c2_tables():
     H = B.group_algebra(2, F2)
-    assert H.mult[1][1] == [1, 0]  # g*g = 1
-    assert H.comult[1][1][1] == 1  # Delta(g) = g (x) g
+    assert H.mult[1][1] == {0: 1}  # g*g = 1
+    assert H.comult[1][1, 1] == 1  # Delta(g) = g (x) g
     assert H.counit == [1, 1]
-    assert H.antipode[1] == [0, 1]  # S(g) = g
+    assert H.antipode[1] == {1: 1}  # S(g) = g
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -45,7 +45,7 @@ def test_group_algebra_axioms(m):
 
 def test_corrupted_mult_table_reported_not_raised():
     H = B.group_algebra(2, QQ)
-    H.mult[1][1] = [QQ.zero, QQ.one]  # g*g = g: breaks the antipode law
+    H.mult[1][1] = {1: QQ.one}  # g*g = g: breaks the antipode law
     report = B.check_bialgebra_axioms(H)
     assert not report.all_ok
     assert report.antipode is False
@@ -53,9 +53,78 @@ def test_corrupted_mult_table_reported_not_raised():
 
 def test_corrupted_assoc():
     H = B.group_algebra(3, QQ)
-    H.mult[1][1] = [QQ.one, QQ.zero, QQ.zero]  # g*g = 1 while g^3 = 1
+    H.mult[1][1] = {0: QQ.one}  # g*g = 1 while g^3 = 1
     report = B.check_bialgebra_axioms(H)
     assert not report.assoc
+
+
+# -- the stored form of the tables -------------------------------------------------
+
+# the fixtures that tests/test_frt.py builds B(R) of, and those whose
+# quotients the axiom checks are tested on; crossed_s3 under force is the
+# session's build
+QUOTIENT_FIXTURES = [
+    ("identity:1", "q"), ("identity:2", "fp:5"), ("r_q:2", "q"), ("r_q_prime:1", "q"),
+    ("r_q_dblprime:1", "fp:3"), ("char2", "fp:2"), ("classical_yb:2", "q"), ("graded_c2", "q"),
+    ("takesaki_c3", "q"), ("galois_c3", "fp:7"), ("r_q:0", "q"), ("r_q:1", "q"),
+    ("identity:2", "q"), ("takesaki_c2", "q"), ("takesaki_c4", "q"), ("galois_c2", "q"),
+    ("galois_c3", "q"),
+]
+
+
+def assert_stored_form(H):
+    """H's tables hold only nonzero scalars, under basis indices in range;
+    laid out densely they are its to_json() document; and the commutativity
+    flags agree with entrywise comparisons of the dense tables."""
+    n, s = range(H.dim), H.field.scalar_to_json
+    assert len(H.mult) == len(H.comult) == H.dim and all(len(row) == H.dim for row in H.mult)
+    for t in [*itertools.chain(*H.mult), *(H.antipode or ())]:
+        assert all(type(k) is int and k in n and c for k, c in t.items())
+    for t in H.comult:
+        assert all(type(key) is tuple and len(key) == 2 and all(type(k) is int and k in n
+                                                               for k in key) and c
+                   for key, c in t.items())
+    mult, comult, antipode = oracles.dense_tables(H)
+    doc = H.to_json()
+    assert doc["mult"] == [[[s(x) for x in vec] for vec in row] for row in mult]
+    assert doc["comult"] == [[[s(x) for x in row] for row in mat] for mat in comult]
+    assert doc["antipode"] == (None if antipode is None
+                               else [[s(x) for x in vec] for vec in antipode])
+    assert H.is_commutative() is all(mult[i][j] == mult[j][i] for i in n for j in n)
+    assert H.is_cocommutative() is all(mat[u][v] == mat[v][u] for mat in comult
+                                       for u in n for v in n)
+
+
+@pytest.mark.parametrize("commutative", [False, True], ids=["plain", "commutative"])
+def test_stored_form_of_fixture_quotients(commutative, crossed_s3_forced):
+    # force: classical_yb:2 solves no Hopf equation, and some solutions no
+    # commutative one; their chi ideals are coideals all the same
+    quotients = [frt.build(build_fixture(fid, parse_field(fd)), commutative, force=True).quotient
+                 for fid, fd in QUOTIENT_FIXTURES]
+    if not commutative:
+        quotients.append(crossed_s3_forced.quotient)
+    quotients = [H for H in quotients if H is not None]
+    assert len(quotients) == (12 if commutative else 13)
+    for H in quotients:
+        assert_stored_form(H)
+
+
+@pytest.mark.parametrize("fd", ["q", "fp:3"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_stored_form_of_group_algebras(m, fd):
+    assert_stored_form(B.group_algebra(m, parse_field(fd)))
+
+
+def test_stored_form_of_hand_written_bialgebras():
+    for H in (sweedler_h4(QQ), sweedler_h4(F3), group_algebra_s3()[1], group_algebra_s3(F5)[1],
+              tk_bialgebra()):
+        assert_stored_form(H)
+
+
+def test_stored_form_of_f2_quotients(f2_quotients):
+    assert len(f2_quotients) == 55
+    for H in f2_quotients:
+        assert_stored_form(H)
 
 
 # -- axiom checks against the dense oracle ----------------------------------------
@@ -73,11 +142,12 @@ def tk_bialgebra():
     def vec(*ones):
         return [QQ.one if k in ones else QQ.zero for k in range(3)]
 
-    def tensor(*pairs):
-        return [[QQ.one if (u, v) in pairs else QQ.zero for v in range(3)] for u in range(3)]
+    def terms(*ones):  # a stored table entry: coefficient 1 at each key
+        return dict.fromkeys(ones, QQ.one)
 
-    mult = [[vec(0), vec(1), vec(2)], [vec(1), vec(1), vec()], [vec(2), vec(), vec()]]
-    comult = [tensor((0, 0)), tensor((1, 1)), tensor((1, 2), (2, 0))]
+    mult = [[terms(0), terms(1), terms(2)], [terms(1), terms(1), terms()],
+            [terms(2), terms(), terms()]]
+    comult = [terms((0, 0)), terms((1, 1)), terms((1, 2), (2, 0))]
     return B.StructureBialgebra(QQ, 3, ["1", "x", "z"], vec(0), mult, comult, vec(0, 1))
 
 
@@ -89,12 +159,29 @@ def assert_matches_oracle(H):
 DEPTH = {"mult": 3, "comult": 3, "antipode": 2, "unit": 1, "counit": 1}
 
 
-def holder_of(H, table, index):
-    """The list whose item index[-1] is the entry of H's table at index."""
+def entry_holder(H, table, index):
+    """(holder, key) of the entry of H's table at index: a stored {key: c}
+    of mult, comult or antipode, or the unit or counit list."""
     holder = getattr(H, table)
-    for k in index[:-1]:
-        holder = holder[k]
-    return holder
+    if table in ("unit", "counit"):
+        return holder, index[0]
+    holder = holder[index[0]][index[1]] if table == "mult" else holder[index[0]]
+    return holder, index[1:] if table == "comult" else index[-1]
+
+
+def entry(H, table, index):
+    """The entry of H's table at index, zero included."""
+    holder, key = entry_holder(H, table, index)
+    return holder[key] if isinstance(holder, list) else holder.get(key, H.field.zero)
+
+
+def set_entry(H, table, index, value):
+    """Set the entry of H's table at index; a zero leaves a stored table."""
+    holder, key = entry_holder(H, table, index)
+    if isinstance(holder, dict) and not value:
+        holder.pop(key, None)
+    else:
+        holder[key] = value
 
 
 @pytest.mark.parametrize("fid,fd", [
@@ -138,9 +225,8 @@ def test_axioms_match_oracle_on_every_one_entry_change_of_h4():
         for index in itertools.product(range(4), repeat=depth):
             for value in range(3):
                 P = copy.deepcopy(H)
-                holder = holder_of(P, name, index)
-                if holder[index[-1]] != value:
-                    holder[index[-1]] = value
+                if entry(P, name, index) != value:
+                    set_entry(P, name, index, value)
                     assert_matches_oracle(P)
                     changes += 1
     assert changes == 2 * (64 + 64 + 16 + 4 + 4)
@@ -151,10 +237,9 @@ def perturb(H, rng):
     P = copy.deepcopy(H)
     name = rng.choice([t for t in DEPTH if getattr(P, t) is not None])
     index = tuple(rng.randrange(P.dim) for _ in range(DEPTH[name]))
-    holder, k = holder_of(P, name, index), index[-1]
-    old = holder[k]
-    while holder[k] == old:
-        holder[k] = P.field.random(rng)
+    old = entry(P, name, index)
+    while entry(P, name, index) == old:
+        set_entry(P, name, index, P.field.random(rng))
     return P
 
 
@@ -184,7 +269,7 @@ def test_axioms_match_oracle_on_perturbed_tables(f2_quotients):
 def test_one_entry_breaks_exactly_one_axiom(axiom, table, index, value):
     H = tk_bialgebra()
     assert B.check_bialgebra_axioms(H).all_ok
-    holder_of(H, table, index)[index[-1]] = QQ.from_int(value)
+    set_entry(H, table, index, QQ.from_int(value))
     report = asdict(B.check_bialgebra_axioms(H))
     assert report == {**dict.fromkeys(report, True), "antipode": None, axiom: False}
 
@@ -206,12 +291,12 @@ def rebased(H, P):
     def coords2(mat):  # Q mat Q^T
         return linalg.mat_mul(f, linalg.mat_mul(f, Q, mat), [list(col) for col in zip(*Q)])
 
+    _, _, old_antipode = oracles.dense_tables(H)
     antipode = None if H.antipode is None else [
-        coords(linalg.mat_mul(f, [a], H.antipode)[0]) for a in new]
-    return B.StructureBialgebra(f, dim, list(H.basis_labels), coords(H.unit),
-                                [[coords(times(a, b)) for b in new] for a in new],
-                                [coords2(delta(a)) for a in new], [eps(a) for a in new],
-                                antipode)
+        coords(linalg.mat_mul(f, [a], old_antipode)[0]) for a in new]
+    return from_dense(f, dim, list(H.basis_labels), coords(H.unit),
+                      [[coords(times(a, b)) for b in new] for a in new],
+                      [coords2(delta(a)) for a in new], [eps(a) for a in new], antipode)
 
 
 def random_tables(field, dim, rng, antipode):
@@ -219,10 +304,10 @@ def random_tables(field, dim, rng, antipode):
     def vec():
         return [field.random(rng) if rng.random() < 0.5 else field.zero for _ in range(dim)]
 
-    return B.StructureBialgebra(field, dim, [str(i) for i in range(dim)], vec(),
-                                [[vec() for _ in range(dim)] for _ in range(dim)],
-                                [[vec() for _ in range(dim)] for _ in range(dim)], vec(),
-                                [vec() for _ in range(dim)] if antipode else None)
+    return from_dense(field, dim, [str(i) for i in range(dim)], vec(),
+                      [[vec() for _ in range(dim)] for _ in range(dim)],
+                      [[vec() for _ in range(dim)] for _ in range(dim)], vec(),
+                      [vec() for _ in range(dim)] if antipode else None)
 
 
 def assert_lifted_checks_match_oracles(H):
@@ -584,7 +669,7 @@ def test_multiply_matches_the_dense_oracle_on_cancelling_vectors(fd):
             got = H.multiply(a, b)
             assert got == times(a, b)
             # an entry that is zero though some term m_i m_j reaches it
-            cancelled += any(not got[k] and any(a[i] and b[j] and H.mult[i][j][k]
+            cancelled += any(not got[k] and any(a[i] and b[j] and k in H.mult[i][j]
                                                 for i in range(H.dim) for j in range(H.dim))
                              for k in range(H.dim))
     assert cancelled >= 10
@@ -606,6 +691,14 @@ def test_structure_bialgebra_from_json_refuses_a_misshapen_table(key):
     holder.pop()
     with pytest.raises(ValueError, match=f"^{key} must be {'x'.join('2' * DOC_DEPTH[key])}$"):
         B.StructureBialgebra.from_json(bad)
+
+
+@pytest.mark.parametrize("key", ["field", "dim"])
+def test_structure_bialgebra_from_json_refuses_a_missing_key(key):
+    doc = B.group_algebra(2, QQ).to_json()
+    del doc[key]
+    with pytest.raises(ValueError, match=f"^missing key '{key}'$"):
+        B.StructureBialgebra.from_json(doc)
 
 
 @pytest.mark.parametrize("word", ["ab", [-1], [True], [0.0], 0],
@@ -646,7 +739,7 @@ def test_structure_bialgebra_json_round_trip_property(data):
         def vec():
             return data.draw(st.lists(cell, min_size=dim, max_size=dim))
 
-        H = B.StructureBialgebra(
+        H = from_dense(
             field, dim, [f"m{k}" for k in range(dim)], vec(),
             [[vec() for _ in range(dim)] for _ in range(dim)],
             [[vec() for _ in range(dim)] for _ in range(dim)], vec(),

@@ -740,6 +740,14 @@ MISREADINGS = {
         lambda doc: doc.update(comatrix_n=None, generators="2"),
     "word 5 is not a list of letters": lambda doc: doc["relations"][-1]["terms"].append([5, "1"]),
     "chi_origin must be a list of index lists": lambda doc: doc["chi_origin"].append(7),
+    # a relation that is no object raised TypeError, a missing key KeyError
+    "relations must be objects with a terms list": lambda doc: doc["relations"].append(5),
+    r"terms list of \[word, scalar\] pairs":
+        lambda doc: doc["relations"][-1]["terms"].append([[0, 1]]),
+    "missing key 'relations'": lambda doc: doc.pop("relations"),
+    # once accepted as the flag's value
+    "commutative_closure must be true or false, not 'yes'":
+        lambda doc: doc.update(commutative_closure="yes"),
 }
 
 

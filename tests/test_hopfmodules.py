@@ -507,7 +507,7 @@ def regular_induced_by_formula(H):
                         row = i * dim + u
                         ent[row][a * dim + b] = f.add(
                             ent[row][a * dim + b],
-                            f.mul(H.comult[b][u][v], H.mult[v][a][i]))
+                            f.mul(H.comult[b].get((u, v), f.zero), H.mult[v][a].get(i, f.zero)))
     return T.TensorOp(dim, f, ent)
 
 

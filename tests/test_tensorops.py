@@ -457,6 +457,14 @@ def test_tensorop_json_round_trip():
         assert T.TensorOp.from_json(doc) == R
 
 
+@pytest.mark.parametrize("key", ["field", "n", "matrix"])
+def test_tensorop_from_json_refuses_a_missing_key(key):
+    doc = build_fixture("char2", F2).to_json()
+    del doc[key]
+    with pytest.raises(ValueError, match=f"^missing key '{key}'$"):
+        T.TensorOp.from_json(doc)
+
+
 _SCALARS = {
     "q": st.one_of(st.just(QQ.zero), st.builds(Fraction, st.integers(-10**12, 10**12),
                                                  st.integers(1, 10**6))),
